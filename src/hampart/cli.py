@@ -27,13 +27,14 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .fragments import Partition, partition_from_json, partition_to_json
+from .fragments import Partition, load_partition, partition_to_json
 from .operators import (
     Lattice,
     build_bose_hubbard,
     build_fermi_hubbard,
     build_vibrational,
     chain_lattice,
+    couplings_from_json,
     cubic_lattice,
     hexagonal_lattice,
     lattice_from_json,
@@ -152,10 +153,7 @@ def cmd_build(args) -> int:
             with open(args.model) as fh:
                 model = json.load(fh)
             omega = model["omega"]
-            couplings = {
-                tuple(int(t) for t in k.split(",")): float(v)
-                for k, v in model.get("couplings", {}).items()
-            }
+            couplings = couplings_from_json(model.get("couplings", {}))
             d = int(model.get("d", args.d))
         else:
             if not args.omega:
@@ -232,10 +230,7 @@ def _rebuild_operator(meta: dict | None, expect_class: tuple[str, ...]):
         lat = lattice_from_json(params["lattice"])
         return build_fermi_hubbard(lat, params["t"], params["U"]), lat
     if cls == "vibrational":
-        couplings = {
-            tuple(int(t) for t in k.split(",")): float(v)
-            for k, v in params.get("couplings", {}).items()
-        }
+        couplings = couplings_from_json(params.get("couplings", {}))
         return build_vibrational(params["omega"], couplings, params["d"]), None
     raise DomainError(f"cannot rebuild pre-encoded operator for class {cls!r}")
 
@@ -306,11 +301,12 @@ def _states_for(args, n: int) -> list[StateVector]:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.state and args.states < 1:
+        raise DomainError(f"--states must be at least 1, got {args.states}")
     h, _, digest = _load_hamiltonian(args.hamiltonian)
     parts = []
     for path in args.partitions:
-        with open(path) as fh:
-            part = partition_from_json(json.load(fh))
+        part = load_partition(path)
         if part.hamiltonian_sha256 and part.hamiltonian_sha256 != digest:
             raise DomainError(f"{path} targets a different Hamiltonian")
         if part.n != h.n:
@@ -392,8 +388,7 @@ def cmd_theorem1(args) -> int:
 
 def cmd_verify(args) -> int:
     h, _, digest = _load_hamiltonian(args.hamiltonian)
-    with open(args.partition) as fh:
-        part = partition_from_json(json.load(fh))
+    part = load_partition(args.partition)
     if part.hamiltonian_sha256 and part.hamiltonian_sha256 != digest:
         raise DomainError("partition targets a different Hamiltonian")
     report = validate_partition(part, h, k=args.k)

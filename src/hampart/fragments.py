@@ -341,27 +341,38 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(data: dict | str) -> Partition:
+    """Partition from its JSON form; malformed input raises DataError."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"partition is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError("partition JSON must be an object")
     if data.get("format") != FORMAT_TAG:
         raise DataError(f"unknown partition format {data.get('format')!r}")
-    fragments = []
-    for frag in data["fragments"]:
-        terms = []
-        for term in frag["terms"]:
-            factors = []
-            for f in term["factors"]:
-                qubits = tuple(int(q) for q in f["qubits"])
-                factors.append(TensorFactor(qubits, _block_from_json(f["block"], 1 << len(qubits))))
-            terms.append(TensorProductTerm(factors))
-        fragments.append(Fragment(tuple(terms), frag.get("label", "")))
-    return Partition(
-        n=int(data["n"]),
-        fragments=tuple(fragments),
-        constant=float(data["constant"]),
-        source=data.get("source", ""),
-        hamiltonian_sha256=data.get("hamiltonian_sha256"),
-    )
+    try:
+        fragments = []
+        for frag in data["fragments"]:
+            terms = []
+            for term in frag["terms"]:
+                factors = []
+                for f in term["factors"]:
+                    qubits = tuple(int(q) for q in f["qubits"])
+                    factors.append(
+                        TensorFactor(qubits, _block_from_json(f["block"], 1 << len(qubits)))
+                    )
+                terms.append(TensorProductTerm(factors))
+            fragments.append(Fragment(tuple(terms), frag.get("label", "")))
+        return Partition(
+            n=int(data["n"]),
+            fragments=tuple(fragments),
+            constant=float(data["constant"]),
+            source=data.get("source", ""),
+            hamiltonian_sha256=data.get("hamiltonian_sha256"),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed partition: {exc!r}") from exc
 
 
 def save_partition(path, p: Partition):
@@ -372,4 +383,4 @@ def save_partition(path, p: Partition):
 
 def load_partition(path) -> Partition:
     with open(path) as fh:
-        return partition_from_json(json.load(fh))
+        return partition_from_json(fh.read())

@@ -366,17 +366,24 @@ def build_vibrational(
     return BosonOperator(modes, d, tuple(terms))
 
 
+def couplings_from_json(data: dict) -> dict[tuple[int, ...], float]:
+    """Coupling map {"0,1,2": t, ...} keyed by mode-index tuples instead."""
+    couplings = {}
+    for key, val in data.items():
+        try:
+            couplings[tuple(int(tok) for tok in str(key).split(","))] = float(val)
+        except ValueError as exc:
+            raise DataError(f"bad coupling {key!r}: {val!r}") from exc
+    return couplings
+
+
 def vibrational_from_json(data: dict | str, d: int | None = None) -> BosonOperator:
     """JSON form: {"omega": [...], "couplings": {"0,1,2": t, ...}, "d": 4}."""
     if isinstance(data, str):
         data = json.loads(data)
-    couplings = {}
-    for key, val in data.get("couplings", {}).items():
-        idx = tuple(int(tok) for tok in str(key).split(","))
-        couplings[idx] = float(val)
     if d is None:
         d = int(data["d"])
-    return build_vibrational(data["omega"], couplings, d)
+    return build_vibrational(data["omega"], couplings_from_json(data.get("couplings", {})), d)
 
 
 # ---------------------------------------------------------------------------

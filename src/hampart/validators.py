@@ -1,16 +1,18 @@
-"""Certification of partitions: reconstruction, locality, commutation, and
-numerical diagonalization of every fragment.
+"""Certification of partitions: reconstruction, locality, and one measurement
+basis per fragment.
 
-Fragments whose terms share aligned factor supports with commuting blocks
-diagonalize factor by factor (simultaneously, via a random real combination
-of each block family). Commuting-but-not-tensor-wise fragments (e.g. from
-fully-commuting SortedInsertion) are flagged; `allow_global=True` lets them
-diagonalize as a single block over their union support instead.
+A fragment is measurable when one basis change diagonalizes every one of its
+terms; that is the single criterion certified here (commutation follows from
+it). Fragments whose factor supports align get one unitary per support, found
+simultaneously for the support's family of blocks. Other fragments get one
+unitary over their whole support when `allow_global=True`. Either way the
+certificate is a bound on the max-entry norm of U^dag M U - diag(D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .fragments import (
     Partition,
     TensorFactor,
     TensorProductTerm,
+    _deposit,
     apply_block,
     partition_matrix,
     term_matrix,
@@ -31,6 +34,7 @@ from .variance import StateVector
 COMMUTATION_QUBIT_CAP = 10
 GLOBAL_BLOCK_QUBIT_CAP = 8
 _DIAG_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,6 @@ class ValidationReport:
     locality_ok: bool
     locality_worst: int
     locality_bound: int
-    commutation_ok: bool
-    worst_commutator: float
     tensor_wise: bool
     diagonalization_residual: float
 
@@ -49,7 +51,6 @@ class ValidationReport:
         return (
             self.reconstruction_error <= 1e-9
             and self.locality_ok
-            and self.commutation_ok
             and self.diagonalization_residual <= _DIAG_TOL
         )
 
@@ -59,8 +60,6 @@ class ValidationReport:
             "locality_ok": self.locality_ok,
             "locality_worst": self.locality_worst,
             "locality_bound": self.locality_bound,
-            "commutation_ok": self.commutation_ok,
-            "worst_commutator": self.worst_commutator,
             "tensor_wise": self.tensor_wise,
             "diagonalization_residual": self.diagonalization_residual,
             "ok": self.ok,
@@ -90,48 +89,26 @@ def _restrict_term(term: TensorProductTerm, support: tuple[int, ...]) -> TensorP
     )
 
 
-def _fragment_term_matrices(frag: Fragment) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    support = frag.support()
-    m = len(support)
-    if m > COMMUTATION_QUBIT_CAP:
-        raise ResourceError(
-            f"fragment support {m} exceeds dense commutation cap {COMMUTATION_QUBIT_CAP}"
-        )
-    mats = [term_matrix(_restrict_term(t, support), m, "dense") for t in frag.terms]
-    return support, mats
-
-
 def check_commutation(p: Partition) -> float:
-    """Worst max-entry commutator norm over all intra-fragment term pairs."""
+    """Worst max-entry commutator norm over all intra-fragment term pairs.
+
+    A dense reference check (fragment supports up to COMMUTATION_QUBIT_CAP);
+    certification itself uses `diagonalize_fragment`.
+    """
     worst = 0.0
     for frag in p.fragments:
-        _, mats = _fragment_term_matrices(frag)
+        support = frag.support()
+        m = len(support)
+        if m > COMMUTATION_QUBIT_CAP:
+            raise ResourceError(
+                f"fragment support {m} exceeds dense commutation cap {COMMUTATION_QUBIT_CAP}"
+            )
+        mats = [term_matrix(_restrict_term(t, support), m, "dense") for t in frag.terms]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = mats[i] @ mats[j] - mats[j] @ mats[i]
                 worst = max(worst, float(np.max(np.abs(comm))) if comm.size else 0.0)
     return worst
-
-
-def check_tensor_wise(frag: Fragment) -> bool:
-    """Aligned supports across terms and factor-by-factor commuting blocks."""
-    by_support: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for term in frag.terms:
-        for f in term.factors:
-            key = tuple(sorted(f.qubits))
-            for other in by_support:
-                if other != key and set(other) & set(key):
-                    return False
-            by_support.setdefault(key, []).append(
-                _sorted_block(f) if f.qubits != tuple(sorted(f.qubits)) else f.block
-            )
-    for blocks in by_support.values():
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                comm = blocks[i] @ blocks[j] - blocks[j] @ blocks[i]
-                if np.max(np.abs(comm)) > 1e-10:
-                    return False
-    return True
 
 
 def _sorted_block(f: TensorFactor) -> np.ndarray:
@@ -143,9 +120,109 @@ def _sorted_block(f: TensorFactor) -> np.ndarray:
     return tensor.transpose(perm).reshape(1 << m, 1 << m)
 
 
+def _off_diagonal(mat: np.ndarray) -> float:
+    mags = np.abs(mat)
+    np.fill_diagonal(mags, 0.0)
+    return float(np.max(mags))
+
+
+def _simultaneous_eigh(blocks: list[np.ndarray]):
+    """A unitary U that diagonalizes a Hermitian family at once, and each
+    U^dag B U as (real diagonal, largest off-diagonal entry, largest entry).
+
+    Blocks are taken in turn: each is diagonalized within every eigenspace
+    the earlier blocks share, which splits those spaces further. A commuting
+    family ends diagonal; a family with no common basis still gets a
+    unitary, whose off-diagonal entries then fail certification.
+    """
+    dim = blocks[0].shape[0]
+    vecs = np.eye(dim, dtype=complex)  # an already-diagonal family needs no basis change
+    if any(_off_diagonal(b) > 1e-14 for b in blocks):
+        spaces = [np.arange(dim)]
+        for b in blocks:
+            if len(spaces) == dim:
+                break
+            b_vecs = b @ vecs
+            split = []
+            for idx in spaces:
+                vals, sub = np.linalg.eigh(vecs[:, idx].conj().T @ b_vecs[:, idx])
+                vecs[:, idx] = vecs[:, idx] @ sub
+                gaps = np.diff(vals) > 1e-11 * max(1.0, float(np.max(np.abs(vals))))
+                split.extend(np.split(idx, np.flatnonzero(gaps) + 1))
+            spaces = split
+    return vecs, [_summary(vecs, b) for b in blocks]
+
+
+def _summary(u: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float, float]:
+    rotated = u.conj().T @ block @ u
+    return np.real(np.diag(rotated)), _off_diagonal(rotated), float(np.max(np.abs(rotated)))
+
+
+def _basis(terms: list[dict[tuple[int, ...], np.ndarray]]):
+    """One unitary per support, and each term's rotated blocks by support."""
+    families: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for term in terms:
+        for key, block in term.items():
+            families.setdefault(key, []).append(block)
+    unitaries = {}
+    rotated = {}
+    for key, blocks in sorted(families.items()):
+        if len(key) > GLOBAL_BLOCK_QUBIT_CAP:
+            raise ResourceError(f"block on {len(key)} qubits exceeds cap {GLOBAL_BLOCK_QUBIT_CAP}")
+        unitaries[key], summaries = _simultaneous_eigh(blocks)
+        rotated[key] = iter(summaries)
+    return unitaries, [{key: next(rotated[key]) for key in term} for term in terms]
+
+
+def _residual_bound(rotated_terms) -> float:
+    """Bound on max|U^dag M U - diag(D)|, summed over terms.
+
+    An off-diagonal entry of a term's tensor product takes an off-diagonal
+    entry from at least one rotated block and any entries from the others.
+    Rounding adds about d ulps of a term's largest entry for each rotated
+    block of dimension d, and one ulp per term summed into D.
+    """
+    total = 0.0
+    for term in rotated_terms:
+        parts = list(term.values())
+        norms = [norm for _, _, norm in parts]
+        total += max(
+            (off * prod(norms[:i] + norms[i + 1:]) for i, (_, off, _) in enumerate(parts)),
+            default=0.0,
+        )
+        ulps = sum(len(d) for d, _, _ in parts) + len(rotated_terms)
+        total += ulps * _EPS * prod(norms)
+    return total
+
+
+def _tensor_wise_basis(frag: Fragment):
+    """`_basis` with one unitary per aligned factor support; None when two
+    supports partially overlap or that basis leaves the fragment off-diagonal."""
+    supports: set[tuple[int, ...]] = set()
+    terms = []
+    for term in frag.terms:
+        blocks = {}
+        for f in term.factors:
+            key = tuple(sorted(f.qubits))
+            if key not in supports:
+                if any(set(key) & set(other) for other in supports):
+                    return None
+                supports.add(key)
+            blocks[key] = f.block if f.qubits == key else _sorted_block(f)
+        terms.append(blocks)
+    basis = _basis(terms)
+    return basis if _residual_bound(basis[1]) <= _DIAG_TOL else None
+
+
+def check_tensor_wise(frag: Fragment) -> bool:
+    """Aligned factor supports, each support's blocks diagonalized by one unitary."""
+    return _tensor_wise_basis(frag) is not None
+
+
 @dataclass(frozen=True)
 class FragmentDiagonalization:
-    """Per-support unitaries U_s, the diagonal of U^dag M U, and its residual."""
+    """Per-support unitaries U_s, the diagonal of U^dag M U, and a bound on the
+    max-entry norm of U^dag M U - diag(D)."""
 
     unitaries: dict[tuple[int, ...], np.ndarray]
     diagonal: np.ndarray
@@ -165,203 +242,71 @@ class FragmentDiagonalization:
         return float(np.sum(self.diagonal * np.abs(rotated) ** 2))
 
 
-def _extract_bits(indices: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Local block index of each global basis index (first qubit = block MSB)."""
-    m = len(qubits)
-    out = np.zeros_like(indices)
-    for j, q in enumerate(qubits):
-        out |= ((indices >> (n - 1 - q)) & 1) << (m - 1 - j)
-    return out
-
-
-def _simultaneous_eigh(blocks: list[np.ndarray], rng: np.random.Generator):
-    """One unitary diagonalizing a commuting Hermitian family, or None."""
-    dim = blocks[0].shape[0]
-    if all(np.max(np.abs(b - np.diag(np.diag(b)))) <= 1e-14 for b in blocks):
-        return np.eye(dim, dtype=complex)  # already diagonal: no basis change
-    if len(blocks) == 1:
-        _, vecs = np.linalg.eigh(blocks[0])
-        return vecs
-    for _ in range(2):  # one retry with fresh weights
-        weights = rng.standard_normal(len(blocks))
-        combo = sum(w * b for w, b in zip(weights, blocks))
-        _, vecs = np.linalg.eigh(combo)
-        ok = True
-        for b in blocks:
-            rotated = vecs.conj().T @ b @ vecs
-            off = rotated - np.diag(np.diag(rotated))
-            if np.max(np.abs(off)) > 1e-10:
-                ok = False
-                break
-        if ok:
-            return vecs
-    return None
-
-
 def diagonalize_fragment(
     frag: Fragment,
     n: int,
     *,
     allow_global: bool = False,
-    seed: int = 7,
 ) -> FragmentDiagonalization:
-    """Diagonalize a fragment per factor support.
+    """Diagonalize a fragment per factor support, or over its whole support.
 
-    Stacked blocks on a shared support are diagonalized simultaneously via a
-    random real linear combination (with one retry). Raises ConstraintError
-    for commuting-but-not-tensor-wise fragments unless `allow_global` permits
-    a single whole-support block instead.
+    Stacked blocks on a shared support are diagonalized simultaneously.
+    Raises ConstraintError when that tensor-wise basis does not diagonalize
+    the fragment, unless `allow_global` permits one whole-support unitary
+    instead, whose blocks are the terms restricted to that support.
     """
-    rng = np.random.default_rng(seed)
-    dim = 1 << n
     if not frag.terms:
-        return FragmentDiagonalization({}, np.zeros(dim), 0.0, True)
-    tensor_wise = check_tensor_wise(frag)
+        return FragmentDiagonalization({}, np.zeros(1 << n), 0.0, True)
+    basis = _tensor_wise_basis(frag)
+    tensor_wise = basis is not None
     if not tensor_wise:
         if not allow_global:
             raise ConstraintError(
                 "fragment is not tensor-wise diagonalizable; "
                 "pass allow_global=True for a whole-support basis"
             )
-        return _diagonalize_global(frag, n)
-
-    by_support: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for term in frag.terms:
-        for f in term.factors:
-            key = tuple(sorted(f.qubits))
-            block = f.block if f.qubits == key else _sorted_block(f)
-            by_support.setdefault(key, []).append(block)
-    unitaries: dict[tuple[int, ...], np.ndarray] = {}
-    for key, blocks in sorted(by_support.items()):
-        if len(key) > GLOBAL_BLOCK_QUBIT_CAP:
-            raise ResourceError(f"block on {len(key)} qubits exceeds cap {GLOBAL_BLOCK_QUBIT_CAP}")
-        vecs = _simultaneous_eigh(blocks, rng)
-        if vecs is None:
-            if not allow_global:
-                raise ConstraintError("non-commuting blocks on shared support")
-            return _diagonalize_global(frag, n)
-        unitaries[key] = vecs
-
-    indices = np.arange(dim, dtype=np.int64)
-    diagonal = np.zeros(dim)
-    for term in frag.terms:
-        contrib = np.ones(dim)
-        for f in term.factors:
-            key = tuple(sorted(f.qubits))
-            block = f.block if f.qubits == key else _sorted_block(f)
-            u = unitaries[key]
-            d_local = np.real(np.diag(u.conj().T @ block @ u))
-            contrib = contrib * d_local[_extract_bits(indices, key, n)]
-        diagonal += contrib
-    residual = _diagonalization_residual(frag, n, unitaries, diagonal)
-    return FragmentDiagonalization(unitaries, diagonal, residual, True)
-
-
-def _diagonalize_global(frag: Fragment, n: int) -> FragmentDiagonalization:
-    support = frag.support()
-    m = len(support)
-    if m > GLOBAL_BLOCK_QUBIT_CAP:
-        raise ResourceError(
-            f"fragment support {m} exceeds whole-support cap {GLOBAL_BLOCK_QUBIT_CAP}"
+        support = frag.support()
+        m = len(support)
+        if m > GLOBAL_BLOCK_QUBIT_CAP:
+            raise ResourceError(
+                f"fragment support {m} exceeds whole-support cap {GLOBAL_BLOCK_QUBIT_CAP}"
+            )
+        basis = _basis(
+            [{support: term_matrix(_restrict_term(t, support), m, "dense")} for t in frag.terms]
         )
-    mat = np.zeros((1 << m, 1 << m), dtype=complex)
-    for term in frag.terms:
-        mat += term_matrix(_restrict_term(term, support), m, "dense")
-    vals, vecs = np.linalg.eigh(mat)
+    unitaries, rotated = basis
+
     indices = np.arange(1 << n, dtype=np.int64)
-    diagonal = vals[_extract_bits(indices, support, n)]
-    unitaries = {support: vecs}
-    residual = _diagonalization_residual(frag, n, unitaries, diagonal)
-    return FragmentDiagonalization(unitaries, diagonal, residual, False)
+    local_index = {
+        key: _deposit(indices, [n - 1 - q for q in key], list(range(len(key) - 1, -1, -1)))
+        for key in unitaries
+    }
+    diagonal = np.zeros(1 << n)
+    for term in rotated:
+        contrib = np.ones(1 << n)
+        for key, (d_local, _, _) in term.items():
+            contrib *= d_local[local_index[key]]
+        diagonal += contrib
+    return FragmentDiagonalization(unitaries, diagonal, _residual_bound(rotated), tensor_wise)
 
 
-def _diagonalization_residual(
-    frag: Fragment,
-    n: int,
-    unitaries: dict[tuple[int, ...], np.ndarray],
-    diagonal: np.ndarray,
-) -> float:
-    """Max-entry norm of U^dag M U - diag(D), exact on the fragment support."""
-    support = frag.support()
-    m = len(support)
-    if m > COMMUTATION_QUBIT_CAP:
-        return _per_block_residual(frag, unitaries)
-    mat = np.zeros((1 << m, 1 << m), dtype=complex)
-    for term in frag.terms:
-        mat += term_matrix(_restrict_term(term, support), m, "dense")
-    remap = {q: i for i, q in enumerate(support)}
-    rotated = mat
-    for qubits, u in unitaries.items():
-        local = tuple(remap[q] for q in qubits)
-        rotated = _lift_apply(rotated, m, local, u)
-    local_indices = np.arange(1 << m, dtype=np.int64)
-    # Diagonal restricted to the support block (identity qubits contribute
-    # the same value to every slice, so any slice works).
-    scatter = _scatter_bits(local_indices, support, n)
-    diag_local = diagonal[scatter]
-    resid = rotated - np.diag(diag_local)
-    return float(np.max(np.abs(resid))) if resid.size else 0.0
-
-
-def _scatter_bits(local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    m = len(qubits)
-    out = np.zeros_like(local)
-    for j, q in enumerate(qubits):
-        out |= ((local >> (m - 1 - j)) & 1) << (n - 1 - q)
-    return out
-
-
-def _lift_apply(mat: np.ndarray, n: int, qubits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-    """U^dag M U where U acts on `qubits` within an n-qubit space."""
-    m = len(qubits)
-    rest = [q for q in range(n) if q not in qubits]
-    full = np.kron(u, np.eye(1 << len(rest))) if rest else u
-    order = list(qubits) + rest
-    axis_of_qubit = [order.index(q) for q in range(n)]
-    perm = axis_of_qubit + [n + a for a in axis_of_qubit]
-    lifted = full.reshape((2,) * (2 * n)).transpose(perm).reshape(1 << n, 1 << n)
-    return lifted.conj().T @ mat @ lifted
-
-
-def _per_block_residual(frag: Fragment, unitaries) -> float:
-    worst = 0.0
-    for term in frag.terms:
-        for f in term.factors:
-            key = tuple(sorted(f.qubits))
-            block = f.block if f.qubits == key else _sorted_block(f)
-            u = unitaries[key]
-            rotated = u.conj().T @ block @ u
-            off = rotated - np.diag(np.diag(rotated))
-            worst = max(worst, float(np.max(np.abs(off))))
-    return worst
-
-
-def validate_partition(
-    p: Partition,
-    h: PauliSum,
-    k: int | None = None,
-    *,
-    diagonalize: bool = True,
-) -> ValidationReport:
-    """Run every certification check; `k` defaults to the largest factor seen."""
+def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:
+    """Check reconstruction and locality, and certify every fragment by its
+    measurement basis; `k` defaults to the largest factor seen."""
     recon = check_reconstruction(p, h)
     worst_factor = p.max_factor_size()
     bound = k if k is not None else worst_factor
-    locality_ok = check_locality(p, bound)
-    worst_comm = check_commutation(p)
-    tensor_wise = all(check_tensor_wise(f) for f in p.fragments)
+    tensor_wise = True
     residual = 0.0
-    if diagonalize:
-        for frag in p.fragments:
-            diag = diagonalize_fragment(frag, p.n, allow_global=True)
-            residual = max(residual, diag.residual)
+    for frag in p.fragments:
+        diag = diagonalize_fragment(frag, p.n, allow_global=True)
+        tensor_wise = tensor_wise and diag.tensor_wise
+        residual = max(residual, diag.residual)
     return ValidationReport(
         reconstruction_error=recon,
-        locality_ok=locality_ok,
+        locality_ok=check_locality(p, bound),
         locality_worst=worst_factor,
         locality_bound=bound,
-        commutation_ok=worst_comm <= 1e-9,
-        worst_commutator=worst_comm,
         tensor_wise=tensor_wise,
         diagonalization_residual=residual,
     )

@@ -7,6 +7,9 @@ import pytest
 
 from conftest import ILLUSTRATIVE_TEXT
 from hampart.cli import main
+from hampart.fragments import Fragment, Partition, pauli_term, save_partition
+from hampart.pauli import PauliString, PauliSum
+from hampart.validators import check_reconstruction, validate_partition
 
 
 def run(argv):
@@ -150,6 +153,23 @@ class TestEvaluate:
         assert run(["evaluate", part, "--hamiltonian", other,
                     "-o", tmp_path / "rep"]) == 2
 
+    @pytest.mark.parametrize("states", [0, -2])
+    def test_nonpositive_state_count_rejected(self, b3d4, tmp_path, states):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        assert run(["evaluate", part, "--hamiltonian", f"{b3d4}.pauli",
+                    "--states", states, "-o", tmp_path / "rep"]) == 2
+        assert not (tmp_path / "rep.csv").exists()
+
+    def test_fragment_without_terms_rejected(self, b3d4, tmp_path):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        data = json.loads(part.read_text())
+        del data["fragments"][0]["terms"]
+        part.write_text(json.dumps(data))
+        assert run(["evaluate", part, "--hamiltonian", f"{b3d4}.pauli",
+                    "-o", tmp_path / "rep"]) == 2
+
 
 class TestSweepK:
     def test_header_and_endpoint(self, tmp_path, h2_fcidump):
@@ -213,6 +233,23 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert run(["verify", bad, "--hamiltonian", f"{b3d4}.pauli"]) == 3
+
+    def test_terms_without_common_basis_fail(self, tmp_path):
+        ham = tmp_path / "xz.pauli"
+        ham.write_text("1.0 X0\n1.0 Z0\n")
+        h = PauliSum(1, [(1.0, PauliString.from_letters("X")),
+                         (1.0, PauliString.from_letters("Z"))])
+        frag = Fragment(tuple(pauli_term(c, s) for c, s in h), "xz")
+        part = Partition(1, (frag,), source="xz")
+        assert check_reconstruction(part, h) < 1e-15
+        assert not validate_partition(part, h).ok
+        save_partition(tmp_path / "xz.json", part)
+        assert run(["verify", tmp_path / "xz.json", "--hamiltonian", ham]) == 3
+
+    def test_non_json_partition_exit_code(self, b3d4, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json {")
+        assert run(["verify", bad, "--hamiltonian", f"{b3d4}.pauli"]) == 2
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["verify", tmp_path / "nope.json",

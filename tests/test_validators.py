@@ -12,6 +12,7 @@ from hampart.fragments import (
     TensorFactor,
     TensorProductTerm,
     apply_fragment,
+    fragment_matrix,
     pauli_term,
 )
 from hampart.operators import build_bose_hubbard, build_fermi_hubbard, chain_lattice
@@ -234,7 +235,7 @@ class TestDiagonalization:
         assert result.residual == 0.0
         assert np.all(result.diagonal == 0.0)
 
-    def test_method_fragments_diagonalize(self):
+    def test_method_fragments_diagonalize(self, illustrative_hamiltonian):
         lat = chain_lattice(3)
         b = build_bose_hubbard(lat, 1.0, 2.0, 4)
         f = build_fermi_hubbard(chain_lattice(4), 1.0, 2.0)
@@ -246,6 +247,23 @@ class TestDiagonalization:
         for part in partitions:
             for frag in part.fragments:
                 result = diagonalize_fragment(frag, part.n)
+                assert result.residual < 1e-9, (part.source, frag.label)
+        dense_checked = [
+            sorted_insertion(illustrative_hamiltonian, "full"),
+            greedy_partition(illustrative_hamiltonian, 2),
+            sorted_insertion(jordan_wigner(f), "full"),  # whole-support bases
+        ]
+        for part in dense_checked:
+            n = part.n
+            for frag in part.fragments:
+                result = diagonalize_fragment(frag, n, allow_global=True)
+                # Dense oracle: U^dag M U column by column through `rotate`;
+                # the columns of M U are the conjugated rows of U^dag M.
+                m = fragment_matrix(frag, n, "dense")
+                u_dag_m = np.column_stack([result.rotate(c, n) for c in m.T])
+                rotated = np.column_stack([result.rotate(c, n) for c in u_dag_m.conj()])
+                dense = np.max(np.abs(rotated - np.diag(result.diagonal)))
+                assert result.residual >= dense - 1e-15, (part.source, frag.label)
                 assert result.residual < 1e-9, (part.source, frag.label)
 
 
