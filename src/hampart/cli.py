@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import pauli as pauli_mod
 from .encodings import encode_boson_operator, jordan_wigner
 from .errors import (
     ConstraintError,
@@ -76,15 +75,6 @@ def _fmt(x: float) -> str:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _apply_env_caps():
-    dense = os.environ.get("HAMPART_DENSE_CAP")
-    sparse = os.environ.get("HAMPART_SPARSE_CAP")
-    if dense:
-        pauli_mod.DENSE_QUBIT_CAP = int(dense)
-    if sparse:
-        pauli_mod.SPARSE_QUBIT_CAP = int(sparse)
 
 
 def _write_text(path, text: str):
@@ -210,9 +200,13 @@ def _load_hamiltonian(path: str) -> tuple[PauliSum, dict | None, str]:
     meta_path = os.path.splitext(path)[0] + ".json"
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
-            meta = json.load(fh)
-    n = meta.get("n") if meta else None
-    h = parse_pauli_text(text, n=n)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{meta_path} is not JSON: {exc}") from exc
+        if not isinstance(meta, dict) or not isinstance(meta.get("n", 0), int):
+            raise DataError(f"{meta_path} must be a JSON object with an integer n")
+    h = parse_pauli_text(text, n=meta.get("n") if meta else None)
     return h, meta, _sha256(text)
 
 
@@ -220,18 +214,23 @@ def _rebuild_operator(meta: dict | None, expect_class: tuple[str, ...]):
     if meta is None or "params" not in meta:
         raise DomainError("method needs the builder metadata JSON next to the .pauli file")
     params = meta["params"]
-    cls = params.get("class")
+    cls = params.get("class") if isinstance(params, dict) else None
     if cls not in expect_class:
         raise DomainError(f"method applies to {expect_class}, but Hamiltonian class is {cls!r}")
-    if cls == "bose-hubbard":
-        lat = lattice_from_json(params["lattice"])
-        return build_bose_hubbard(lat, params["t"], params["U"], params["d"]), lat
-    if cls == "fermi-hubbard":
-        lat = lattice_from_json(params["lattice"])
-        return build_fermi_hubbard(lat, params["t"], params["U"]), lat
-    if cls == "vibrational":
-        couplings = couplings_from_json(params.get("couplings", {}))
-        return build_vibrational(params["omega"], couplings, params["d"]), None
+    try:
+        if cls == "bose-hubbard":
+            lat = lattice_from_json(params["lattice"])
+            return build_bose_hubbard(lat, params["t"], params["U"], params["d"]), lat
+        if cls == "fermi-hubbard":
+            lat = lattice_from_json(params["lattice"])
+            return build_fermi_hubbard(lat, params["t"], params["U"]), lat
+        if cls == "vibrational":
+            couplings = couplings_from_json(params.get("couplings", {}))
+            return build_vibrational(params["omega"], couplings, params["d"]), None
+    except HampartError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed metadata params: {exc!r}") from exc
     raise DomainError(f"cannot rebuild pre-encoded operator for class {cls!r}")
 
 
@@ -350,6 +349,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
+    if args.states < 1:
+        raise DomainError(f"--states must be at least 1, got {args.states}")
     h, meta, _ = _load_hamiltonian(args.hamiltonian)
     if args.method not in ("greedy", "blocking"):
         raise DomainError("sweep-k supports greedy and blocking only")
@@ -471,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_env_caps()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

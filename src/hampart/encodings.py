@@ -8,7 +8,6 @@ computational-basis rows of the embedded block are exactly zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, DomainError
 from .operators import BosonOperator, FermionOperator, boson_matrices
-from .pauli import PauliString, PauliSum, multiply, string_to_dense
+from .pauli import PauliString, PauliSum, multiply, pauli_project
 
 _IMAG_TOL = 1e-10
 _COEFF_TOL = 1e-12
@@ -105,31 +104,13 @@ def embed_matrix(A: np.ndarray, gm: GrayMap) -> np.ndarray:
     return out
 
 
-def pauli_project(M: np.ndarray, k: int) -> ComplexTerms:
-    """Decompose an arbitrary 2^k x 2^k matrix over the Pauli basis.
-
-    Coefficients are Tr(P M) / 2^k; exact inverse of summing c * P.
-    """
-    dim = 1 << k
-    if M.shape != (dim, dim):
-        raise DimensionError(f"expected {dim} x {dim} matrix, got {M.shape}")
-    out: ComplexTerms = []
-    for letters in itertools.product("IXYZ", repeat=k):
-        string = PauliString.from_letters("".join(letters))
-        P = string_to_dense(string)
-        coeff = np.trace(P @ M) / dim
-        if abs(coeff) > _COEFF_TOL:
-            out.append((coeff, string))
-    return out
-
-
 def encode_boson_block(A: np.ndarray, gm: GrayMap) -> PauliSum:
     """Hermitian d x d mode matrix -> PauliSum on k_mode qubits."""
     A = np.asarray(A, dtype=complex)
     if np.max(np.abs(A - A.conj().T)) > 1e-10:
         raise DomainError("block is not Hermitian")
     M = embed_matrix(A, gm)
-    acc = {s: c for c, s in pauli_project(M, gm.k_mode)}
+    acc = {s: c for c, s in pauli_project(M, gm.k_mode) if abs(c) > _COEFF_TOL}
     return _realify(acc, gm.k_mode, "encode_boson_block")
 
 
@@ -148,10 +129,6 @@ class EncodedOperator:
 
 def mode_qubit_layout(modes: int, k_mode: int) -> dict[int, tuple[int, ...]]:
     return {m: tuple(range(m * k_mode, (m + 1) * k_mode)) for m in range(modes)}
-
-
-def _shift_string(s: PauliString, offset: int, n: int) -> PauliString:
-    return PauliString(n, s.x << offset, s.z << offset)
 
 
 def encode_boson_operator(op: BosonOperator) -> EncodedOperator:
@@ -178,9 +155,9 @@ def encode_boson_operator(op: BosonOperator) -> EncodedOperator:
             key = M.tobytes()
             local = project_cache.get(key)
             if local is None:
-                local = pauli_project(M, k)
+                local = [(c, s) for c, s in pauli_project(M, k) if abs(c) > _COEFF_TOL]
                 project_cache[key] = local
-            shifted = [(c, _shift_string(s, mode * k, n)) for c, s in local]
+            shifted = [(c, PauliString(n, s.x << mode * k, s.z << mode * k)) for c, s in local]
             combined = _product(combined, shifted)
         for c, s in combined:
             acc[s] = acc.get(s, 0.0) + c

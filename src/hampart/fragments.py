@@ -13,17 +13,21 @@ significant block bit.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 
 import numpy as np
 import scipy.sparse
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, ResourceError
-from .pauli import PauliString, PauliSum, pauli_matrix
+from .pauli import PauliString, PauliSum, pauli_matrix, pauli_project
 
 _HERMITIAN_TOL = 1e-10
+# Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
+EXPANSION_CAP = 1 << 20
 
 
 class TensorFactor:
@@ -267,34 +271,34 @@ def apply_fragment(frag: Fragment, vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def pauli_coefficients(terms) -> defaultdict[tuple[int, int], complex]:
+    """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient.
+    Factors act on disjoint qubits: a term's strings OR one string per factor, with no phase.
+    A term that would expand to over EXPANSION_CAP strings raises ResourceError first."""
+    out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    for term in terms:
+        expanded = []
+        for f in term.factors:
+            lift = [0]  # mask over the block's own qubits -> mask over f.qubits
+            for q in f.qubits:
+                lift += [m | (1 << q) for m in lift]
+            expanded.append([(c, lift[s.x], lift[s.z]) for c, s in pauli_project(f.block, f.size)])
+        if (size := prod(len(coeffs) for coeffs in expanded)) > EXPANSION_CAP:
+            raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
+        parts = [(1.0 + 0j, 0, 0)]
+        for coeffs in expanded:
+            parts = [(c0 * c1, x0 | x1, z0 | z1) for c0, x0, z0 in parts for c1, x1, z1 in coeffs]
+        for c, x, z in parts:
+            out[(x, z)] += c
+    return out
+
+
 def pauli_sum_from_fragment(frag: Fragment, n: int) -> PauliSum | None:
     """Exact Pauli form of a fragment; None if imaginary weight appears."""
-    from .encodings import pauli_project
-    from .pauli import multiply
-
-    terms = []
-    constant = 0.0
-    for term in frag.terms:
-        parts = [(1.0 + 0j, PauliString.identity(n))]
-        for f in term.factors:
-            lifted = []
-            for c, s in pauli_project(f.block, f.size):
-                ops = [(f.qubits[j], s.letter(j)) for j in range(f.size) if s.letter(j) != "I"]
-                lifted.append((c, PauliString.from_ops(ops, n)))
-            new_parts = []
-            for c0, s0 in parts:
-                for c1, s1 in lifted:
-                    phase, s = multiply(s0, s1)
-                    new_parts.append((c0 * c1 * phase, s))
-            parts = new_parts
-        for c, s in parts:
-            if abs(c.imag) > 1e-9:
-                return None
-            if s.is_identity:
-                constant += c.real
-            else:
-                terms.append((c.real, s))
-    return PauliSum(n, terms, constant)
+    coeffs = pauli_coefficients(frag.terms)
+    if any(abs(c.imag) > 1e-9 for c in coeffs.values()):
+        return None
+    return PauliSum(n, [(c.real, PauliString(n, x, z)) for (x, z), c in coeffs.items()])
 
 
 # ---------------------------------------------------------------------------

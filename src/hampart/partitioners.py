@@ -23,7 +23,7 @@ from .fragments import (
     pauli_term,
 )
 from .operators import BosonOperator, FermionOperator, Lattice, boson_matrices
-from .pauli import PauliString, PauliSum, commutes, pauli_matrix
+from .pauli import PauliString, PauliSum, commutes, pauli_matrix, string_to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +77,6 @@ class _MatchSet:
         self.members.append((coeff, string))
 
 
-def _kron_letters(string: PauliString, qubits: tuple[int, ...]) -> np.ndarray:
-    mats = [pauli_matrix(string.letter(q)) for q in qubits]
-    return reduce(np.kron, mats)
-
-
 def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
     """Matched non-identity qubits become fixed 1-qubit factors; free qubits
     form a single dense block holding the coefficients."""
@@ -95,7 +90,7 @@ def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
             factors.append(TensorFactor((q,), pauli_matrix(w.ref.letter(q))))
     block = np.zeros((1 << len(free), 1 << len(free)), dtype=complex)
     for coeff, string in w.members:
-        block += coeff * _kron_letters(string, free)
+        block += coeff * string_to_dense(string.restricted(free))
     factors.append(TensorFactor(free, block))
     return TensorProductTerm(factors)
 
@@ -181,7 +176,7 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
             qubits = tuple(sorted({q for _, s in group for q in s.support()}))
             block = np.zeros((1 << len(qubits), 1 << len(qubits)), dtype=complex)
             for coeff, string in group:
-                block += coeff * _kron_letters(string, qubits)
+                block += coeff * string_to_dense(string.restricted(qubits))
             terms.append(TensorProductTerm((TensorFactor(qubits, block),)))
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}"))
     for i, group in enumerate(sorted_insertion_groups(PauliSum(n, residual), "full")):
@@ -632,7 +627,7 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
         for pair in even_pairs + odd_pairs:
             if set(supp) <= set(pair):
                 blocks.setdefault(pair, np.zeros((4, 4), dtype=complex))
-                blocks[pair] += coeff * _kron_letters(string, pair)
+                blocks[pair] += coeff * string_to_dense(string.restricted(pair))
                 break
         else:
             raise DomainError(f"term {string.letters} does not fit a chain block")

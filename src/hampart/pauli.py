@@ -105,6 +105,10 @@ class PauliString:
     def letter(self, q: int) -> str:
         return _BITS_TO_LETTER[((self.x >> q) & 1, (self.z >> q) & 1)]
 
+    def restricted(self, qubits: Iterable[int]) -> "PauliString":
+        """The letters on `qubits`, in the listed order, as a shorter string."""
+        return PauliString.from_letters("".join(self.letter(q) for q in qubits))
+
     @property
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
@@ -215,13 +219,25 @@ def string_to_dense(p: PauliString) -> np.ndarray:
     return mat
 
 
-def apply_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """p @ vec without materializing a matrix."""
-    flip, phases = _phases_over_basis(p)
-    out = np.empty_like(vec)
-    cols = np.arange(vec.shape[0])
-    out[cols ^ flip] = phases * vec
-    return out
+# One qubit's block entries (M00, M01, M10, M11) -> its (I, X, Y, Z) coefficients Tr(P M) / 2.
+_ENTRIES_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) / 2
+
+
+def pauli_project(M: np.ndarray, k: int) -> list[tuple[complex, PauliString]]:
+    """Every nonzero Tr(P M) / 2^k of a 2^k x 2^k M over k-qubit Pauli strings P, in IXYZ order
+    (qubit 0 slowest). Tensorized transform (Hantzko, Binkowski & Gupta, arXiv:2310.13421):
+    one 4x4 map per qubit's (row bit, column bit) axis, O(k 4^k) work."""
+    if M.shape != (1 << k, 1 << k):
+        raise DimensionError(f"expected {1 << k} x {1 << k} matrix, got {M.shape}")
+    pairs = np.arange(2 * k).reshape(2, k).T.ravel()  # axes (row 0, col 0, row 1, col 1, ...)
+    coeffs = M.reshape((2,) * (2 * k)).transpose(pairs).ravel()
+    for _ in range(k):  # transform the leading qubit axis and move it last
+        coeffs = (coeffs.reshape(4, -1).T @ _ENTRIES_TO_PAULI.T).ravel()
+    shifts = range(2 * k - 2, -1, -2)  # qubit 0 is the most significant base-4 digit
+    return [
+        (complex(c), PauliString.from_letters("".join("IXYZ"[(i >> s) & 3] for s in shifts)))
+        for i, c in zip(np.flatnonzero(coeffs), coeffs[coeffs != 0])
+    ]
 
 
 class PauliSum:
@@ -363,15 +379,21 @@ class PauliSum:
         raise DataError(f"unknown representation {representation!r}")
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free (H @ vec), including the constant."""
+        """Matrix-free (H @ vec), including the constant; reuses its work buffers across terms."""
         dim = 1 << self.n
         if vec.shape[0] != dim:
             raise DimensionError(f"state dimension {vec.shape[0]} != 2^{self.n}")
-        out = self._constant * vec.astype(complex, copy=True)
-        cols = np.arange(dim)
+        vec = vec.astype(complex, copy=False)
+        out = self._constant * vec
+        cols = np.arange(dim, dtype=np.uint64)
+        idx, odd, term = np.empty_like(cols), np.empty(dim, np.uint8), np.empty_like(out)
         for string, coeff in self._terms.items():
-            flip, phases = _phases_over_basis(string)
-            out[cols ^ flip] += coeff * phases * vec
+            flip, sign_mask, base = string_action(string)
+            np.take(vec, np.bitwise_xor(cols, np.uint64(flip), out=idx), out=term)  # vec[c^flip]
+            np.bitwise_count(np.bitwise_and(idx, np.uint64(sign_mask), out=idx), out=odd)
+            np.multiply(term, coeff * base, out=term)
+            np.negative(term, out=term, where=np.bitwise_and(odd, 1, out=odd).view(bool))
+            out += term
         return out
 
 

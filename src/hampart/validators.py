@@ -24,10 +24,9 @@ from .fragments import (
     TensorProductTerm,
     _deposit,
     apply_block,
-    partition_matrix,
+    pauli_coefficients,
     term_matrix,
 )
-from . import pauli as _pauli
 from .pauli import PauliSum
 from .variance import StateVector
 
@@ -67,14 +66,16 @@ class ValidationReport:
 
 
 def check_reconstruction(p: Partition, h: PauliSum) -> float:
-    """Max-entry deviation of (sum of fragments + constant) from h."""
+    """Sum over Pauli strings s of |c_partition(s) - c_h(s)|, identity included, from the
+    factors' Pauli coefficients (no 2^n object). It bounds the max-entry deviation of the
+    fragments plus constant from h: each Pauli matrix has one unit-modulus entry per row."""
     if p.n != h.n:
         raise DimensionError(f"partition on {p.n} qubits, operator on {h.n}")
-    if p.n <= _pauli.DENSE_QUBIT_CAP:
-        diff = partition_matrix(p, "dense") - h.to_matrix("dense")
-        return float(np.max(np.abs(diff)))
-    diff = partition_matrix(p, "sparse") - h.to_matrix("sparse")
-    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    diff = pauli_coefficients(term for frag in p.fragments for term in frag.terms)
+    diff[(0, 0)] += p.constant - h.constant
+    for s, c in h.terms.items():
+        diff[(s.x, s.z)] -= c
+    return float(sum(abs(c) for c in diff.values()))
 
 
 def check_locality(p: Partition, k: int) -> bool:

@@ -109,6 +109,23 @@ class TestPartition:
         assert run(["partition", f"{b3d4}.pauli", "--method", "greedy",
                     "-o", tmp_path / "x.json"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: "not json {",
+        lambda meta: "[1, 2]",
+        lambda meta: json.dumps({**meta, "n": "six"}),
+        lambda meta: json.dumps({**meta, "params": ["bose-hubbard"]}),
+        lambda meta: json.dumps({**meta, "params": {"class": "bose-hubbard"}}),
+        lambda meta: json.dumps({**meta, "params": {**meta["params"], "t": "one"}}),
+        lambda meta: json.dumps({**meta, "params": {**meta["params"], "lattice": [0, 1]}}),
+    ], ids=["not-json", "not-object", "n-mistyped", "params-not-object",
+            "params-missing", "t-mistyped", "lattice-mistyped"])
+    def test_malformed_metadata_exit_code(self, b3d4, tmp_path, edit):
+        sidecar = b3d4.parent / "b3d4.json"
+        sidecar.write_text(edit(json.loads(sidecar.read_text())))
+        out = tmp_path / "x.json"
+        assert run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", out]) == 2
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_basis_state_gpb_value(self, tmp_path):
@@ -172,6 +189,15 @@ class TestEvaluate:
 
 
 class TestSweepK:
+    @pytest.mark.parametrize("states", [0, -1])
+    def test_nonpositive_state_count_rejected(self, tmp_path, h2_fcidump, states):
+        stem = tmp_path / "h2"
+        run(["build", "electronic", "--fcidump", h2_fcidump, "-o", stem])
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", f"{stem}.pauli", "--method", "greedy",
+                    "--states", states, "-o", out]) == 2
+        assert not out.exists()
+
     def test_header_and_endpoint(self, tmp_path, h2_fcidump):
         stem = tmp_path / "h2"
         run(["build", "electronic", "--fcidump", h2_fcidump, "-o", stem])

@@ -156,7 +156,7 @@ class TestEncodeBlock:
     def test_projection_completeness(self):
         # decompose-then-realize is the identity on arbitrary blocks
         rng = np.random.default_rng(32)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4, 5):
             dim = 1 << k
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rebuilt = np.zeros((dim, dim), dtype=complex)

@@ -216,8 +216,9 @@ class TestToMatrix:
             for _ in range(8)
         ]
         h = PauliSum(4, terms, 0.7)
-        vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.max(np.abs(h.apply(vec) - h.to_matrix("dense") @ vec)) < 1e-12
+        for vec in (rng.standard_normal(16) + 1j * rng.standard_normal(16),
+                    rng.standard_normal(16)):
+            assert np.max(np.abs(h.apply(vec) - h.to_matrix("dense") @ vec)) < 1e-12
 
 
 class TestTextFormat:

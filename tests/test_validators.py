@@ -1,18 +1,24 @@
 """Partition certification and fragment diagonalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from hampart.encodings import encode_boson_operator, jordan_wigner
-from hampart.errors import ConstraintError
+from hampart.errors import ConstraintError, ResourceError
 from hampart.fragments import (
+    EXPANSION_CAP,
     Fragment,
     Partition,
     TensorFactor,
     TensorProductTerm,
     apply_fragment,
     fragment_matrix,
+    partition_matrix,
     pauli_term,
 )
 from hampart.operators import build_bose_hubbard, build_fermi_hubbard, chain_lattice
@@ -67,6 +73,29 @@ def two_basis_reference_partition():
     )
 
 
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(2, 6))
+    coeffs = st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-3)
+    terms = draw(st.lists(st.tuples(coeffs, st.text("IXYZ", min_size=n, max_size=n)),
+                          min_size=1, max_size=12))
+    constant = draw(st.floats(-1.0, 1.0))
+    return PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in terms], constant)
+
+
+def _with_factor(part, where, block):
+    """`part` with the factor at (fragment, term, factor) indices `where` replaced."""
+    fi, ti, j = where
+    frag = part.fragments[fi]
+    factors = list(frag.terms[ti].factors)
+    factors[j] = TensorFactor(factors[j].qubits, block)
+    terms = list(frag.terms)
+    terms[ti] = TensorProductTerm(factors)
+    frags = list(part.fragments)
+    frags[fi] = Fragment(tuple(terms), frag.label)
+    return Partition(part.n, tuple(frags), part.constant, part.source)
+
+
 class TestReconstruction:
     def test_reference_decomposition_exact(self, illustrative_hamiltonian):
         part = two_basis_reference_partition()
@@ -88,13 +117,63 @@ class TestReconstruction:
             assert check_reconstruction(part, h) < 1e-10
 
     def test_sparse_path_for_large_n(self):
-        n = 13  # above the dense cap, forcing the sparse difference path
-        s = PauliString.from_ops([(0, "Z"), (12, "Z")], n)
-        h = PauliSum(n, [(1.0, s)])
-        part = Partition(
-            n, (Fragment((pauli_term(1.0, s),), "z"),), source="manual"
-        )
-        assert check_reconstruction(part, h) < 1e-14
+        for n in (13, 20):  # above the dense cap; 20 is above the sparse cap too
+            s = PauliString.from_ops([(0, "Z"), (n - 1, "Z")], n)
+            h = PauliSum(n, [(1.0, s)])
+            part = Partition(
+                n, (Fragment((pauli_term(1.0, s),), "z"),), source="manual"
+            )
+            assert check_reconstruction(part, h) < 1e-14
+
+    def test_twenty_qubit_bose_hubbard_partition(self):
+        lat = chain_lattice(10)
+        op = build_bose_hubbard(lat, 1.0, 2.0, 4)
+        h = encode_boson_operator(op).pauli
+        assert h.n == 20
+        assert check_reconstruction(qpn_partition(op, lat), h) < 1e-12
+
+    def test_oversized_term_expansion_raises_before_building(self):
+        count = (EXPANSION_CAP.bit_length() - 1) // 2 + 1  # 4^count strings > cap
+        block = np.array([[1.0, 1 - 1j], [1 + 1j, 2.0]])  # I, X, Y and Z all present
+        term = TensorProductTerm([TensorFactor((q,), block) for q in range(count)])
+        part = Partition(count, (Fragment((term,), "wide"),), source="manual")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                check_reconstruction(part, PauliSum(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the expansion itself would take hundreds of MiB
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=pauli_sums(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_partitions_of_random_sums(self, h, k, seed):
+        # Every partitioner reconstructs, and with one factor block perturbed
+        # the error is at least the dense max-entry deviation.
+        rng = np.random.default_rng(seed)
+        k = min(k, h.n)
+        for part in (
+            sorted_insertion(h, "full"),
+            sorted_insertion(h, "qubitwise"),
+            greedy_partition(h, k),
+            blocking_partition(h, k),
+        ):
+            assert check_reconstruction(part, h) < 1e-10, part.source
+            places = [
+                (fi, ti, j)
+                for fi, frag in enumerate(part.fragments)
+                for ti, term in enumerate(frag.terms)
+                for j in range(len(term.factors))
+            ]
+            if not places:
+                continue
+            where = places[rng.integers(len(places))]
+            f = part.fragments[where[0]].terms[where[1]].factors[where[2]]
+            noise = 10.0 ** rng.uniform(-6, 0) * random_hermitian(1 << f.size, rng)
+            broken = _with_factor(part, where, f.block + noise)
+            dense = np.max(np.abs(partition_matrix(broken, "dense") - h.to_matrix("dense")))
+            assert check_reconstruction(broken, h) >= dense - 1e-15, part.source
 
 
 class TestLocality:
