@@ -89,9 +89,12 @@ from .variance import (
     basis_state,
     fragment_variance,
     lower_bound,
+    lower_bounds,
     partition_cost,
+    partition_costs,
     random_state,
     rotated_basis_demo,
+    state_block,
     theorem1_grid,
 )
 

@@ -25,6 +25,7 @@ from .errors import (
     HampartError,
     ParseError,
     ResourceError,
+    read_text,
 )
 from .fragments import Partition, load_partition, partition_to_json
 from .operators import (
@@ -59,9 +60,10 @@ from .validators import validate_partition
 from .variance import (
     StateVector,
     basis_state,
-    lower_bound,
-    partition_cost,
+    lower_bounds,
+    partition_costs,
     random_state,
+    state_block,
     theorem1_grid,
 )
 
@@ -115,13 +117,10 @@ def _parse_lattice(spec: str, sites: int | None, boundary: str) -> Lattice:
 
 
 def _parse_couplings(pairs: list[str]) -> dict[tuple[int, ...], float]:
-    out: dict[tuple[int, ...], float] = {}
     for pair in pairs:
-        key, _, val = pair.partition("=")
-        if not val:
+        if not pair.partition("=")[2]:
             raise DomainError(f"coupling must look like 0,1,2=0.1, got {pair!r}")
-        out[tuple(int(tok) for tok in key.split(","))] = float(val)
-    return out
+    return couplings_from_json(dict(pair.split("=", 1) for pair in pairs))
 
 
 def cmd_build(args) -> int:
@@ -194,16 +193,14 @@ def cmd_build(args) -> int:
 
 
 def _load_hamiltonian(path: str) -> tuple[PauliSum, dict | None, str]:
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     meta = None
     meta_path = os.path.splitext(path)[0] + ".json"
     if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:
-                raise DataError(f"{meta_path} is not JSON: {exc}") from exc
+        try:
+            meta = json.loads(read_text(meta_path))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{meta_path} is not JSON: {exc}") from exc
         if not isinstance(meta, dict) or not isinstance(meta.get("n", 0), int):
             raise DataError(f"{meta_path} must be a JSON object with an integer n")
     h = parse_pauli_text(text, n=meta.get("n") if meta else None)
@@ -312,37 +309,26 @@ def cmd_evaluate(args) -> int:
             raise DimensionError(f"{path} is on {part.n} qubits, Hamiltonian on {h.n}")
         parts.append(part)
     states = _states_for(args, h.n)
-    rows = []
+    block = state_block(states)  # every state at once; each fragment is applied once
+    lbs = lower_bounds(h, block)
+    lines = ["method,seed,L,total,lower_bound,per_fragment"]
     summary: dict[str, dict] = {}
     for part in parts:
-        totals = []
-        for psi in states:
-            report = partition_cost(part, psi)
-            lb = lower_bound(h, psi)
-            totals.append(report.total)
-            rows.append((part.source, psi.seed, report.fragment_count, report.total, lb,
-                         report.per_fragment))
-        arr = np.asarray(totals)
+        totals, per = partition_costs(part, block)
+        for psi, total, lb, column in zip(states, totals, lbs, per.T):
+            per_txt = ";".join(_fmt(v) for v in column)
+            lines.append(f"{part.source},{psi.seed},{len(part.fragments)},{_fmt(total)},"
+                         f"{_fmt(lb)},{per_txt}")
         summary[part.source] = {
             "fragments": len(part.fragments),
-            "mean_total": float(arr.mean()),
-            "std_total": float(arr.std()),
-            "min_total": float(arr.min()),
-            "max_total": float(arr.max()),
+            "mean_total": float(totals.mean()),
+            "std_total": float(totals.std()),
+            "min_total": float(totals.min()),
+            "max_total": float(totals.max()),
         }
-    lb_all = [lower_bound(h, psi) for psi in states]
-    summary["lower_bound"] = {
-        "mean_total": float(np.mean(lb_all)),
-        "std_total": float(np.std(lb_all)),
-    }
-    lines = ["method,seed,L,total,lower_bound,per_fragment"]
-    for method, seed, L, total, lb, per in rows:
-        per_txt = ";".join(_fmt(v) for v in per)
-        lines.append(f"{method},{seed},{L},{_fmt(total)},{_fmt(lb)},{per_txt}")
+    summary["lower_bound"] = {"mean_total": float(np.mean(lbs)), "std_total": float(np.std(lbs))}
     _write_text(f"{args.output}.csv", "\n".join(lines) + "\n")
-    _write_text(
-        f"{args.output}.json", json.dumps(summary, indent=1, sort_keys=True) + "\n"
-    )
+    _write_text(f"{args.output}.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
     for method, stats in summary.items():
         print(f"{method}: mean={stats['mean_total']:.6g}")
     return 0
@@ -357,15 +343,14 @@ def cmd_sweep_k(args) -> int:
     k_max = args.k_max if args.k_max is not None else h.n
     if not 1 <= args.k_min <= k_max <= h.n:
         raise DomainError(f"bad k range [{args.k_min}, {k_max}] for n={h.n}")
-    states = [random_state(h.n, args.seed + i) for i in range(args.states)]
-    fc = sorted_insertion(h, "full")
-    fc_mean = float(np.mean([partition_cost(fc, psi).total for psi in states]))
-    lb_mean = float(np.mean([lower_bound(h, psi) for psi in states]))
+    block = state_block([random_state(h.n, args.seed + i) for i in range(args.states)])
+    fc_mean = float(np.mean(partition_costs(sorted_insertion(h, "full"), block)[0]))
+    lb_mean = float(np.mean(lower_bounds(h, block)))
     lines = ["k,L,mean_var,fc_si_var,lower_bound"]
     k_star = None
     for k in range(args.k_min, k_max + 1):
         part = run_method(args.method, h, meta, k)
-        mean = float(np.mean([partition_cost(part, psi).total for psi in states]))
+        mean = float(np.mean(partition_costs(part, block)[0]))
         if k_star is None and mean <= fc_mean:
             k_star = k
         lines.append(

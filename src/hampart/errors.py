@@ -33,3 +33,12 @@ class ResourceError(HampartError, RuntimeError):
 
 class ConstraintError(HampartError, RuntimeError):
     """A structural constraint required by an algorithm does not hold."""
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise DataError, not UnicodeDecodeError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc

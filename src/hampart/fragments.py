@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from . import pauli as _pauli
-from .errors import DataError, DimensionError, ResourceError
+from .errors import DataError, DimensionError, ResourceError, read_text
 from .pauli import PauliString, PauliSum, pauli_matrix, pauli_project
 
 _HERMITIAN_TOL = 1e-10
@@ -245,17 +245,17 @@ def partition_matrix(p: Partition, representation: str = "sparse"):
 
 
 def apply_block(vec: np.ndarray, n: int, qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    """Apply an arbitrary 2^m x 2^m block on `qubits` to an n-qubit vector."""
+    """Apply a 2^m x 2^m block on `qubits` to an n-qubit vector or a (2^n, S) state block."""
     m = len(qubits)
-    psi = vec.reshape((2,) * n) if n else vec
+    psi = vec.reshape((2,) * n + vec.shape[1:])
     block_t = block.reshape((2,) * (2 * m))
     psi = np.tensordot(block_t, psi, axes=(list(range(m, 2 * m)), list(qubits)))
     psi = np.moveaxis(psi, list(range(m)), list(qubits))
-    return psi.reshape(-1)
+    return psi.reshape(vec.shape)
 
 
 def apply_term(term: TensorProductTerm, vec: np.ndarray, n: int) -> np.ndarray:
-    """term @ vec via per-factor tensor contraction; no matrices materialized."""
+    """term @ vec (a vector or a (2^n, S) state block) by per-factor contraction; no matrices."""
     out = vec
     for f in term.factors:
         out = apply_block(out, n, f.qubits, f.block)
@@ -307,11 +307,6 @@ def pauli_sum_from_fragment(frag: Fragment, n: int) -> PauliSum | None:
 FORMAT_TAG = "hampart-partition-v1"
 
 
-def _block_to_json(block: np.ndarray) -> list[list[float]]:
-    flat = block.ravel()
-    return [[float(v.real), float(v.imag)] for v in flat]
-
-
 def _block_from_json(data, dim: int) -> np.ndarray:
     arr = np.array([complex(re, im) for re, im in data], dtype=complex)
     if arr.size != dim * dim:
@@ -332,7 +327,8 @@ def partition_to_json(p: Partition) -> dict:
                 "terms": [
                     {
                         "factors": [
-                            {"qubits": list(f.qubits), "block": _block_to_json(f.block)}
+                            {"qubits": list(f.qubits),
+                             "block": [[float(v.real), float(v.imag)] for v in f.block.ravel()]}
                             for f in term.factors
                         ]
                     }
@@ -386,5 +382,4 @@ def save_partition(path, p: Partition):
 
 
 def load_partition(path) -> Partition:
-    with open(path) as fh:
-        return partition_from_json(fh.read())
+    return partition_from_json(read_text(path))

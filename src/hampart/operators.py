@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParseError
+from .errors import DataError, DomainError, ParseError, read_text
 
 LATTICE_KINDS = ("chain", "square", "hexagonal", "triangular", "cubic", "tetrahedral", "custom")
 
@@ -415,8 +415,7 @@ _NORB_RE = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
 
 def read_fcidump(path) -> ElectronicIntegrals:
     """Parse an FCIDUMP file into spatial-orbital integrals (1-based -> 0-based)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     header = []
     body_start = None
     for lineno, line in enumerate(lines, start=1):

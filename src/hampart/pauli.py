@@ -379,7 +379,8 @@ class PauliSum:
         raise DataError(f"unknown representation {representation!r}")
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free (H @ vec), including the constant; reuses its work buffers across terms."""
+        """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state
+        block; reuses its work buffers across terms."""
         dim = 1 << self.n
         if vec.shape[0] != dim:
             raise DimensionError(f"state dimension {vec.shape[0]} != 2^{self.n}")
@@ -387,12 +388,14 @@ class PauliSum:
         out = self._constant * vec
         cols = np.arange(dim, dtype=np.uint64)
         idx, odd, term = np.empty_like(cols), np.empty(dim, np.uint8), np.empty_like(out)
+        rows = (slice(None),) + (None,) * (vec.ndim - 1)  # broadcast a row mask over states
         for string, coeff in self._terms.items():
             flip, sign_mask, base = string_action(string)
-            np.take(vec, np.bitwise_xor(cols, np.uint64(flip), out=idx), out=term)  # vec[c^flip]
+            # term = vec[c ^ flip] row by row
+            np.take(vec, np.bitwise_xor(cols, np.uint64(flip), out=idx), axis=0, out=term)
             np.bitwise_count(np.bitwise_and(idx, np.uint64(sign_mask), out=idx), out=odd)
             np.multiply(term, coeff * base, out=term)
-            np.negative(term, out=term, where=np.bitwise_and(odd, 1, out=odd).view(bool))
+            np.negative(term, out=term, where=np.bitwise_and(odd, 1, out=odd).view(bool)[rows])
             out += term
         return out
 

@@ -2,13 +2,14 @@
 
 The shot-count figure of merit for a partition {M_q} on a state is
 (sum_q sqrt(Var[M_q]))^2; a single-fragment partition gives the lower
-bound Var[H]. Everything here is matrix-free: fragments are applied to
-states factor by factor.
+bound Var[H]. Everything here is matrix-free: fragments are applied factor
+by factor to a (2^n, S) block holding all S states at once, one application
+per fragment, using Var[M] = |M psi|^2 - <psi|M psi>^2 for Hermitian M.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,24 +58,38 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amp, seed=f"basis:{index}")
 
 
+def state_block(states) -> np.ndarray:
+    """(2^n, S) array whose columns are the amplitudes of the S given states."""
+    return np.stack([psi.amplitudes for psi in states], axis=1)
+
+
+def _variances(m_psi: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """Var[M] = |M psi|^2 - <psi|M psi>^2 per column for Hermitian M; `bra` is conj(psi)."""
+    mean = np.einsum("ij,ij->j", bra, m_psi)
+    if np.any(np.abs(mean.imag) > 1e-9):
+        raise DataError(f"non-real expectation {mean[np.abs(mean.imag).argmax()]}; not Hermitian?")
+    re, im = m_psi.real, m_psi.imag  # views: |M psi|^2 without a conjugated copy
+    second = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    var = second - mean.real**2
+    if np.any(var < -_NEGATIVE_VAR_TOL * (1.0 + second)):
+        raise DataError(f"variance {var.min()} below clamp threshold; operator not Hermitian?")
+    return np.maximum(var, 0.0)
+
+
+def _bra(states: np.ndarray, n: int) -> np.ndarray:
+    """conj of a (2^n, S) block of normalized states, after checking that it is one."""
+    if states.ndim != 2 or states.shape[0] != 1 << n:
+        raise DimensionError(f"state block needs shape (2^{n}, S), got {states.shape}")
+    if np.any(np.abs(np.linalg.norm(states, axis=0) - 1.0) > 1e-10):
+        raise DataError("every column of a state block must be a normalized state")
+    return states.conj()
+
+
 def fragment_variance(frag: Fragment, psi: StateVector) -> float:
-    """Var[M] = <psi|M^2|psi> - <psi|M|psi>^2 via two applications of M."""
-    support = frag.support()
-    if support and support[-1] >= psi.n:
-        raise DimensionError(
-            f"fragment touches qubit {support[-1]} but the state has {psi.n} qubits"
-        )
-    vec = psi.amplitudes
-    m_psi = apply_fragment(frag, vec, psi.n)
-    mean = np.vdot(vec, m_psi)
-    m2_psi = apply_fragment(frag, m_psi, psi.n)
-    second = np.vdot(vec, m2_psi)
-    if abs(mean.imag) > 1e-9 or abs(second.imag) > 1e-9:
-        raise DataError(f"non-real expectation ({mean}, {second}); fragment not Hermitian?")
-    var = second.real - mean.real**2
-    if var < -_NEGATIVE_VAR_TOL:
-        raise DataError(f"variance {var} below clamp threshold; fragment not Hermitian?")
-    return max(var, 0.0)
+    """Var[M] on one state: partition_costs of the one-fragment partition."""
+    if (support := frag.support()) and support[-1] >= psi.n:
+        raise DimensionError(f"fragment touches qubit {support[-1]}, the state has {psi.n} qubits")
+    return float(partition_costs(Partition(psi.n, (frag,)), psi.amplitudes[:, None])[1][0, 0])
 
 
 @dataclass(frozen=True)
@@ -88,39 +103,35 @@ class VarianceReport:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "state_seed": self.state_seed,
-            "fragment_count": self.fragment_count,
-            "per_fragment": list(self.per_fragment),
-            "total": self.total,
-        }
+        return {**asdict(self), "per_fragment": list(self.per_fragment)}
+
+
+def partition_costs(p: Partition, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Totals (S,) and per-fragment variances (fragments, S) on a (2^n, S) block of
+    normalized states; each fragment is applied once to all S columns.
+    Total = (sum_q sqrt(Var[M_q]))^2; the constant contributes nothing."""
+    bra = _bra(states, p.n)
+    per = np.array([_variances(apply_fragment(f, states, p.n), bra) for f in p.fragments])
+    per = per.reshape(len(p.fragments), states.shape[1])
+    return np.sum(np.sqrt(per), axis=0) ** 2, per
 
 
 def partition_cost(p: Partition, psi: StateVector) -> VarianceReport:
-    """Total = (sum_q sqrt(Var[M_q]))^2; the constant contributes nothing."""
-    if p.n != psi.n:
-        raise DimensionError(f"partition on {p.n} qubits, state on {psi.n}")
-    per = tuple(fragment_variance(frag, psi) for frag in p.fragments)
-    total = float(np.sum(np.sqrt(np.asarray(per))) ** 2)
-    return VarianceReport(
-        method=p.source,
-        state_seed=psi.seed,
-        fragment_count=len(p.fragments),
-        per_fragment=per,
-        total=total,
-    )
+    """partition_costs on one state."""
+    totals, per = partition_costs(p, psi.amplitudes[:, None])
+    return VarianceReport(p.source, psi.seed, len(p.fragments), tuple(per[:, 0].tolist()),
+                          float(totals[0]))
+
+
+def lower_bounds(h: PauliSum, states: np.ndarray) -> np.ndarray:
+    """Var[H] per column of a (2^n, S) state block: the single-fragment cost."""
+    bra = _bra(states, h.n)
+    return _variances(h.apply(states), bra)
 
 
 def lower_bound(h: PauliSum, psi: StateVector) -> float:
-    """Var[H]: the single-fragment cost."""
-    if h.n != psi.n:
-        raise DimensionError(f"operator on {h.n} qubits, state on {psi.n}")
-    vec = psi.amplitudes
-    h_psi = h.apply(vec)
-    mean = np.vdot(vec, h_psi).real
-    second = np.vdot(vec, h.apply(h_psi)).real
-    return max(second - mean**2, 0.0)
+    """lower_bounds on one state."""
+    return float(lower_bounds(h, psi.amplitudes[:, None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +180,6 @@ def theorem1_grid(resolution: int, parameterization: str = "angle") -> np.ndarra
         alphas = np.linspace(0.0, 1.0, resolution)
     else:
         raise DataError(f"unknown parameterization {parameterization!r}")
-    rows = np.empty((resolution * resolution, 4))
-    i = 0
-    for eta in etas:
-        eta = min(max(float(eta), 0.0), 1.0)
-        for alpha in alphas:
-            alpha = min(max(float(alpha), 0.0), 1.0)
-            gpb, rb = rotated_basis_demo(eta, alpha)
-            rows[i] = (eta, alpha, gpb, rb)
-            i += 1
-    return rows
+    etas, alphas = np.clip(etas, 0.0, 1.0).tolist(), np.clip(alphas, 0.0, 1.0).tolist()
+    return np.array([(eta, alpha, *rotated_basis_demo(eta, alpha))
+                     for eta in etas for alpha in alphas])

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hampart.operators import ElectronicIntegrals
-from hampart.pauli import parse_pauli_text, pauli_matrix
+from hampart.pauli import PauliString, PauliSum, parse_pauli_text, pauli_matrix
 
 # Four-qubit example Hamiltonian used throughout (identity offset +1).
 ILLUSTRATIVE_TEXT = """\
@@ -134,3 +135,14 @@ def dense_fermion(op) -> np.ndarray:
 def random_hermitian(dim: int, rng) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+@st.composite
+def pauli_sums(draw):
+    """Random real Pauli sums: 2-6 qubits, 1-12 terms with |c| in (1e-3, 1], a constant."""
+    n = draw(st.integers(2, 6))
+    coeffs = st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-3)
+    terms = draw(st.lists(st.tuples(coeffs, st.text("IXYZ", min_size=n, max_size=n)),
+                          min_size=1, max_size=12))
+    constant = draw(st.floats(-1.0, 1.0))
+    return PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in terms], constant)

@@ -44,6 +44,12 @@ class TestBuild:
         meta = json.loads((tmp_path / "h2.json").read_text())
         assert meta["n"] == 4
 
+    def test_non_utf8_fcidump_exit_code(self, tmp_path, h2_fcidump):
+        h2_fcidump.write_bytes(b"\xff" + h2_fcidump.read_bytes())
+        assert run(["build", "electronic", "--fcidump", h2_fcidump,
+                    "-o", tmp_path / "h2"]) == 2
+        assert not (tmp_path / "h2.pauli").exists()
+
     def test_vibrational_inline(self, tmp_path):
         stem = tmp_path / "vib"
         assert run(["build", "vibrational", "--omega", "1.0,1.2", "--d", 4,
@@ -122,6 +128,14 @@ class TestPartition:
     def test_malformed_metadata_exit_code(self, b3d4, tmp_path, edit):
         sidecar = b3d4.parent / "b3d4.json"
         sidecar.write_text(edit(json.loads(sidecar.read_text())))
+        out = tmp_path / "x.json"
+        assert run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", out]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", [".pauli", ".json"])
+    def test_non_utf8_input_exit_code(self, b3d4, tmp_path, suffix):
+        path = b3d4.parent / f"b3d4{suffix}"
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
         out = tmp_path / "x.json"
         assert run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", out]) == 2
         assert not out.exists()
@@ -276,6 +290,14 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
         assert run(["verify", bad, "--hamiltonian", f"{b3d4}.pauli"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "evaluate"])
+    def test_non_utf8_partition_exit_code(self, b3d4, tmp_path, command):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        part.write_bytes(b"\xff\xfe" + part.read_bytes())
+        extra = ["-o", tmp_path / "rep"] if command == "evaluate" else []
+        assert run([command, part, "--hamiltonian", f"{b3d4}.pauli", *extra]) == 2
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["verify", tmp_path / "nope.json",

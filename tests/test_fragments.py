@@ -118,6 +118,13 @@ class TestRealization:
         assert np.max(np.abs(apply_fragment(frag, vec, n) - direct)) < 1e-11
         one = apply_term(terms[0], vec, n)
         assert np.max(np.abs(one - term_matrix(terms[0], n, "dense") @ vec)) < 1e-11
+        # A (2^n, S) block of states: each column matches the vector result.
+        block = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+        batched = apply_fragment(frag, block, n)
+        assert batched.shape == block.shape
+        assert np.max(np.abs(batched - fragment_matrix(frag, n, "dense") @ block)) < 1e-11
+        for col in range(block.shape[1]):
+            assert np.max(np.abs(batched[:, col] - apply_fragment(frag, block[:, col], n))) < 1e-13
 
     def test_partition_matrix_includes_constant(self):
         term = pauli_term(2.0, PauliString.from_letters("Z"))

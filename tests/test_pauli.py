@@ -217,7 +217,8 @@ class TestToMatrix:
         ]
         h = PauliSum(4, terms, 0.7)
         for vec in (rng.standard_normal(16) + 1j * rng.standard_normal(16),
-                    rng.standard_normal(16)):
+                    rng.standard_normal(16),
+                    rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))):
             assert np.max(np.abs(h.apply(vec) - h.to_matrix("dense") @ vec)) < 1e-12
 
 

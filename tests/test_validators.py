@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
+from conftest import pauli_sums, random_hermitian
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import ConstraintError, ResourceError
 from hampart.fragments import (
@@ -71,16 +71,6 @@ def two_basis_reference_partition():
         constant=0.0,
         source="two-basis-example",
     )
-
-
-@st.composite
-def pauli_sums(draw):
-    n = draw(st.integers(2, 6))
-    coeffs = st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-3)
-    terms = draw(st.lists(st.tuples(coeffs, st.text("IXYZ", min_size=n, max_size=n)),
-                          min_size=1, max_size=12))
-    constant = draw(st.floats(-1.0, 1.0))
-    return PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in terms], constant)
 
 
 def _with_factor(part, where, block):

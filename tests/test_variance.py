@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_hermitian
-from hampart.errors import DataError, DomainError, ResourceError
+from conftest import pauli_sums, random_hermitian
+from hampart.errors import DataError, DimensionError, DomainError, ResourceError
 from hampart.fragments import (
     Fragment,
     Partition,
@@ -12,7 +14,7 @@ from hampart.fragments import (
     TensorProductTerm,
     fragment_matrix,
 )
-from hampart.partitioners import sorted_insertion
+from hampart.partitioners import blocking_partition, greedy_partition, sorted_insertion
 from hampart.pauli import PauliString, PauliSum
 from hampart.variance import (
     StateVector,
@@ -20,9 +22,12 @@ from hampart.variance import (
     basis_state,
     fragment_variance,
     lower_bound,
+    lower_bounds,
     partition_cost,
+    partition_costs,
     random_state,
     rotated_basis_demo,
+    state_block,
     theorem1_grid,
 )
 
@@ -212,6 +217,48 @@ class TestLowerBound:
                 assert partition_cost(part, psi).total >= lb - 1e-10
                 count += 1
         assert count == 200
+
+
+class TestBatchedEngine:
+    @settings(max_examples=100, deadline=None)
+    @given(h=pauli_sums(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_block_matches_single_states(self, h, k, seed):
+        # One application per fragment for all states gives each state's
+        # single-state cost; Var >= 0 and every total is at least Var[H].
+        k = min(k, h.n)
+        states = [random_state(h.n, seed + i) for i in range(3)]
+        block = state_block(states)
+        lbs = lower_bounds(h, block)
+        for part in (
+            sorted_insertion(h, "full"),
+            sorted_insertion(h, "qubitwise"),
+            greedy_partition(h, k),
+            blocking_partition(h, k),
+        ):
+            totals, per = partition_costs(part, block)
+            assert per.shape == (len(part.fragments), len(states))
+            assert np.all(per >= 0.0), part.source
+            for col, psi in enumerate(states):
+                report = partition_cost(part, psi)
+                np.testing.assert_allclose(per[:, col], report.per_fragment, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(totals[col], report.total, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(lbs[col], lower_bound(h, psi), rtol=1e-12, atol=0)
+                assert totals[col] >= lbs[col] - 1e-9 * (1 + abs(totals[col])), part.source
+
+    def test_block_shape_and_normalization_checked(self):
+        part = gpb_partition()
+        psi = random_state(1, 3)
+        with pytest.raises(DimensionError):
+            partition_costs(part, psi.amplitudes)  # a vector, not a (2^n, S) block
+        with pytest.raises(DimensionError):
+            lower_bounds(h1_sum(), state_block([random_state(2, 0)]))
+        with pytest.raises(DataError):
+            partition_costs(part, 2.0 * state_block([psi]))
+
+    def test_empty_partition_costs_nothing(self):
+        totals, per = partition_costs(Partition(2, (), constant=1.0), state_block(
+            [random_state(2, s) for s in range(4)]))
+        assert per.shape == (0, 4) and np.array_equal(totals, np.zeros(4))
 
 
 class TestRotatedBasisDemo:
