@@ -88,10 +88,20 @@ def _write_text(path, text: str):
 # Hamiltonian construction
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in a UTF-8 file; any other content raises DataError."""
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return data
+
+
 def _parse_lattice(spec: str, sites: int | None, boundary: str) -> Lattice:
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return lattice_from_json(json.load(fh))
+        return lattice_from_json(_read_json_object(spec[1:]))
     name, _, dims = spec.partition(":")
     if name == "chain":
         if sites is None:
@@ -138,19 +148,23 @@ def cmd_build(args) -> int:
             lattice=lattice_to_json(lat), t=args.t, U=args.U, d=args.d, encoding="gray"
         )
     elif args.hamiltonian_class == "vibrational":
-        if args.model:
-            with open(args.model) as fh:
-                model = json.load(fh)
-            omega = model["omega"]
-            couplings = couplings_from_json(model.get("couplings", {}))
-            d = int(model.get("d", args.d))
-        else:
-            if not args.omega:
-                raise DomainError("vibrational build needs --omega or --model")
-            omega = [float(tok) for tok in args.omega.split(",")]
-            couplings = _parse_couplings(args.coupling or [])
-            d = args.d
-        op = build_vibrational(omega, couplings, d)
+        try:
+            if args.model:
+                model = _read_json_object(args.model)
+                omega = model["omega"]
+                couplings = couplings_from_json(model.get("couplings", {}))
+                d = int(model.get("d", args.d))
+            else:
+                if not args.omega:
+                    raise DomainError("vibrational build needs --omega or --model")
+                omega = [float(tok) for tok in args.omega.split(",")]
+                couplings = _parse_couplings(args.coupling or [])
+                d = args.d
+            op = build_vibrational(omega, couplings, d)
+        except HampartError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"malformed vibrational input: {exc!r}") from exc
         h = encode_boson_operator(op).pauli
         params.update(
             omega=list(omega),
@@ -197,11 +211,8 @@ def _load_hamiltonian(path: str) -> tuple[PauliSum, dict | None, str]:
     meta = None
     meta_path = os.path.splitext(path)[0] + ".json"
     if os.path.exists(meta_path):
-        try:
-            meta = json.loads(read_text(meta_path))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{meta_path} is not JSON: {exc}") from exc
-        if not isinstance(meta, dict) or not isinstance(meta.get("n", 0), int):
+        meta = _read_json_object(meta_path)
+        if not isinstance(meta.get("n", 0), int):
             raise DataError(f"{meta_path} must be a JSON object with an integer n")
     h = parse_pauli_text(text, n=meta.get("n") if meta else None)
     return h, meta, _sha256(text)

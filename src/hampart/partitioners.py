@@ -88,9 +88,8 @@ def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
     for q in w.ref.support():
         if q not in free:
             factors.append(TensorFactor((q,), pauli_matrix(w.ref.letter(q))))
-    block = np.zeros((1 << len(free), 1 << len(free)), dtype=complex)
-    for coeff, string in w.members:
-        block += coeff * string_to_dense(string.restricted(free))
+    # string_to_dense refuses more than DENSE_QUBIT_CAP qubits before allocating.
+    block = sum(coeff * string_to_dense(string.restricted(free)) for coeff, string in w.members)
     factors.append(TensorFactor(free, block))
     return TensorProductTerm(factors)
 
@@ -174,9 +173,7 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
         for key in windows:
             group = assigned[key]
             qubits = tuple(sorted({q for _, s in group for q in s.support()}))
-            block = np.zeros((1 << len(qubits), 1 << len(qubits)), dtype=complex)
-            for coeff, string in group:
-                block += coeff * string_to_dense(string.restricted(qubits))
+            block = sum(coeff * string_to_dense(s.restricted(qubits)) for coeff, s in group)
             terms.append(TensorProductTerm((TensorFactor(qubits, block),)))
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}"))
     for i, group in enumerate(sorted_insertion_groups(PauliSum(n, residual), "full")):

@@ -211,6 +211,8 @@ def _phases_over_basis(p: PauliString) -> tuple[int, np.ndarray]:
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
+    if p.n > DENSE_QUBIT_CAP:  # checked before any 4^n allocation
+        raise ResourceError(f"dense realization capped at {DENSE_QUBIT_CAP} qubits, got {p.n}")
     flip, phases = _phases_over_basis(p)
     dim = 1 << p.n
     mat = np.zeros((dim, dim), dtype=complex)

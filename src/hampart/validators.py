@@ -4,15 +4,20 @@ basis per fragment.
 A fragment is measurable when one basis change diagonalizes every one of its
 terms; that is the single criterion certified here (commutation follows from
 it). Fragments whose factor supports align get one unitary per support, found
-simultaneously for the support's family of blocks. Other fragments get one
-unitary over their whole support when `allow_global=True`. Either way the
-certificate is a bound on the max-entry norm of U^dag M U - diag(D).
+simultaneously for the support's family of blocks. Other fragments, when
+`allow_global=True`, get a Clifford circuit if the strings of their exact
+Pauli expansion commute: it maps every string to a Z-type string, checked by
+conjugating each string exactly. Either way the certificate is a bound on the
+max-entry norm of U^dag M U - diag(D).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -27,11 +32,10 @@ from .fragments import (
     pauli_coefficients,
     term_matrix,
 )
-from .pauli import PauliSum
+from .pauli import PauliSum, _basis_mask
 from .variance import StateVector
 
 COMMUTATION_QUBIT_CAP = 10
-GLOBAL_BLOCK_QUBIT_CAP = 8
 _DIAG_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
@@ -44,6 +48,7 @@ class ValidationReport:
     locality_bound: int
     tensor_wise: bool
     diagonalization_residual: float
+    bases: tuple[dict, ...]  # per fragment: FragmentDiagonalization.record(), or kind "none"
 
     @property
     def ok(self) -> bool:
@@ -51,17 +56,22 @@ class ValidationReport:
             self.reconstruction_error <= 1e-9
             and self.locality_ok
             and self.diagonalization_residual <= _DIAG_TOL
+            and all(b["kind"] != "none" for b in self.bases)
         )
 
     def to_dict(self) -> dict:
+        out = asdict(self)
+        bases = out.pop("bases")
+        gates = [b["two_qubit_gates"] for b in bases]
         return {
-            "reconstruction_error": self.reconstruction_error,
-            "locality_ok": self.locality_ok,
-            "locality_worst": self.locality_worst,
-            "locality_bound": self.locality_bound,
-            "tensor_wise": self.tensor_wise,
-            "diagonalization_residual": self.diagonalization_residual,
+            **out,
             "ok": self.ok,
+            "bases": list(bases),
+            "basis_summary": {
+                "kinds": dict(Counter(b["kind"] for b in bases)),
+                "largest_block": max((b["largest_block"] for b in bases), default=0),
+                "two_qubit_gates": {"total": sum(gates), "max": max(gates, default=0)},
+            },
         }
 
 
@@ -168,8 +178,6 @@ def _basis(terms: list[dict[tuple[int, ...], np.ndarray]]):
     unitaries = {}
     rotated = {}
     for key, blocks in sorted(families.items()):
-        if len(key) > GLOBAL_BLOCK_QUBIT_CAP:
-            raise ResourceError(f"block on {len(key)} qubits exceeds cap {GLOBAL_BLOCK_QUBIT_CAP}")
         unitaries[key], summaries = _simultaneous_eigh(blocks)
         rotated[key] = iter(summaries)
     return unitaries, [{key: next(rotated[key]) for key in term} for term in terms]
@@ -220,20 +228,115 @@ def check_tensor_wise(frag: Fragment) -> bool:
     return _tensor_wise_basis(frag) is not None
 
 
+def _tensor_wise_diagonal(rotated, n: int) -> np.ndarray:
+    indices = np.arange(1 << n, dtype=np.int64)
+    local_index = {
+        key: _deposit(indices, [n - 1 - q for q in key], list(range(len(key) - 1, -1, -1)))
+        for key in {key for term in rotated for key in term}
+    }
+    diagonal = np.zeros(1 << n)
+    for term in rotated:
+        contrib = np.ones(1 << n)
+        for key, (d_local, _, _) in term.items():
+            contrib *= d_local[local_index[key]]
+        diagonal += contrib
+    return diagonal
+
+
+# ---------------------------------------------------------------------------
+# Clifford bases for commuting Pauli strings
+
+# The basis factor stored for each gate g is g^dag, so that `rotate` applies g itself.
+_GATE_OPS = {
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "s": np.diag([1, -1j]),
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "cz": np.diag([1, 1, 1, -1]).astype(complex),
+}
+
+
+def _conjugate(gate: tuple[str, tuple[int, ...]], x: int, z: int) -> tuple[int, int, int]:
+    """g P g^dag = (-1)^flip P' for a Hermitian Pauli string P = (x, z) (Y is x = z = 1):
+    the masks of P' and flip, by the rules of Aaronson & Gottesman (quant-ph/0406196)."""
+    name, (a, *rest) = gate
+    xa, za = (x >> a) & 1, (z >> a) & 1
+    if name == "h":
+        swap = (xa ^ za) << a
+        return x ^ swap, z ^ swap, xa & za
+    if name == "s":
+        return x, z ^ (xa << a), xa & za
+    b = rest[0]
+    xb, zb = (x >> b) & 1, (z >> b) & 1
+    if name == "cx":
+        return x ^ (xa << b), z ^ (zb << a), xa & zb & (xb ^ za ^ 1)
+    return x, z ^ (xb << a) ^ (xa << b), xa & xb & (za ^ zb)  # cz
+
+
+def _clifford_circuit(strings) -> list[tuple[str, tuple[int, ...]]]:
+    """Gates (H, S, CNOT, CZ) that map every string of a commuting set to a Z-type string.
+
+    Symplectic Gaussian elimination: each string, pushed through the gates so
+    far, is Z-type on the pivot qubits of the strings before it, else it would
+    anticommute with one of them. Unless it is a product of those, it has a
+    letter on a fresh qubit q; CNOTs from q clear its other X parts, S turns Y
+    on q into X, CZs clear its other Z parts off the pivots, and H makes X_q a
+    Z_q. Later gates act on fresh qubits only, so it stays Z-type.
+    """
+    gates: list[tuple[str, tuple[int, ...]]] = []
+    pivots = 0
+    for x, z in strings:
+        for gate in gates:
+            x, z, _ = _conjugate(gate, x, z)
+        if x & pivots:
+            raise ConstraintError("fragment is not tensor-wise and its Pauli strings anticommute")
+        free = (x | z) & ~pivots
+        if not free:
+            continue
+        q = ((x or free) & -(x or free)).bit_length() - 1
+        if x:
+            new = [("cx", (q, r)) for r in range(x.bit_length()) if r != q and (x >> r) & 1]
+            if (x & z).bit_count() & 1:  # each CNOT adds its target's Z bit to q: Y left on q
+                new.append(("s", (q,)))
+        else:
+            new = [("h", (q,))]
+        new += [("cz", (q, r)) for r in range(z.bit_length()) if (free & z & ~(1 << q)) >> r & 1]
+        gates += new + [("h", (q,))]
+        pivots |= 1 << q
+    return gates
+
+
 @dataclass(frozen=True)
 class FragmentDiagonalization:
-    """Per-support unitaries U_s, the diagonal of U^dag M U, and a bound on the
-    max-entry norm of U^dag M U - diag(D)."""
+    """A fragment's measurement basis U = U_1 U_2 ... as ordered (qubits, U_i) ops, its
+    kind ("tensor-wise": one unitary per factor support; "clifford": H, S, CNOT and CZ
+    gates), a bound on the max-entry norm of U^dag M U - diag(D), and D, built on first use."""
 
-    unitaries: dict[tuple[int, ...], np.ndarray]
-    diagonal: np.ndarray
+    ops: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    kind: str
     residual: float
-    tensor_wise: bool
+    _diagonal: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @property
+    def tensor_wise(self) -> bool:
+        return self.kind == "tensor-wise"
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal()
+
+    def record(self) -> dict:
+        """Basis kind, largest block in qubits, two-qubit gate count and residual."""
+        return {
+            "kind": self.kind,
+            "largest_block": max((len(qubits) for qubits, _ in self.ops), default=0),
+            "two_qubit_gates": 0 if self.tensor_wise else sum(len(q) == 2 for q, _ in self.ops),
+            "residual": self.residual,
+        }
 
     def rotate(self, vec: np.ndarray, n: int) -> np.ndarray:
         """U^dag @ vec."""
         out = vec
-        for qubits, u in self.unitaries.items():
+        for qubits, u in self.ops:
             out = apply_block(out, n, qubits, u.conj().T)
         return out
 
@@ -249,65 +352,71 @@ def diagonalize_fragment(
     *,
     allow_global: bool = False,
 ) -> FragmentDiagonalization:
-    """Diagonalize a fragment per factor support, or over its whole support.
+    """Diagonalize a fragment per factor support, or by a Clifford circuit.
 
     Stacked blocks on a shared support are diagonalized simultaneously.
     Raises ConstraintError when that tensor-wise basis does not diagonalize
-    the fragment, unless `allow_global` permits one whole-support unitary
-    instead, whose blocks are the terms restricted to that support.
+    the fragment, unless `allow_global` permits a Clifford basis instead;
+    that one needs the fragment's Pauli strings to commute pairwise, and
+    raises ConstraintError otherwise.
     """
     if not frag.terms:
-        return FragmentDiagonalization({}, np.zeros(1 << n), 0.0, True)
+        return FragmentDiagonalization((), "tensor-wise", 0.0, lambda: np.zeros(1 << n))
     basis = _tensor_wise_basis(frag)
-    tensor_wise = basis is not None
-    if not tensor_wise:
-        if not allow_global:
-            raise ConstraintError(
-                "fragment is not tensor-wise diagonalizable; "
-                "pass allow_global=True for a whole-support basis"
-            )
-        support = frag.support()
-        m = len(support)
-        if m > GLOBAL_BLOCK_QUBIT_CAP:
-            raise ResourceError(
-                f"fragment support {m} exceeds whole-support cap {GLOBAL_BLOCK_QUBIT_CAP}"
-            )
-        basis = _basis(
-            [{support: term_matrix(_restrict_term(t, support), m, "dense")} for t in frag.terms]
+    if basis is not None:
+        unitaries, rotated = basis
+        return FragmentDiagonalization(
+            tuple(unitaries.items()), "tensor-wise", _residual_bound(rotated),
+            lambda: _tensor_wise_diagonal(rotated, n),
         )
-    unitaries, rotated = basis
+    if not allow_global:
+        raise ConstraintError(
+            "fragment is not tensor-wise diagonalizable; allow_global=True tries a Clifford basis"
+        )
+    coeffs = {s: c for s, c in pauli_coefficients(frag.terms).items() if c != 0}
+    gates = _clifford_circuit(coeffs)
+    diagonal_terms = []
+    off = 0.0
+    for (x, z), c in coeffs.items():
+        flips = 0
+        for gate in gates:
+            x, z, flip = _conjugate(gate, x, z)
+            flips ^= flip
+        off += abs(c) if x else abs(c.imag)
+        if not x:
+            diagonal_terms.append((-c.real if flips else c.real, _basis_mask(z, n)))
+    # Rounding: a dense U^dag M U through the gates loses about an ulp of the
+    # scale sum |c_s| per gate on each side, and one per string summed into M.
+    rounding = (2 * len(gates) + len(coeffs)) * _EPS * sum(abs(c) for c in coeffs.values())
 
-    indices = np.arange(1 << n, dtype=np.int64)
-    local_index = {
-        key: _deposit(indices, [n - 1 - q for q in key], list(range(len(key) - 1, -1, -1)))
-        for key in unitaries
-    }
-    diagonal = np.zeros(1 << n)
-    for term in rotated:
-        contrib = np.ones(1 << n)
-        for key, (d_local, _, _) in term.items():
-            contrib *= d_local[local_index[key]]
-        diagonal += contrib
-    return FragmentDiagonalization(unitaries, diagonal, _residual_bound(rotated), tensor_wise)
+    def diagonal() -> np.ndarray:
+        idx = np.arange(1 << n, dtype=np.uint64)
+        parities = ((c, np.bitwise_count(idx & np.uint64(mask)) & 1) for c, mask in diagonal_terms)
+        return sum((np.where(odd, -c, c) for c, odd in parities), np.zeros(1 << n))
+
+    ops = tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
+    return FragmentDiagonalization(ops, "clifford", off + rounding, diagonal)
 
 
 def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:
     """Check reconstruction and locality, and certify every fragment by its
-    measurement basis; `k` defaults to the largest factor seen."""
+    measurement basis; `k` defaults to the largest factor seen. A fragment
+    with no basis is recorded as kind "none" and fails the report."""
     recon = check_reconstruction(p, h)
     worst_factor = p.max_factor_size()
     bound = k if k is not None else worst_factor
-    tensor_wise = True
-    residual = 0.0
+    bases = []
     for frag in p.fragments:
-        diag = diagonalize_fragment(frag, p.n, allow_global=True)
-        tensor_wise = tensor_wise and diag.tensor_wise
-        residual = max(residual, diag.residual)
+        try:
+            bases.append(diagonalize_fragment(frag, p.n, allow_global=True).record())
+        except ConstraintError:
+            bases.append(dict(kind="none", largest_block=0, two_qubit_gates=0, residual=None))
     return ValidationReport(
         reconstruction_error=recon,
         locality_ok=check_locality(p, bound),
         locality_worst=worst_factor,
         locality_bound=bound,
-        tensor_wise=tensor_wise,
-        diagonalization_residual=residual,
+        tensor_wise=all(b["kind"] == "tensor-wise" for b in bases),
+        diagonalization_residual=max((b["residual"] or 0.0 for b in bases), default=0.0),
+        bases=tuple(bases),
     )

@@ -138,9 +138,9 @@ def random_hermitian(dim: int, rng) -> np.ndarray:
 
 
 @st.composite
-def pauli_sums(draw):
-    """Random real Pauli sums: 2-6 qubits, 1-12 terms with |c| in (1e-3, 1], a constant."""
-    n = draw(st.integers(2, 6))
+def pauli_sums(draw, max_qubits=6):
+    """Random real Pauli sums: 2-max_qubits qubits, 1-12 terms with |c| in (1e-3, 1], a constant."""
+    n = draw(st.integers(2, max_qubits))
     coeffs = st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-3)
     terms = draw(st.lists(st.tuples(coeffs, st.text("IXYZ", min_size=n, max_size=n)),
                           min_size=1, max_size=12))

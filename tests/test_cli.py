@@ -8,6 +8,7 @@ import pytest
 from conftest import ILLUSTRATIVE_TEXT
 from hampart.cli import main
 from hampart.fragments import Fragment, Partition, pauli_term, save_partition
+from hampart.operators import ElectronicIntegrals, write_fcidump
 from hampart.pauli import PauliString, PauliSum
 from hampart.validators import check_reconstruction, validate_partition
 
@@ -57,6 +58,20 @@ class TestBuild:
         meta = json.loads((tmp_path / "vib.json").read_text())
         assert meta["params"]["couplings"] == {"0,0,1": 0.1}
 
+    @pytest.mark.parametrize("content", [
+        b"not json", b"\xff\xfe{}", b"[1.0, 1.2]", b'{"d": 4}', b'{"omega": 3}',
+        b'{"omega": [1.0], "couplings": [0.1]}',
+    ], ids=["not-json", "not-utf8", "not-object", "no-omega", "omega-mistyped",
+            "couplings-mistyped"])
+    def test_malformed_json_input_exit_code(self, tmp_path, content):
+        (tmp_path / "in.json").write_bytes(content)
+        stem = tmp_path / "out"
+        assert run(["build", "vibrational", "--model", tmp_path / "in.json", "-o", stem]) == 2
+        if content != b'{"d": 4}':
+            assert run(["build", "bose-hubbard", "--modes", 2, "--lattice",
+                        f"@{tmp_path / 'in.json'}", "-o", stem]) == 2
+        assert not (tmp_path / "out.pauli").exists()
+
     def test_unknown_class_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["build", "spin-glass", "-o", tmp_path / "x"])
@@ -76,6 +91,8 @@ class TestPartition:
         data = json.loads(out.read_text())
         assert len(data["fragments"]) == 3
         assert data["validation"]["ok"] is True
+        assert [b["kind"] for b in data["validation"]["bases"]] == ["tensor-wise"] * 3
+        assert data["validation"]["basis_summary"]["two_qubit_gates"] == {"total": 0, "max": 0}
 
     def test_coloring_fragment_count(self, b3d4, tmp_path):
         out = tmp_path / "col.json"
@@ -110,6 +127,30 @@ class TestPartition:
         assert run(["partition", f"{stem}.pauli", "--method", "fh1d-coloring",
                     "-o", out]) == 0
         assert len(json.loads(out.read_text())["fragments"]) == 2
+
+    def test_fc_si_certifies_ten_qubit_electronic(self, tmp_path):
+        # Clifford bases: no dense whole-support eigenbasis, so no 8-qubit cap (exit 4).
+        rng = np.random.default_rng(10)
+        ints = ElectronicIntegrals(norb=5)
+        for i in range(5):
+            for j in range(i, 5):
+                ints.set_one_body(i, j, float(rng.normal(0.0, 0.3)))
+        pairs = [(i, j) for i in range(5) for j in range(i + 1)]
+        for a, (i, j) in enumerate(pairs):
+            for k, l in pairs[: a + 1]:
+                ints.set_two_body(i, j, k, l, float(rng.normal(0.0, 0.05)))
+        write_fcidump(tmp_path / "el5.fcidump", ints)
+        stem = tmp_path / "el5"
+        assert run(["build", "electronic", "--fcidump", tmp_path / "el5.fcidump",
+                    "-o", stem]) == 0
+        out = tmp_path / "fc.json"
+        assert run(["partition", f"{stem}.pauli", "--method", "fc-si", "-o", out]) == 0
+        validation = json.loads(out.read_text())["validation"]
+        assert validation["ok"] is True
+        summary = validation["basis_summary"]
+        assert summary["kinds"]["clifford"] > 0 and summary["largest_block"] == 2
+        gates = [b["two_qubit_gates"] for b in validation["bases"]]
+        assert summary["two_qubit_gates"] == {"total": sum(gates), "max": max(gates)}
 
     def test_greedy_needs_k(self, b3d4, tmp_path):
         assert run(["partition", f"{b3d4}.pauli", "--method", "greedy",
@@ -282,7 +323,9 @@ class TestVerify:
         frag = Fragment(tuple(pauli_term(c, s) for c, s in h), "xz")
         part = Partition(1, (frag,), source="xz")
         assert check_reconstruction(part, h) < 1e-15
-        assert not validate_partition(part, h).ok
+        report = validate_partition(part, h)
+        assert not report.ok
+        assert report.to_dict()["basis_summary"]["kinds"] == {"none": 1}
         save_partition(tmp_path / "xz.json", part)
         assert run(["verify", tmp_path / "xz.json", "--hamiltonian", ham]) == 3
 

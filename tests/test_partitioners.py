@@ -1,6 +1,8 @@
 """Partitioning algorithms: grouping baselines, greedy matching, blocking,
 index reordering, edge coloring, and the structure-aware bosonic methods."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from hampart.encodings import (
     encode_boson_operator,
     jordan_wigner,
 )
-from hampart.errors import DomainError
+from hampart.errors import DomainError, ResourceError
 from hampart.fragments import fragment_matrix, pauli_sum_from_fragment
 from hampart.operators import (
     BosonOperator,
@@ -40,7 +42,7 @@ from hampart.partitioners import (
     reorder_indices,
     sorted_insertion,
 )
-from hampart.pauli import PauliString, PauliSum
+from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum
 from hampart.validators import check_commutation, check_locality, check_reconstruction
 
 
@@ -179,6 +181,21 @@ class TestBlocking:
             part = blocking_partition(illustrative_hamiltonian, k)
             assert check_locality(part, k)
             assert check_reconstruction(part, illustrative_hamiltonian) < 1e-12
+
+
+class TestDenseBlockCap:
+    @pytest.mark.parametrize("method", [greedy_partition, blocking_partition])
+    def test_oversized_block_raises_before_allocating(self, method):
+        n = DENSE_QUBIT_CAP + 1  # one 2^n x 2^n block of the two strings would be 1 GiB
+        h = PauliSum(n, [(1.0, ps("X" * n)), (0.5, ps("Z" * n))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                method(h, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestReorderIndices:

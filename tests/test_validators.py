@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import pauli_sums, random_hermitian
@@ -240,7 +240,7 @@ class TestDiagonalization:
         )
         result = diagonalize_fragment(frag, 1)
         assert result.residual < 1e-14
-        ((_, u),) = result.unitaries.items()
+        ((_, u),) = result.ops
         assert np.allclose(u, np.eye(2))
         assert np.allclose(result.diagonal, [1.0, 2.0])
 
@@ -334,6 +334,37 @@ class TestDiagonalization:
                 dense = np.max(np.abs(rotated - np.diag(result.diagonal)))
                 assert result.residual >= dense - 1e-15, (part.source, frag.label)
                 assert result.residual < 1e-9, (part.source, frag.label)
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(max_qubits=8), state_seed=st.integers(0, 2**32 - 1))
+    def test_clifford_bases_of_random_commuting_groups(self, h, state_seed):
+        n = h.n
+
+        def rotated(result, m):  # U^dag m U for Hermitian m, all columns at once
+            return result.rotate(result.rotate(m, n).conj().T, n)
+
+        for frag in sorted_insertion(h, "full").fragments:
+            result = diagonalize_fragment(frag, n, allow_global=True)
+            assert result.kind in ("tensor-wise", "clifford")
+            for term in frag.terms:  # each conjugated string is Z-type (x = 0)
+                one = rotated(result, fragment_matrix(Fragment((term,)), n, "dense"))
+                assert np.max(np.abs(one - np.diag(np.diag(one)))) < 1e-12
+            m = fragment_matrix(frag, n, "dense")
+            dense = np.max(np.abs(rotated(result, m) - np.diag(result.diagonal)))
+            assert dense <= result.residual + 1e-15
+            assert result.residual < 1e-9
+            for i in range(3):
+                psi = random_state(n, state_seed + i)
+                direct = np.vdot(psi.amplitudes, m @ psi.amplitudes).real
+                assert abs(result.expectation(psi) - direct) < 1e-9
+
+    def test_sixteen_qubit_bose_hubbard_fc_si(self):
+        h = encode_boson_operator(build_bose_hubbard(chain_lattice(8), 1.0, 2.0, 4)).pauli
+        assert h.n == 16
+        report = validate_partition(sorted_insertion(h, "full"), h)
+        assert report.ok
+        assert report.to_dict()["basis_summary"]["kinds"].get("clifford", 0) > 0
 
 
 class TestValidatePartition:
