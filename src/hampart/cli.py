@@ -279,7 +279,7 @@ def cmd_partition(args) -> int:
     report = validate_partition(part, h, k=args.k)
     data = partition_to_json(part)
     data["validation"] = report.to_dict()
-    _write_text(args.output, json.dumps(data, indent=1) + "\n")
+    _write_text(args.output, json.dumps(data) + "\n")  # no indent: the C encoder
     print(
         f"{args.method}: {len(part.fragments)} fragments, "
         f"reconstruction {report.reconstruction_error:.3e}, "

@@ -377,8 +377,8 @@ def partition_from_json(data: dict | str) -> Partition:
 
 def save_partition(path, p: Partition):
     with open(path, "w") as fh:
-        json.dump(partition_to_json(p), fh, indent=1)
-        fh.write("\n")
+        # json.dumps without indent is the C encoder; json.dump and any indent are pure Python.
+        fh.write(json.dumps(partition_to_json(p)) + "\n")
 
 
 def load_partition(path) -> Partition:

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from .encodings import embed_matrix, gray_map, jordan_wigner, mode_qubit_layout
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .fragments import (
     Fragment,
     Partition,
@@ -23,29 +23,48 @@ from .fragments import (
     pauli_term,
 )
 from .operators import BosonOperator, FermionOperator, Lattice, boson_matrices
-from .pauli import PauliString, PauliSum, commutes, pauli_matrix, string_to_dense
+from .pauli import PauliString, PauliSum, pauli_matrix, string_to_dense
 
 
 # ---------------------------------------------------------------------------
 # SortedInsertion baselines
 
 
+def _term_masks(h: PauliSum):
+    """Terms in placement order (descending |c|) and their x and z masks as uint64 arrays."""
+    if h.n > 64:  # checked before any array is built
+        raise ResourceError(f"placement packs each string into 64 bits, got {h.n} qubits")
+    items = h.items_sorted()
+    x = np.array([s.x for _, s in items], dtype=np.uint64)
+    z = np.array([s.z for _, s in items], dtype=np.uint64)
+    return items, x, z
+
+
 def sorted_insertion_groups(h: PauliSum, kind: str) -> list[list[tuple[float, PauliString]]]:
-    """Greedy grouping: descending |c|, first group whose members all commute."""
-    groups: list[list[tuple[float, PauliString]]] = []
-    for coeff, string in h.items_sorted():
-        for group in groups:
-            if all(commutes(string, other, kind) for _, other in group):
-                group.append((coeff, string))
-                break
-        else:
-            groups.append([(coeff, string)])
+    """Greedy grouping: descending |c|, first group whose members all commute. Each term
+    is tested against every placed term at once and joins the first group with no conflict."""
+    if kind not in ("full", "qubitwise"):
+        raise DomainError(f"unknown commutation kind {kind!r}")
+    items, xs, zs = _term_masks(h)
+    gid = np.empty(len(items), dtype=np.intp)
+    n_groups = 0
+    for i in range(len(items)):
+        px, pz, x, z = xs[:i], zs[:i], xs[i], zs[i]
+        if kind == "full":  # odd symplectic product
+            conflict = np.bitwise_count((px & z) ^ (pz & x)) & 1
+        else:  # overlapping support with a differing letter
+            conflict = (px | pz) & (x | z) & ((px ^ x) | (pz ^ z))
+        # Slot n_groups (a new group) never has a conflict.
+        blocked = np.bincount(gid[:i][conflict != 0], minlength=n_groups + 1)
+        gid[i] = g = int(np.argmin(blocked))
+        n_groups = max(n_groups, g + 1)
+    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(n_groups)]
+    for item, g in zip(items, gid):
+        groups[g].append(item)
     return groups
 
 
 def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
-    if kind not in ("full", "qubitwise"):
-        raise DomainError(f"unknown commutation kind {kind!r}")
     label = "fc-si" if kind == "full" else "qwc-si"
     groups = sorted_insertion_groups(h, kind)
     fragments = [pauli_group_fragment(g, f"{label}-{i}") for i, g in enumerate(groups)]
@@ -56,40 +75,17 @@ def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
 # Greedy bounded-mismatch matching
 
 
-class _MatchSet:
-    """Strings sharing letters everywhere except at most k free qubits."""
-
-    __slots__ = ("members", "ref", "free_mask", "support_mask")
-
-    def __init__(self, coeff: float, string: PauliString):
-        self.members = [(coeff, string)]
-        self.ref = string
-        self.free_mask = 0
-        self.support_mask = string.support_mask
-
-    def free_with(self, string: PauliString) -> int:
-        differ = (self.ref.x ^ string.x) | (self.ref.z ^ string.z)
-        return self.free_mask | differ
-
-    def add(self, coeff: float, string: PauliString):
-        self.free_mask = self.free_with(string)
-        self.support_mask |= string.support_mask
-        self.members.append((coeff, string))
-
-
-def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
-    """Matched non-identity qubits become fixed 1-qubit factors; free qubits
-    form a single dense block holding the coefficients."""
-    free = tuple(q for q in range(n) if (w.free_mask >> q) & 1)
-    factors = []
+def _match_set_term(members, free_mask: int, n: int) -> TensorProductTerm:
+    """Matched non-identity qubits become fixed 1-qubit factors (the first member's
+    letters); free qubits form a single dense block holding the coefficients."""
+    free = tuple(q for q in range(n) if (free_mask >> q) & 1)
+    ref = members[0][1]
     if not free:
-        coeff, string = w.members[0]
-        return pauli_term(coeff, string)
-    for q in w.ref.support():
-        if q not in free:
-            factors.append(TensorFactor((q,), pauli_matrix(w.ref.letter(q))))
+        return pauli_term(*members[0])
+    factors = [TensorFactor((q,), pauli_matrix(ref.letter(q)))
+               for q in ref.support() if q not in free]
     # string_to_dense refuses more than DENSE_QUBIT_CAP qubits before allocating.
-    block = sum(coeff * string_to_dense(string.restricted(free)) for coeff, string in w.members)
+    block = sum(coeff * string_to_dense(string.restricted(free)) for coeff, string in members)
     factors.append(TensorFactor(free, block))
     return TensorProductTerm(factors)
 
@@ -97,38 +93,42 @@ def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
 def greedy_partition(h: PauliSum, k: int) -> Partition:
     """Descending-|c| term placement with at most k mismatched qubits per set.
 
-    A term joins the first match set where the mismatch stays within k and
-    the set's support stays disjoint from its siblings; otherwise it opens a
-    new set in the first fragment whose sets it does not touch; otherwise a
-    new fragment.
+    A match set holds strings sharing letters everywhere except at most k free
+    qubits; the sets of a fragment have disjoint supports. A term joins the
+    first fragment that has a set accepting it (mismatch within k, grown
+    support disjoint from the siblings) or whose sets it does not touch: the
+    first accepting set there, else a new set. Every set is tested at once.
     """
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
-    fragments: list[list[_MatchSet]] = []
-    for coeff, string in h.items_sorted():
-        placed = False
-        for frag in fragments:
-            for w in frag:
-                if w.free_with(string).bit_count() > k:
-                    continue
-                grown = w.support_mask | string.support_mask
-                if any(grown & other.support_mask for other in frag if other is not w):
-                    continue
-                w.add(coeff, string)
-                placed = True
-                break
-            if placed:
-                break
-            if all(string.support_mask & w.support_mask == 0 for w in frag):
-                frag.append(_MatchSet(coeff, string))
-                placed = True
-                break
-        if not placed:
-            fragments.append([_MatchSet(coeff, string)])
-    out = [
-        Fragment(tuple(_match_set_term(w, h.n) for w in frag), f"greedy-k{k}-{i}")
-        for i, frag in enumerate(fragments)
-    ]
+    items, xs, zs = _term_masks(h)
+    # Per match set: reference letters, free mask, support mask, fragment id.
+    ref_x, ref_z, free, supp = (np.zeros(len(items), np.uint64) for _ in range(4))
+    fid = np.zeros(len(items), np.intp)
+    union = np.zeros(len(items), np.uint64)  # per fragment: its sets' support union
+    members: list[list[tuple[float, PauliString]]] = []
+    n_frags = 0
+    for item, x, z in zip(items, xs, zs):
+        w, s = len(members), x | z
+        grown_free = free[:w] | (ref_x[:w] ^ x) | (ref_z[:w] ^ z)
+        siblings = union[fid[:w]] & ~supp[:w]  # supports are disjoint within a fragment
+        accepts = (np.bitwise_count(grown_free) <= k) & ((supp[:w] | s) & siblings == 0)
+        opens = np.flatnonzero(union[:n_frags] & s == 0)
+        target = opens[0] if opens.size else n_frags
+        if accepts.any() and (best := fid[:w][accepts].min()) <= target:
+            j = np.flatnonzero(accepts & (fid[:w] == best))[0]
+            free[j], supp[j] = grown_free[j], supp[j] | s
+            union[best] |= s
+            members[j].append(item)
+            continue
+        ref_x[w], ref_z[w], supp[w], fid[w] = x, z, s, target
+        union[target] |= s
+        members.append([item])
+        n_frags = max(n_frags, target + 1)
+    frags: list[list[TensorProductTerm]] = [[] for _ in range(n_frags)]
+    for j, group in enumerate(members):
+        frags[fid[j]].append(_match_set_term(group, int(free[j]), h.n))
+    out = [Fragment(tuple(terms), f"greedy-k{k}-{i}") for i, terms in enumerate(frags)]
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
 

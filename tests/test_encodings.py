@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import dense_fermion, jw_ladder, kron_all
 from hampart.encodings import (
@@ -21,7 +23,25 @@ from hampart.operators import (
     build_fermi_hubbard,
     chain_lattice,
 )
-from hampart.pauli import string_to_dense
+from hampart.pauli import PauliString, PauliSum, multiply, string_to_dense
+
+
+def ladder_paulis(mode: int, modes: int, dagger: bool) -> dict:
+    """JW ladder operator Z_0..Z_{mode-1} (X -+ iY)_mode / 2 as {string: complex weight}."""
+    zs = [(q, "Z") for q in range(mode)]
+    return {PauliString.from_ops(zs + [(mode, "X")], modes): 0.5,
+            PauliString.from_ops(zs + [(mode, "Y")], modes): -0.5j if dagger else 0.5j}
+
+
+def anticommutator(a: dict, b: dict) -> dict:
+    """{a, b} of complex-weighted Pauli sums, string by string through `multiply`."""
+    out: dict = {}
+    for x, y in ((a, b), (b, a)):
+        for sa, ca in x.items():
+            for sb, cb in y.items():
+                phase, s = multiply(sa, sb)
+                out[s] = out.get(s, 0) + ca * cb * phase
+    return {s: c for s, c in out.items() if c != 0}
 
 
 class TestJordanWigner:
@@ -82,6 +102,20 @@ class TestJordanWigner:
                 )
                 hb = jordan_wigner(both)
                 assert len(hb) == 0 and abs(hb.constant) < 1e-14
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_canonical_anticommutation_as_pauli_algebra(self, data):
+        # {a_i, a+_j} = delta_ij and {a_i, a_j} = 0 exactly, on up to 8 modes.
+        modes = data.draw(st.integers(1, 8))
+        i, j = (data.draw(st.integers(0, modes - 1)) for _ in range(2))
+        a_i, a_j = ladder_paulis(i, modes, False), ladder_paulis(j, modes, False)
+        delta = {PauliString.identity(modes): 1} if i == j else {}
+        assert anticommutator(a_i, ladder_paulis(j, modes, True)) == delta
+        assert anticommutator(a_i, a_j) == {}
+        anti = FermionOperator(modes, ((1.0, ((i, False), (j, True))), (1.0, ((j, True), (i, False)))))
+        assert jordan_wigner(anti) == PauliSum(modes, [], float(i == j))
 
     def test_matrix_faithfulness_up_to_four_modes(self):
         rng = np.random.default_rng(21)

@@ -1,9 +1,13 @@
 """Tensor-product terms: construction, realization, state application, JSON."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import dense_from_letters, kron_all, random_hermitian
 from hampart.errors import DataError, DimensionError
@@ -15,10 +19,12 @@ from hampart.fragments import (
     apply_fragment,
     apply_term,
     fragment_matrix,
+    load_partition,
     partition_from_json,
     partition_matrix,
     partition_to_json,
     pauli_term,
+    save_partition,
     term_matrix,
 )
 from hampart.pauli import PauliString
@@ -141,6 +147,32 @@ class TestRealization:
         assert np.max(np.abs(apply_fragment(frag, vec, 2))) == 0.0
 
 
+@st.composite
+def partitions(draw):
+    """Random partitions on 1-6 qubits: factors of 1-2 qubits in random order, Hermitian
+    blocks A + A^H of arbitrary finite entries, signed zeros and subnormals included."""
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-1e6, 1e6, allow_nan=False)
+    fragments = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            order, factors = draw(st.permutations(range(n))), []
+            for size in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)):
+                if len(order) < size:
+                    break
+                qubits, order = order[:size], order[size:]
+                dim = 1 << size
+                re, im = (np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
+                          for _ in range(2))
+                a = (re + 1j * im).reshape(dim, dim)
+                factors.append(TensorFactor(qubits, a + a.conj().T))
+            terms.append(TensorProductTerm(factors))
+        fragments.append(Fragment(tuple(terms), draw(st.text(max_size=8))))
+    return Partition(n, tuple(fragments), draw(entries), draw(st.text(max_size=8)),
+                     draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)))
+
+
 class TestJson:
     def _random_partition(self, seed=46):
         rng = np.random.default_rng(seed)
@@ -167,6 +199,29 @@ class TestJson:
                 for xa, xb in zip(ta.factors, tb.factors):
                     assert xa.qubits == xb.qubits
                     assert np.array_equal(xa.block, xb.block)  # bit-exact
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(p=partitions())
+    def test_round_trip_random_partitions(self, p):
+        text = json.dumps(partition_to_json(p))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.json")
+            save_partition(path, p)
+            with open(path) as fh:
+                assert fh.read() == text + "\n"  # compact, one line
+            loaded = load_partition(path)
+        for q in (partition_from_json(text), loaded):
+            assert (q.n, q.source, q.hamiltonian_sha256) == (p.n, p.source, p.hamiltonian_sha256)
+            assert q.constant == p.constant
+            assert [f.label for f in q.fragments] == [f.label for f in p.fragments]
+            for fa, fb in zip(p.fragments, q.fragments):
+                assert len(fa.terms) == len(fb.terms)
+                for ta, tb in zip(fa.terms, fb.terms):
+                    assert [x.qubits for x in ta.factors] == [x.qubits for x in tb.factors]
+                    for xa, xb in zip(ta.factors, tb.factors):
+                        assert xa.block.tobytes() == xb.block.tobytes()  # bit-exact
+            assert json.dumps(partition_to_json(q)) == text  # reruns are byte-identical
 
     def test_rejects_unknown_format(self):
         with pytest.raises(DataError):

@@ -2,17 +2,29 @@
 index reordering, edge coloring, and the structure-aware bosonic methods."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import ILLUSTRATIVE_FC_GROUPS, vib_couplings, VIB_OMEGA
+from hampart import partitioners
 from hampart.encodings import (
     encode_boson_operator,
     jordan_wigner,
 )
 from hampart.errors import DomainError, ResourceError
-from hampart.fragments import fragment_matrix, pauli_sum_from_fragment
+from hampart.fragments import (
+    Fragment,
+    Partition,
+    TensorFactor,
+    TensorProductTerm,
+    fragment_matrix,
+    pauli_sum_from_fragment,
+    pauli_term,
+)
 from hampart.operators import (
     BosonOperator,
     FermionOperator,
@@ -42,7 +54,14 @@ from hampart.partitioners import (
     reorder_indices,
     sorted_insertion,
 )
-from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum
+from hampart.pauli import (
+    DENSE_QUBIT_CAP,
+    PauliString,
+    PauliSum,
+    commutes,
+    pauli_matrix,
+    string_to_dense,
+)
 from hampart.validators import check_commutation, check_locality, check_reconstruction
 
 
@@ -192,6 +211,160 @@ class TestDenseBlockCap:
         try:
             with pytest.raises(ResourceError):
                 method(h, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Pairwise reference placement loops: the library places every term with a few
+# array expressions over uint64 masks, and must place exactly as these do.
+
+
+def reference_sorted_insertion_groups(h: PauliSum, kind: str):
+    """Greedy grouping: descending |c|, first group whose members all commute."""
+    groups = []
+    for coeff, string in h.items_sorted():
+        for group in groups:
+            if all(commutes(string, other, kind) for _, other in group):
+                group.append((coeff, string))
+                break
+        else:
+            groups.append([(coeff, string)])
+    return groups
+
+
+class _MatchSet:
+    """Strings sharing letters everywhere except at most k free qubits."""
+
+    __slots__ = ("members", "ref", "free_mask", "support_mask")
+
+    def __init__(self, coeff: float, string: PauliString):
+        self.members = [(coeff, string)]
+        self.ref = string
+        self.free_mask = 0
+        self.support_mask = string.support_mask
+
+    def free_with(self, string: PauliString) -> int:
+        differ = (self.ref.x ^ string.x) | (self.ref.z ^ string.z)
+        return self.free_mask | differ
+
+    def add(self, coeff: float, string: PauliString):
+        self.free_mask = self.free_with(string)
+        self.support_mask |= string.support_mask
+        self.members.append((coeff, string))
+
+
+def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
+    """Matched non-identity qubits become fixed 1-qubit factors; free qubits
+    form a single dense block holding the coefficients."""
+    free = tuple(q for q in range(n) if (w.free_mask >> q) & 1)
+    factors = []
+    if not free:
+        coeff, string = w.members[0]
+        return pauli_term(coeff, string)
+    for q in w.ref.support():
+        if q not in free:
+            factors.append(TensorFactor((q,), pauli_matrix(w.ref.letter(q))))
+    block = sum(coeff * string_to_dense(string.restricted(free)) for coeff, string in w.members)
+    factors.append(TensorFactor(free, block))
+    return TensorProductTerm(factors)
+
+
+def reference_greedy_partition(h: PauliSum, k: int) -> Partition:
+    """Descending-|c| term placement with at most k mismatched qubits per set.
+
+    A term joins the first match set where the mismatch stays within k and
+    the set's support stays disjoint from its siblings; otherwise it opens a
+    new set in the first fragment whose sets it does not touch; otherwise a
+    new fragment.
+    """
+    fragments = []
+    for coeff, string in h.items_sorted():
+        placed = False
+        for frag in fragments:
+            for w in frag:
+                if w.free_with(string).bit_count() > k:
+                    continue
+                grown = w.support_mask | string.support_mask
+                if any(grown & other.support_mask for other in frag if other is not w):
+                    continue
+                w.add(coeff, string)
+                placed = True
+                break
+            if placed:
+                break
+            if all(string.support_mask & w.support_mask == 0 for w in frag):
+                frag.append(_MatchSet(coeff, string))
+                placed = True
+                break
+        if not placed:
+            fragments.append([_MatchSet(coeff, string)])
+    out = [
+        Fragment(tuple(_match_set_term(w, h.n) for w in frag), f"greedy-k{k}-{i}")
+        for i, frag in enumerate(fragments)
+    ]
+    return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
+
+
+def assert_same_partition(got: Partition, want: Partition):
+    """Same fragments in the same order, same labels, and bit-identical factor blocks."""
+    assert (got.n, got.constant, got.source) == (want.n, want.constant, want.source)
+    assert [f.label for f in got.fragments] == [f.label for f in want.fragments]
+    for fg, fw in zip(got.fragments, want.fragments):
+        assert len(fg.terms) == len(fw.terms), fg.label
+        for tg, tw in zip(fg.terms, fw.terms):
+            assert [f.qubits for f in tg.factors] == [f.qubits for f in tw.factors], fg.label
+            for a, b in zip(tg.factors, tw.factors):
+                assert a.block.tobytes() == b.block.tobytes(), fg.label
+
+
+@st.composite
+def tied_pauli_sums(draw):
+    """Random sums on 2-10 qubits whose coefficients repeat, so that ties in |c|
+    exercise the letter-order tie-break of the placement order."""
+    n = draw(st.integers(2, 10))
+    coeffs = st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.25, 0.125])
+    terms = draw(st.lists(st.tuples(coeffs, st.text("IXYZ", min_size=n, max_size=n)),
+                          min_size=1, max_size=30))
+    return PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in terms], draw(coeffs))
+
+
+class TestPlacementMatchesReferenceLoops:
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(h=tied_pauli_sums())
+    def test_vectorized_placement_equals_pairwise_loops(self, h):
+        for k in range(1, h.n + 1):
+            assert_same_partition(greedy_partition(h, k), reference_greedy_partition(h, k))
+        vectorized = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
+        vectorized += [blocking_partition(h, k) for k in (2, 3) if k <= h.n]
+        with mock.patch.object(
+            partitioners, "sorted_insertion_groups", reference_sorted_insertion_groups
+        ):
+            reference = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
+            reference += [blocking_partition(h, k) for k in (2, 3) if k <= h.n]
+        for got, want in zip(vectorized, reference):
+            assert_same_partition(got, want)
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            lambda h: sorted_insertion(h, "full"),
+            lambda h: sorted_insertion(h, "qubitwise"),
+            lambda h: greedy_partition(h, 2),
+            lambda h: blocking_partition(h, 2),
+        ],
+        ids=["fc-si", "qwc-si", "greedy", "blocking"],
+    )
+    def test_more_than_64_qubits_raises_before_allocating(self, method):
+        n = 65  # one string no longer fits a uint64 mask
+        h = PauliSum(n, [(1.0, ps("X" * n)), (0.5, ps("Z" * n))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                method(h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
 
-from conftest import dense_from_letters, dense_pauli_sum
+from conftest import dense_from_letters, dense_pauli_sum, pauli_sums
 from hampart.errors import DataError, DimensionError, ParseError, ResourceError
 from hampart.pauli import (
     PauliString,
@@ -24,7 +25,7 @@ def ps(letters):
 
 class TestMultiply:
     def test_single_qubit_table_matches_dense_products(self):
-        # Verifies the hardcoded phase table against all 16 matrix products.
+        # Verifies the symplectic phase rule against all 16 matrix products.
         for a in "IXYZ":
             for b in "IXYZ":
                 phase, r = multiply(ps(a), ps(b))
@@ -228,6 +229,15 @@ class TestTextFormat:
         h = parse_pauli_text(text)
         again = parse_pauli_text(format_pauli_text(h), n=h.n)
         assert again == h
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(h=pauli_sums(max_qubits=10))
+    def test_round_trip_random_sums(self, h):
+        text = format_pauli_text(h)
+        again = parse_pauli_text(text, n=h.n)
+        assert again == h
+        assert format_pauli_text(again) == text
 
     def test_identity_line_and_inferred_n(self):
         h = parse_pauli_text("3.5\n1.0 X2\n")
