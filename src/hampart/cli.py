@@ -99,6 +99,12 @@ def _read_json_object(path) -> dict:
     return data
 
 
+# Lattice spec name -> builder and its default dimensions.
+_GRID_LATTICES = {"square": (square_lattice, [3, 3]), "hexagonal": (hexagonal_lattice, [4, 4]),
+                  "triangular": (triangular_lattice, [3, 3]), "cubic": (cubic_lattice, [3, 3, 3]),
+                  "tetrahedral": (tetrahedral_lattice, [2])}
+
+
 def _parse_lattice(spec: str, sites: int | None, boundary: str) -> Lattice:
     if spec.startswith("@"):
         return lattice_from_json(_read_json_object(spec[1:]))
@@ -108,22 +114,20 @@ def _parse_lattice(spec: str, sites: int | None, boundary: str) -> Lattice:
             raise DomainError("chain lattice needs --sites/--modes")
         return chain_lattice(sites, boundary)
     if name == "all-to-all":
-        if sites is None:
-            raise DomainError("all-to-all lattice needs --sites/--modes")
+        if sites is None or sites < 1:
+            raise DomainError(f"lattice spec {spec!r} needs --sites/--modes >= 1")
         edges = [(i, j) for i in range(sites) for j in range(i + 1, sites)]
         return Lattice("custom", sites, tuple(edges), "open")
-    dim_list = [int(tok) for tok in dims.split("x")] if dims else []
-    if name == "square":
-        return square_lattice(*(dim_list or [3, 3]))
-    if name == "hexagonal":
-        return hexagonal_lattice(*(dim_list or [4, 4]))
-    if name == "triangular":
-        return triangular_lattice(*(dim_list or [3, 3]))
-    if name == "cubic":
-        return cubic_lattice(*(dim_list or [3, 3, 3]))
-    if name == "tetrahedral":
-        return tetrahedral_lattice(*(dim_list or [2]))
-    raise DomainError(f"unknown lattice spec {spec!r}")
+    if name not in _GRID_LATTICES:
+        raise DomainError(f"unknown lattice spec {spec!r}")
+    build, default = _GRID_LATTICES[name]
+    try:
+        dim_list = [int(tok) for tok in dims.split("x")] if dims else default
+        if len(dim_list) != len(default):
+            raise DomainError(f"{name} takes {'x'.join(['<n>'] * len(default))}")
+        return build(*dim_list)
+    except ValueError as exc:  # int() or a builder's DomainError
+        raise DomainError(f"bad lattice spec {spec!r}: {exc}") from None
 
 
 def _parse_couplings(pairs: list[str]) -> dict[tuple[int, ...], float]:
@@ -297,12 +301,10 @@ def _states_for(args, n: int) -> list[StateVector]:
         out = []
         for spec in args.state:
             kind, _, value = spec.partition(":")
-            if kind == "basis":
-                out.append(basis_state(n, int(value)))
-            elif kind == "haar":
-                out.append(random_state(n, int(value)))
-            else:
-                raise DomainError(f"unknown state spec {spec!r}")
+            try:
+                out.append({"basis": basis_state, "haar": random_state}[kind](n, int(value)))
+            except (KeyError, ValueError) as exc:
+                raise DomainError(f"bad state spec {spec!r}: {exc!r}") from None
         return out
     return [random_state(n, args.seed + i) for i in range(args.states)]
 

@@ -9,42 +9,32 @@ computational-basis rows of the embedded block are exactly zero.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError
 from .operators import BosonOperator, FermionOperator, boson_matrices
-from .pauli import PauliString, PauliSum, multiply, pauli_project
+from .pauli import PauliString, PauliSum, pauli_masks, tensor_expansion
+from .pauli import pauli_project  # noqa: F401  (also a public name of this module)
 
 _IMAG_TOL = 1e-10
 _COEFF_TOL = 1e-12
-
-ComplexTerms = list[tuple[complex, PauliString]]
-
-
-def _ladder_terms(mode: int, modes: int, dagger: bool) -> ComplexTerms:
-    """JW image of a ladder operator: Z_0..Z_{mode-1} (X -+ iY)_mode / 2."""
-    zs = [(q, "Z") for q in range(mode)]
-    x_string = PauliString.from_ops(zs + [(mode, "X")], modes)
-    y_string = PauliString.from_ops(zs + [(mode, "Y")], modes)
-    y_coeff = -0.5j if dagger else 0.5j
-    return [(0.5, x_string), (y_coeff, y_string)]
+# A ladder op's 2x2 factor on one qubit: Z below its mode; a+ = |1><0| or a = |0><1| on it.
+_JW_BLOCKS = {"Z": np.diag([1.0, -1.0]), True: np.eye(2, k=-1), False: np.eye(2, k=1)}
 
 
-def _product(a: ComplexTerms, b: ComplexTerms) -> ComplexTerms:
-    out: dict[PauliString, complex] = {}
-    for ca, sa in a:
-        for cb, sb in b:
-            phase, s = multiply(sa, sb)
-            out[s] = out.get(s, 0.0) + ca * cb * phase
-    return [(c, s) for s, c in out.items() if abs(c) > _COEFF_TOL]
-
-
-def _realify(acc: dict[PauliString, complex], n: int, what: str) -> PauliSum:
-    terms = []
-    constant = 0.0
-    for string, coeff in acc.items():
+def _pauli_sum(products, n: int, what: str) -> PauliSum:
+    """Real PauliSum of the tensor_expansion of each (coeff, factors) product, summed in order."""
+    acc: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    for coeff, factors in products:
+        for c, x, z in tensor_expansion(coeff, factors, _COEFF_TOL):
+            acc[(x, z)] += c
+    terms, constant = [], 0.0
+    for (x, z), coeff in acc.items():
+        string = PauliString(n, x, z)
         if abs(coeff.imag) > _IMAG_TOL * max(1.0, abs(coeff)):
             raise DataError(f"{what} produced non-Hermitian content: {coeff} * {string.letters}")
         if string.is_identity:
@@ -54,17 +44,28 @@ def _realify(acc: dict[PauliString, complex], n: int, what: str) -> PauliSum:
     return PauliSum(n, terms, constant)
 
 
+def _ladder_factors(ops, cache: dict) -> list:
+    """A ladder product qubit by qubit: one fixed Z mask on the qubits that are not modes of the
+    term, then on each mode qubit the Pauli masks of its ordered product of 2x2 factors."""
+    modes = sorted({m for m, _ in ops})
+    below = 0  # parity of the Z strings of all ops
+    for m, _ in ops:
+        below ^= (1 << m) - 1
+    factors = [[(1.0, 0, below & ~sum(1 << m for m in modes))]] if ops else []
+    for q in modes:
+        pattern = tuple("Z" if m > q else dagger for m, dagger in ops if m >= q)
+        if (q, pattern) not in cache:
+            block = reduce(np.matmul, [_JW_BLOCKS[p] for p in pattern])
+            cache[q, pattern] = pauli_masks(block, (q,))
+        factors.append(cache[q, pattern])
+    return factors
+
+
 def jordan_wigner(op: FermionOperator) -> PauliSum:
     """Qubit image of a Hermitian fermionic operator; one qubit per mode."""
-    n = op.modes
-    acc: dict[PauliString, complex] = {}
-    for coeff, ops in op.terms:
-        terms: ComplexTerms = [(complex(coeff), PauliString.identity(n))]
-        for mode, dagger in ops:
-            terms = _product(terms, _ladder_terms(mode, n, dagger))
-        for c, s in terms:
-            acc[s] = acc.get(s, 0.0) + c
-    return _realify(acc, n, "jordan_wigner")
+    cache: dict = {}
+    products = ((coeff, _ladder_factors(ops, cache)) for coeff, ops in op.terms)
+    return _pauli_sum(products, op.modes, "jordan_wigner")
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,18 @@ def embed_matrix(A: np.ndarray, gm: GrayMap) -> np.ndarray:
     return out
 
 
+def _gray_masks(A: np.ndarray, gm: GrayMap, qubits):
+    """Pauli masks of a mode matrix embedded at Gray rows, on `qubits`, without |c| <= 1e-12."""
+    return [t for t in pauli_masks(embed_matrix(A, gm), qubits) if abs(t[0]) > _COEFF_TOL]
+
+
 def encode_boson_block(A: np.ndarray, gm: GrayMap) -> PauliSum:
     """Hermitian d x d mode matrix -> PauliSum on k_mode qubits."""
     A = np.asarray(A, dtype=complex)
     if np.max(np.abs(A - A.conj().T)) > 1e-10:
         raise DomainError("block is not Hermitian")
-    M = embed_matrix(A, gm)
-    acc = {s: c for c, s in pauli_project(M, gm.k_mode) if abs(c) > _COEFF_TOL}
-    return _realify(acc, gm.k_mode, "encode_boson_block")
+    products = [(1.0, [_gray_masks(A, gm, range(gm.k_mode))])]
+    return _pauli_sum(products, gm.k_mode, "encode_boson_block")
 
 
 @dataclass(frozen=True)
@@ -138,27 +143,13 @@ def encode_boson_operator(op: BosonOperator) -> EncodedOperator:
     same-mode factors multiply as d x d matrices in listed order first.
     """
     gm = gray_map(op.d)
-    k = gm.k_mode
     mats = boson_matrices(op.d)
-    n = op.modes * k
-    layout = mode_qubit_layout(op.modes, k)
-    project_cache: dict[bytes, ComplexTerms] = {}
-    acc: dict[PauliString, complex] = {}
+    layout = mode_qubit_layout(op.modes, gm.k_mode)
+    products = []
     for coeff, factors in op.terms:
-        per_mode: dict[int, np.ndarray] = {}
+        blocks: dict[int, np.ndarray] = {}
         for mode, symbol in factors:
-            block = mats[symbol]
-            per_mode[mode] = block if mode not in per_mode else per_mode[mode] @ block
-        combined: ComplexTerms = [(complex(coeff), PauliString.identity(n))]
-        for mode in sorted(per_mode):
-            M = embed_matrix(per_mode[mode], gm)
-            key = M.tobytes()
-            local = project_cache.get(key)
-            if local is None:
-                local = [(c, s) for c, s in pauli_project(M, k) if abs(c) > _COEFF_TOL]
-                project_cache[key] = local
-            shifted = [(c, PauliString(n, s.x << mode * k, s.z << mode * k)) for c, s in local]
-            combined = _product(combined, shifted)
-        for c, s in combined:
-            acc[s] = acc.get(s, 0.0) + c
-    return EncodedOperator(_realify(acc, n, "encode_boson_operator"), layout, gm)
+            blocks[mode] = blocks[mode] @ mats[symbol] if mode in blocks else mats[symbol]
+        products.append((coeff, [_gray_masks(blocks[m], gm, layout[m]) for m in sorted(blocks)]))
+    pauli = _pauli_sum(products, op.modes * gm.k_mode, "encode_boson_operator")
+    return EncodedOperator(pauli, layout, gm)

@@ -23,7 +23,7 @@ import scipy.sparse
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, ResourceError, read_text
-from .pauli import PauliString, PauliSum, pauli_matrix, pauli_project
+from .pauli import PauliString, PauliSum, pauli_masks, pauli_matrix, tensor_expansion
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
@@ -272,23 +272,15 @@ def apply_fragment(frag: Fragment, vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def pauli_coefficients(terms) -> defaultdict[tuple[int, int], complex]:
-    """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient.
-    Factors act on disjoint qubits: a term's strings OR one string per factor, with no phase.
-    A term that would expand to over EXPANSION_CAP strings raises ResourceError first."""
+    """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient,
+    through tensor_expansion of each term's factors; nothing is dropped. A term that would
+    expand to over EXPANSION_CAP strings raises ResourceError first."""
     out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
     for term in terms:
-        expanded = []
-        for f in term.factors:
-            lift = [0]  # mask over the block's own qubits -> mask over f.qubits
-            for q in f.qubits:
-                lift += [m | (1 << q) for m in lift]
-            expanded.append([(c, lift[s.x], lift[s.z]) for c, s in pauli_project(f.block, f.size)])
+        expanded = [pauli_masks(f.block, f.qubits) for f in term.factors]
         if (size := prod(len(coeffs) for coeffs in expanded)) > EXPANSION_CAP:
             raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
-        parts = [(1.0 + 0j, 0, 0)]
-        for coeffs in expanded:
-            parts = [(c0 * c1, x0 | x1, z0 | z1) for c0, x0, z0 in parts for c1, x1, z1 in coeffs]
-        for c, x, z in parts:
+        for c, x, z in tensor_expansion(1.0, expanded):
             out[(x, z)] += c
     return out
 

@@ -8,6 +8,7 @@ types are plain term containers: builders produce Hermitian content and
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -72,9 +73,17 @@ def chain_lattice(sites: int, boundary: str = "open") -> Lattice:
     return Lattice("chain", sites, tuple(edges), boundary, tuple((i,) for i in range(sites)))
 
 
+def _grid(kind: str, *dims: int) -> dict[tuple[int, ...], int]:
+    """Site index of each point of a dims[0] x dims[1] (x ...) box, first coordinate fastest."""
+    if min(dims) < 1:
+        raise DomainError(f"{kind} lattice needs every dimension >= 1, got {dims}")
+    points = itertools.product(*(range(d) for d in reversed(dims)))
+    return {p[::-1]: i for i, p in enumerate(points)}
+
+
 def square_lattice(width: int, height: int) -> Lattice:
     """Open-boundary rectangular patch of the square lattice."""
-    idx = {(x, y): x + width * y for y in range(height) for x in range(width)}
+    idx = _grid("square", width, height)
     edges = []
     for (x, y), i in idx.items():
         if (x + 1, y) in idx:
@@ -87,7 +96,7 @@ def square_lattice(width: int, height: int) -> Lattice:
 
 def hexagonal_lattice(width: int, height: int) -> Lattice:
     """Brick-wall patch of the honeycomb lattice (vertical rungs on even x+y)."""
-    idx = {(x, y): x + width * y for y in range(height) for x in range(width)}
+    idx = _grid("hexagonal", width, height)
     edges = []
     for (x, y), i in idx.items():
         if (x + 1, y) in idx:
@@ -100,7 +109,7 @@ def hexagonal_lattice(width: int, height: int) -> Lattice:
 
 def triangular_lattice(width: int, height: int) -> Lattice:
     """Open patch of the triangular lattice (square grid plus one diagonal family)."""
-    idx = {(x, y): x + width * y for y in range(height) for x in range(width)}
+    idx = _grid("triangular", width, height)
     edges = []
     for (x, y), i in idx.items():
         for dx, dy in ((1, 0), (0, 1), (1, 1)):
@@ -111,12 +120,7 @@ def triangular_lattice(width: int, height: int) -> Lattice:
 
 
 def cubic_lattice(nx: int, ny: int, nz: int) -> Lattice:
-    idx = {
-        (x, y, z): x + nx * (y + ny * z)
-        for z in range(nz)
-        for y in range(ny)
-        for x in range(nx)
-    }
+    idx = _grid("cubic", nx, ny, nz)
     edges = []
     for (x, y, z), i in idx.items():
         for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
@@ -156,10 +160,6 @@ def tetrahedral_lattice(extent: int = 2) -> Lattice:
             if nb in idx:
                 edges.append((idx[p], idx[nb]))
     return Lattice("tetrahedral", len(pos), tuple(edges), "open", tuple(pos))
-
-
-def custom_lattice(sites: int, edges) -> Lattice:
-    return Lattice("custom", sites, tuple(tuple(e) for e in edges))
 
 
 def lattice_to_json(lat: Lattice) -> dict:
@@ -231,10 +231,6 @@ class FermionOperator:
             conj = tuple((m, not d) for m, d in reversed(ops))
             _absorb(conj, -coeff)
         return all(abs(v) <= tol for v in canon.values())
-
-    def support_spread(self) -> int:
-        touched = sorted({m for _, ops in self.terms for m, _ in ops})
-        return touched[-1] - touched[0] + 1 if touched else 0
 
 
 def _fermion_mode_sort(ops: tuple[tuple[int, bool], ...]) -> tuple[tuple, int]:

@@ -23,7 +23,7 @@ from .fragments import (
     pauli_term,
 )
 from .operators import BosonOperator, FermionOperator, Lattice, boson_matrices
-from .pauli import PauliString, PauliSum, pauli_matrix, string_to_dense
+from .pauli import PauliString, PauliSum, pauli_matrix, restricted_block
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +84,7 @@ def _match_set_term(members, free_mask: int, n: int) -> TensorProductTerm:
         return pauli_term(*members[0])
     factors = [TensorFactor((q,), pauli_matrix(ref.letter(q)))
                for q in ref.support() if q not in free]
-    # string_to_dense refuses more than DENSE_QUBIT_CAP qubits before allocating.
-    block = sum(coeff * string_to_dense(string.restricted(free)) for coeff, string in members)
-    factors.append(TensorFactor(free, block))
+    factors.append(TensorFactor(free, restricted_block(members, free)))
     return TensorProductTerm(factors)
 
 
@@ -173,7 +171,7 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
         for key in windows:
             group = assigned[key]
             qubits = tuple(sorted({q for _, s in group for q in s.support()}))
-            block = sum(coeff * string_to_dense(s.restricted(qubits)) for coeff, s in group)
+            block = restricted_block(group, qubits)
             terms.append(TensorProductTerm((TensorFactor(qubits, block),)))
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}"))
     for i, group in enumerate(sorted_insertion_groups(PauliSum(n, residual), "full")):
@@ -618,22 +616,21 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
     h = jordan_wigner(f)
     even_pairs = [(i, i + 1) for i in range(0, sites - 1, 2)]
     odd_pairs = [(i, i + 1) for i in range(1, sites - 1, 2)]
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+    members: dict[tuple[int, int], list[tuple[float, PauliString]]] = {}
     for coeff, string in h.items_sorted():
         supp = string.support()
         for pair in even_pairs + odd_pairs:
             if set(supp) <= set(pair):
-                blocks.setdefault(pair, np.zeros((4, 4), dtype=complex))
-                blocks[pair] += coeff * string_to_dense(string.restricted(pair))
+                members.setdefault(pair, []).append((coeff, string))
                 break
         else:
             raise DomainError(f"term {string.letters} does not fit a chain block")
     frags = []
     for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
         terms = tuple(
-            TensorProductTerm((TensorFactor(pair, blocks[pair]),))
+            TensorProductTerm((TensorFactor(pair, restricted_block(members[pair], pair)),))
             for pair in pairs
-            if pair in blocks
+            if pair in members
         )
         frags.append(Fragment(terms, f"fh1d-{name}"))
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")

@@ -19,7 +19,7 @@ from .errors import DataError, DimensionError, DomainError, ParseError, Resource
 
 SIMPLIFY_TOL = 1e-12
 
-# Qubit caps for matrix realization; callers may override per call.
+# Qubit caps for matrix realization.
 DENSE_QUBIT_CAP = 12
 SPARSE_QUBIT_CAP = 16
 
@@ -227,6 +227,33 @@ def pauli_project(M: np.ndarray, k: int) -> list[tuple[complex, PauliString]]:
     ]
 
 
+def pauli_masks(M: np.ndarray, qubits) -> list[tuple[complex, int, int]]:
+    """pauli_project of a block acting on `qubits` (the first listed is its qubit 0) as
+    (coefficient, x mask, z mask) triples, with masks lifted to the register's qubits."""
+    lift = [0]  # mask over the block's qubits -> mask over `qubits`
+    for q in qubits:
+        lift += [m | (1 << q) for m in lift]
+    return [(c, lift[s.x], lift[s.z]) for c, s in pauli_project(M, len(qubits))]
+
+
+def tensor_expansion(coeff, factors, tol: float | None = None) -> list[tuple[complex, int, int]]:
+    """Pauli strings of coeff times a product of factors on disjoint qubits, each factor given as
+    its pauli_masks triples: masks OR with no phase, and coefficients multiply from complex(coeff)
+    left to right. With `tol`, strings with |c| <= tol are dropped after each factor."""
+    out = [(complex(coeff), 0, 0)]
+    for factor in factors:
+        out = [(c0 * c1, x0 | x1, z0 | z1) for c0, x0, z0 in out for c1, x1, z1 in factor]
+        if tol is not None:
+            out = [t for t in out if abs(t[0]) > tol]
+    return out
+
+
+def restricted_block(terms, qubits) -> np.ndarray:
+    """Dense sum of c * s over weighted strings (c, s), each restricted to `qubits` in the listed
+    order; string_to_dense refuses more than DENSE_QUBIT_CAP qubits before allocating."""
+    return sum(c * string_to_dense(s.restricted(qubits)) for c, s in terms)
+
+
 class PauliSum:
     """Real-weighted sum of Pauli strings plus an identity offset.
 
@@ -313,13 +340,7 @@ class PauliSum:
     def __repr__(self) -> str:
         return f"PauliSum(n={self.n}, terms={len(self)}, constant={self._constant!r})"
 
-    def to_matrix(
-        self,
-        representation: str = "sparse",
-        *,
-        dense_cap: int | None = None,
-        sparse_cap: int | None = None,
-    ):
+    def to_matrix(self, representation: str = "sparse", *, dense_cap: int | None = None):
         """Realize as a 2^n x 2^n matrix (scipy CSR or numpy array)."""
         if representation == "dense":
             cap = DENSE_QUBIT_CAP if dense_cap is None else dense_cap
@@ -335,9 +356,9 @@ class PauliSum:
                 mat[cols ^ flip, cols] += coeff * phases
             return mat
         if representation == "sparse":
-            cap = SPARSE_QUBIT_CAP if sparse_cap is None else sparse_cap
-            if self.n > cap:
-                raise ResourceError(f"sparse realization capped at {cap} qubits, got {self.n}")
+            if self.n > SPARSE_QUBIT_CAP:
+                raise ResourceError(
+                    f"sparse realization capped at {SPARSE_QUBIT_CAP} qubits, got {self.n}")
             dim = 1 << self.n
             cols = np.arange(dim)
             row_chunks = []

@@ -72,6 +72,16 @@ class TestBuild:
                         f"@{tmp_path / 'in.json'}", "-o", stem]) == 2
         assert not (tmp_path / "out.pauli").exists()
 
+    @pytest.mark.parametrize("spec", ["square:3xq", "square:3", "cubic:2x2", "square:0x3",
+                                      "hexagonal:2x0", "all-to-all"])
+    def test_malformed_lattice_spec_exit_code(self, tmp_path, capsys, spec):
+        # Non-integer or missing dimensions and empty extents are usage errors, not tracebacks
+        # or 0-qubit Hamiltonians.
+        assert run(["build", "fermi-hubbard", "--lattice", spec, "--sites", 0,
+                    "-o", tmp_path / "fh"]) == 2
+        assert repr(spec) in capsys.readouterr().err
+        assert not (tmp_path / "fh.pauli").exists()
+
     def test_unknown_class_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["build", "spin-glass", "-o", tmp_path / "x"])
@@ -231,6 +241,15 @@ class TestEvaluate:
         run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
         assert run(["evaluate", part, "--hamiltonian", f"{b3d4}.pauli",
                     "--states", states, "-o", tmp_path / "rep"]) == 2
+        assert not (tmp_path / "rep.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["haar:abc", "basis:1x"])
+    def test_malformed_state_spec_rejected(self, b3d4, tmp_path, capsys, spec):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        assert run(["evaluate", part, "--hamiltonian", f"{b3d4}.pauli",
+                    "--state", spec, "-o", tmp_path / "rep"]) == 2
+        assert repr(spec) in capsys.readouterr().err
         assert not (tmp_path / "rep.csv").exists()
 
     def test_fragment_without_terms_rejected(self, b3d4, tmp_path):

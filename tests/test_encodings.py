@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import dense_fermion, jw_ladder, kron_all
 from hampart.encodings import (
+    EncodedOperator,
     embed_matrix,
     encode_boson_block,
     encode_boson_operator,
     gray_map,
     jordan_wigner,
+    mode_qubit_layout,
     pauli_project,
 )
-from hampart.errors import DomainError
+from hampart.errors import DataError, DomainError
 from hampart.operators import (
+    BOSON_SYMBOLS,
     BosonOperator,
     FermionOperator,
     boson_matrices,
@@ -277,3 +280,168 @@ class TestEncodeOperator:
         eye = np.eye(4)
         oracle += np.kron(onsite, eye) + np.kron(eye, onsite)
         assert np.max(np.abs(enc.pauli.to_matrix("dense") - oracle)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# String-by-string reference encoders: the library ORs per-qubit or per-mode Pauli
+# masks through one tensor expansion, and must give exactly the floats these do.
+
+_IMAG_TOL = 1e-10
+_COEFF_TOL = 1e-12
+
+ComplexTerms = list[tuple[complex, PauliString]]
+
+
+def _ladder_terms(mode: int, modes: int, dagger: bool) -> ComplexTerms:
+    """JW image of a ladder operator: Z_0..Z_{mode-1} (X -+ iY)_mode / 2."""
+    zs = [(q, "Z") for q in range(mode)]
+    x_string = PauliString.from_ops(zs + [(mode, "X")], modes)
+    y_string = PauliString.from_ops(zs + [(mode, "Y")], modes)
+    y_coeff = -0.5j if dagger else 0.5j
+    return [(0.5, x_string), (y_coeff, y_string)]
+
+
+def _product(a: ComplexTerms, b: ComplexTerms) -> ComplexTerms:
+    out: dict[PauliString, complex] = {}
+    for ca, sa in a:
+        for cb, sb in b:
+            phase, s = multiply(sa, sb)
+            out[s] = out.get(s, 0.0) + ca * cb * phase
+    return [(c, s) for s, c in out.items() if abs(c) > _COEFF_TOL]
+
+
+def _realify(acc: dict[PauliString, complex], n: int, what: str) -> PauliSum:
+    terms = []
+    constant = 0.0
+    for string, coeff in acc.items():
+        if abs(coeff.imag) > _IMAG_TOL * max(1.0, abs(coeff)):
+            raise DataError(f"{what} produced non-Hermitian content: {coeff} * {string.letters}")
+        if string.is_identity:
+            constant += coeff.real
+        else:
+            terms.append((coeff.real, string))
+    return PauliSum(n, terms, constant)
+
+
+def reference_jordan_wigner(op: FermionOperator) -> PauliSum:
+    """Qubit image of a Hermitian fermionic operator; one qubit per mode."""
+    n = op.modes
+    acc: dict[PauliString, complex] = {}
+    for coeff, ops in op.terms:
+        terms: ComplexTerms = [(complex(coeff), PauliString.identity(n))]
+        for mode, dagger in ops:
+            terms = _product(terms, _ladder_terms(mode, n, dagger))
+        for c, s in terms:
+            acc[s] = acc.get(s, 0.0) + c
+    return _realify(acc, n, "jordan_wigner")
+
+
+def reference_encode_boson_block(A: np.ndarray, gm) -> PauliSum:
+    """Hermitian d x d mode matrix -> PauliSum on k_mode qubits."""
+    A = np.asarray(A, dtype=complex)
+    if np.max(np.abs(A - A.conj().T)) > 1e-10:
+        raise DomainError("block is not Hermitian")
+    M = embed_matrix(A, gm)
+    acc = {s: c for c, s in pauli_project(M, gm.k_mode) if abs(c) > _COEFF_TOL}
+    return _realify(acc, gm.k_mode, "encode_boson_block")
+
+
+def reference_encode_boson_operator(op: BosonOperator) -> EncodedOperator:
+    """Gray-encode every mode into k_mode contiguous qubits.
+
+    Each term becomes the tensor product of its per-mode encoded blocks;
+    same-mode factors multiply as d x d matrices in listed order first.
+    """
+    gm = gray_map(op.d)
+    k = gm.k_mode
+    mats = boson_matrices(op.d)
+    n = op.modes * k
+    layout = mode_qubit_layout(op.modes, k)
+    project_cache: dict[bytes, ComplexTerms] = {}
+    acc: dict[PauliString, complex] = {}
+    for coeff, factors in op.terms:
+        per_mode: dict[int, np.ndarray] = {}
+        for mode, symbol in factors:
+            block = mats[symbol]
+            per_mode[mode] = block if mode not in per_mode else per_mode[mode] @ block
+        combined: ComplexTerms = [(complex(coeff), PauliString.identity(n))]
+        for mode in sorted(per_mode):
+            M = embed_matrix(per_mode[mode], gm)
+            key = M.tobytes()
+            local = project_cache.get(key)
+            if local is None:
+                local = [(c, s) for c, s in pauli_project(M, k) if abs(c) > _COEFF_TOL]
+                project_cache[key] = local
+            shifted = [(c, PauliString(n, s.x << mode * k, s.z << mode * k)) for c, s in local]
+            combined = _product(combined, shifted)
+        for c, s in combined:
+            acc[s] = acc.get(s, 0.0) + c
+    return EncodedOperator(_realify(acc, n, "encode_boson_operator"), layout, gm)
+
+
+# Ordinary weights, weights straddling the 1e-12 drop (alone and after the 1/2 or 1/4 of a ladder
+# or Gray factor), and draws that are not dyadic.
+COEFFS = st.one_of(
+    st.sampled_from([1.0, -0.5, 0.3, 1e-12, -1e-12, 5e-13, 1.5e-12, 2e-12, -3.9e-12, 4e-12,
+                     4.1e-12, 9e-12, 1.7e-11]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def fermion_operators(draw):
+    """1-12 modes; 0-4 ladder ops per term on repeated and unordered modes, each with its
+    Hermitian conjugate, so that the image is Hermitian."""
+    modes = draw(st.integers(1, 12))
+    ladder = st.tuples(st.integers(0, modes - 1), st.booleans())
+    terms = []
+    for coeff, ops in draw(st.lists(st.tuples(COEFFS, st.lists(ladder, max_size=4)),
+                                    min_size=1, max_size=8)):
+        terms.append((coeff, tuple(ops)))
+        terms.append((coeff, tuple((m, not dagger) for m, dagger in reversed(ops))))
+    return FermionOperator(modes, tuple(terms))
+
+
+@st.composite
+def boson_operators(draw):
+    """d = 2..5 on 1-4 modes; 0-3 factors per term on repeated modes, each with its conjugate."""
+    modes, d = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    factor = st.tuples(st.integers(0, modes - 1), st.sampled_from(BOSON_SYMBOLS))
+    terms, conj = [], {"b": "bdag", "bdag": "b"}
+    for coeff, factors in draw(st.lists(st.tuples(COEFFS, st.lists(factor, max_size=3)),
+                                        min_size=1, max_size=6)):
+        terms.append((coeff, tuple(factors)))
+        terms.append((coeff, tuple((m, conj.get(s, s)) for m, s in reversed(factors))))
+    return BosonOperator(modes, d, tuple(terms))
+
+
+class TestEncodersMatchReferenceProducts:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None)
+    @given(op=fermion_operators())
+    def test_jordan_wigner_equals_string_products(self, op):
+        h, oracle = jordan_wigner(op), reference_jordan_wigner(op)
+        assert h.terms == oracle.terms
+        assert h.constant == oracle.constant
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(op=boson_operators())
+    def test_encode_boson_operator_equals_string_products(self, op):
+        enc, oracle = encode_boson_operator(op), reference_encode_boson_operator(op)
+        assert enc.pauli.terms == oracle.pauli.terms
+        assert enc.pauli.constant == oracle.pauli.constant
+        assert enc.mode_qubits == oracle.mode_qubits and enc.gray == oracle.gray
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 5), symbols=st.lists(st.sampled_from(BOSON_SYMBOLS), max_size=3),
+           coeff=COEFFS)
+    def test_encode_boson_block_equals_projection(self, d, symbols, coeff):
+        mats, gm = boson_matrices(d), gray_map(d)
+        block = coeff * np.eye(d)
+        for s in symbols:
+            block = block @ mats[s]
+        block = block + block.conj().T
+        h, oracle = encode_boson_block(block, gm), reference_encode_boson_block(block, gm)
+        assert h.terms == oracle.terms and h.constant == oracle.constant
