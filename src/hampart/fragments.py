@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import prod
 
 import numpy as np
@@ -134,18 +134,19 @@ class Partition:
         return max((f.max_factor_size() for f in self.fragments), default=0)
 
 
+@cache
+def unit_factor(q: int, letter: str) -> TensorFactor:
+    """The one-qubit factor of a bare Pauli letter, one shared immutable object per (q, letter)."""
+    return TensorFactor((q,), pauli_matrix(letter))
+
+
 def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
     """Weighted Pauli string as a product of 1-qubit factors (coeff in the first)."""
     support = string.support()
     if not support:
         raise DataError("identity terms belong in Partition.constant")
-    factors = []
-    for pos, q in enumerate(support):
-        block = pauli_matrix(string.letter(q))
-        if pos == 0:
-            block = coeff * block
-        factors.append(TensorFactor((q,), block))
-    return TensorProductTerm(factors)
+    first = TensorFactor(support[:1], coeff * pauli_matrix(string.letter(support[0])))
+    return TensorProductTerm([first] + [unit_factor(q, string.letter(q)) for q in support[1:]])
 
 
 def pauli_group_fragment(group: list[tuple[float, PauliString]], label: str) -> Fragment:
@@ -165,31 +166,14 @@ def _deposit(values: np.ndarray, bit_sources: list[int], bit_targets: list[int])
 
 
 def term_matrix(term: TensorProductTerm, n: int, representation: str = "sparse"):
-    """Realize a term on the full 2^n space."""
-    if representation == "dense":
-        if n > _pauli.DENSE_QUBIT_CAP:
-            raise ResourceError(f"dense realization capped at {_pauli.DENSE_QUBIT_CAP} qubits")
-        return _term_dense(term, n)
-    if representation == "sparse":
-        if n > _pauli.SPARSE_QUBIT_CAP:
-            raise ResourceError(f"sparse realization capped at {_pauli.SPARSE_QUBIT_CAP} qubits")
-        return _term_sparse(term, n)
-    raise DataError(f"unknown representation {representation!r}")
-
-
-def _term_dense(term: TensorProductTerm, n: int) -> np.ndarray:
-    qubit_order = [q for f in term.factors for q in f.qubits]
-    blocks = [f.block for f in term.factors]
-    rest = [q for q in range(n) if q not in qubit_order]
-    if rest:
-        blocks.append(np.eye(1 << len(rest), dtype=complex))
-    full = reduce(np.kron, blocks) if blocks else np.eye(1 << n, dtype=complex)
-    order = qubit_order + rest
-    # kron axis j corresponds to qubit order[j]; permute axes to qubit order.
-    axis_of_qubit = [order.index(q) for q in range(n)]
-    tensor = full.reshape((2,) * (2 * n))
-    perm = axis_of_qubit + [n + a for a in axis_of_qubit]
-    return tensor.transpose(perm).reshape(1 << n, 1 << n)
+    """Realize a term on the full 2^n space; the dense form is the sparse one expanded."""
+    if representation not in ("dense", "sparse"):
+        raise DataError(f"unknown representation {representation!r}")
+    cap = _pauli.DENSE_QUBIT_CAP if representation == "dense" else _pauli.SPARSE_QUBIT_CAP
+    if n > cap:
+        raise ResourceError(f"{representation} realization capped at {cap} qubits")
+    mat = _term_sparse(term, n)
+    return mat.toarray() if representation == "dense" else mat
 
 
 def _term_sparse(term: TensorProductTerm, n: int) -> scipy.sparse.csr_matrix:
@@ -219,15 +203,9 @@ def _term_sparse(term: TensorProductTerm, n: int) -> scipy.sparse.csr_matrix:
 
 
 def fragment_matrix(frag: Fragment, n: int, representation: str = "sparse"):
-    if representation == "dense":
-        out = np.zeros((1 << n, 1 << n), dtype=complex)
-        for term in frag.terms:
-            out += _term_dense(term, n)
-        return out
     mats = [term_matrix(t, n, "sparse") for t in frag.terms]
-    if not mats:
-        return scipy.sparse.csr_matrix((1 << n, 1 << n), dtype=complex)
-    return reduce(lambda a, b: a + b, mats)
+    out = reduce(lambda a, b: a + b, mats, scipy.sparse.csr_matrix((1 << n, 1 << n), dtype=complex))
+    return out.toarray() if representation == "dense" else out
 
 
 def partition_matrix(p: Partition, representation: str = "sparse"):
@@ -276,8 +254,10 @@ def pauli_coefficients(terms) -> defaultdict[tuple[int, int], complex]:
     through tensor_expansion of each term's factors; nothing is dropped. A term that would
     expand to over EXPANSION_CAP strings raises ResourceError first."""
     out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    masks: dict[TensorFactor, list] = {}  # keyed by identity: a shared factor expands once
     for term in terms:
-        expanded = [pauli_masks(f.block, f.qubits) for f in term.factors]
+        expanded = [masks.get(f) or masks.setdefault(f, pauli_masks(f.block, f.qubits))
+                    for f in term.factors]
         if (size := prod(len(coeffs) for coeffs in expanded)) > EXPANSION_CAP:
             raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
         for c, x, z in tensor_expansion(1.0, expanded):

@@ -21,9 +21,10 @@ from .fragments import (
     TensorProductTerm,
     pauli_group_fragment,
     pauli_term,
+    unit_factor,
 )
 from .operators import BosonOperator, FermionOperator, Lattice, boson_matrices
-from .pauli import PauliString, PauliSum, pauli_matrix, restricted_block
+from .pauli import PauliString, PauliSum, restricted_block
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,7 @@ def _match_set_term(members, free_mask: int, n: int) -> TensorProductTerm:
     ref = members[0][1]
     if not free:
         return pauli_term(*members[0])
-    factors = [TensorFactor((q,), pauli_matrix(ref.letter(q)))
-               for q in ref.support() if q not in free]
+    factors = [unit_factor(q, ref.letter(q)) for q in ref.support() if q not in free]
     factors.append(TensorFactor(free, restricted_block(members, free)))
     return TensorProductTerm(factors)
 

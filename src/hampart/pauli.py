@@ -173,26 +173,12 @@ def _basis_mask(mask: int, n: int) -> int:
     return out
 
 
-def string_action(p: PauliString) -> tuple[int, int, complex]:
-    """Action of p on basis states: p|b> = phase(b)|b ^ flip>.
-
-    Returns (flip, sign_mask, base_phase): phase(b) =
-    base_phase * (-1)^popcount(b & sign_mask).
-    """
-    n = p.n
-    flip = _basis_mask(p.x, n)
-    sign_mask = _basis_mask(p.z, n)
-    n_y = (p.x & p.z).bit_count()
-    return flip, sign_mask, (1j) ** n_y
-
-
 def _phases_over_basis(p: PauliString) -> tuple[int, np.ndarray]:
-    flip, sign_mask, base = string_action(p)
-    dim = 1 << p.n
-    idx = np.arange(dim, dtype=np.uint64)
-    parity = np.bitwise_count(idx & np.uint64(sign_mask)) & 1
-    phases = base * np.where(parity, -1.0, 1.0)
-    return flip, phases
+    """p|b> = phases[b] |b ^ flip> over basis indices b (qubit 0 the top bit), with
+    phases[b] = i^|x&z| (-1)^popcount(b & sign_mask); flip and sign_mask are x and z there."""
+    flip, sign_mask = _basis_mask(p.x, p.n), _basis_mask(p.z, p.n)
+    parity = np.bitwise_count(np.arange(1 << p.n, dtype=np.uint64) & np.uint64(sign_mask)) & 1
+    return flip, (1j) ** (p.x & p.z).bit_count() * np.where(parity, -1.0, 1.0)
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
@@ -254,6 +240,52 @@ def restricted_block(terms, qubits) -> np.ndarray:
     return sum(c * string_to_dense(s.restricted(qubits)) for c, s in terms)
 
 
+# (-i)^k for k = |x & z| mod 4, and the unnormalized one-qubit Walsh-Hadamard map.
+_MINUS_I_POWERS = (1, -1j, -1, 1j)
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
+
+
+def _group_diagonal(x: int, members, n: int, state_axes: int) -> np.ndarray:
+    """sum_j c_j (-i)^|x&z_j| Z^z_j over (c_j, z_j) as a diagonal on the (2,)*n view, with
+    extent only on the z qubits. Strings whose z masks share qubits, transitively, form one
+    part; each part is the Walsh-Hadamard transform of its phased coefficients."""
+    parts: list[tuple[int, list[tuple[complex, int]]]] = []
+    for c, z in members:
+        mask, joined = z, [(c, z)]
+        for pmask, pjoined in [p for p in parts if p[0] & z]:
+            mask, joined = mask | pmask, joined + pjoined
+        parts = [p for p in parts if not p[0] & z] + [(mask, joined)]
+    diag = np.zeros((1,) * (n + state_axes), dtype=complex)
+    for mask, joined in parts:
+        qubits = [q for q in range(n) if mask >> q & 1]  # the part's axes, first = top bit
+        d = np.zeros(1 << len(qubits), dtype=complex)
+        for c, z in joined:
+            d[sum(1 << b for b, q in enumerate(reversed(qubits)) if z >> q & 1)] += (
+                c * _MINUS_I_POWERS[(x & z).bit_count() & 3])
+        for _ in qubits:  # transform the leading axis and move it last, as in pauli_project
+            d = (d.reshape(2, -1).T @ _HADAMARD).ravel()
+        diag = diag + d.reshape([2 if mask >> q & 1 else 1 for q in range(n)] + [1] * state_axes)
+    return diag
+
+
+def apply_pauli_terms(terms, vec: np.ndarray, n: int) -> np.ndarray:
+    """sum_j c_j P_j @ vec over (c, x mask, z mask) triples, for a 2^n vector or a (2^n, S)
+    block. A string is P = (-i)^|x&z| Z^z X^x, so the strings sharing an x mask act as one
+    strided flip of the (2,)*n view times one diagonal (_group_diagonal)."""
+    if vec.shape[0] != 1 << n:
+        raise DimensionError(f"state dimension {vec.shape[0]} != 2^{n}")
+    groups: dict[int, list[tuple[complex, int]]] = {}
+    for c, x, z in terms:
+        groups.setdefault(x, []).append((c, z))
+    shape = (2,) * n + vec.shape[1:]
+    psi = vec.astype(complex, copy=False).reshape(shape)
+    out, tmp = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for x, members in groups.items():
+        flipped = np.flip(psi, tuple(q for q in range(n) if x >> q & 1))
+        out += np.multiply(flipped, _group_diagonal(x, members, n, vec.ndim - 1), out=tmp)
+    return out.reshape(vec.shape)
+
+
 class PauliSum:
     """Real-weighted sum of Pauli strings plus an identity offset.
 
@@ -301,11 +333,12 @@ class PauliSum:
         return self._terms.get(string, 0.0)
 
     def items_sorted(self) -> list[tuple[float, PauliString]]:
-        """Terms in descending |coefficient|; ties broken by letter sequence."""
-        return sorted(
-            ((c, s) for s, c in self._terms.items()),
-            key=lambda cs: (-abs(cs[0]), cs[1].letters),
-        )
+        """Terms in descending |coefficient|; ties broken by letter sequence (I < X < Y < Z,
+        qubit 0 first), as the base-4 number with digit 2z + (x ^ z) per qubit, qubit 0 on top."""
+        def digits(mask: int) -> int:  # bit q of mask -> base-4 digit n-1-q
+            return int(format(mask, f"0{self.n}b")[::-1], 4)
+        return sorted(((c, s) for s, c in self._terms.items()),
+                      key=lambda cs: (-abs(cs[0]), 2 * digits(cs[1].z) + digits(cs[1].x ^ cs[1].z)))
 
     def __iter__(self) -> Iterator[tuple[float, PauliString]]:
         return iter(self.items_sorted())
@@ -342,70 +375,38 @@ class PauliSum:
 
     def to_matrix(self, representation: str = "sparse", *, dense_cap: int | None = None):
         """Realize as a 2^n x 2^n matrix (scipy CSR or numpy array)."""
+        if representation not in ("dense", "sparse"):
+            raise DataError(f"unknown representation {representation!r}")
+        cap = SPARSE_QUBIT_CAP if representation == "sparse" else (
+            DENSE_QUBIT_CAP if dense_cap is None else dense_cap)
+        if self.n > cap:
+            raise ResourceError(
+                f"{representation} realization capped at {cap} qubits, got {self.n}")
+        dim = 1 << self.n
+        cols = np.arange(dim)
+        strings = [(PauliString.identity(self.n), self._constant)] if self._constant else []
+        strings += self._terms.items()
         if representation == "dense":
-            cap = DENSE_QUBIT_CAP if dense_cap is None else dense_cap
-            if self.n > cap:
-                raise ResourceError(f"dense realization capped at {cap} qubits, got {self.n}")
-            dim = 1 << self.n
             mat = np.zeros((dim, dim), dtype=complex)
-            cols = np.arange(dim)
-            if self._constant:
-                mat[cols, cols] = self._constant
-            for string, coeff in self._terms.items():
+            for string, coeff in strings:
                 flip, phases = _phases_over_basis(string)
                 mat[cols ^ flip, cols] += coeff * phases
             return mat
-        if representation == "sparse":
-            if self.n > SPARSE_QUBIT_CAP:
-                raise ResourceError(
-                    f"sparse realization capped at {SPARSE_QUBIT_CAP} qubits, got {self.n}")
-            dim = 1 << self.n
-            cols = np.arange(dim)
-            row_chunks = []
-            col_chunks = []
-            data_chunks = []
-            if self._constant:
-                row_chunks.append(cols)
-                col_chunks.append(cols)
-                data_chunks.append(np.full(dim, self._constant, dtype=complex))
-            for string, coeff in self._terms.items():
-                flip, phases = _phases_over_basis(string)
-                row_chunks.append(cols ^ flip)
-                col_chunks.append(cols)
-                data_chunks.append(coeff * phases)
-            if not data_chunks:
-                return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-            mat = scipy.sparse.coo_matrix(
-                (
-                    np.concatenate(data_chunks),
-                    (np.concatenate(row_chunks), np.concatenate(col_chunks)),
-                ),
-                shape=(dim, dim),
-            ).tocsr()
-            mat.sum_duplicates()
-            return mat
-        raise DataError(f"unknown representation {representation!r}")
+        if not strings:
+            return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+        actions = [_phases_over_basis(string) for string, _ in strings]
+        rows = np.concatenate([cols ^ flip for flip, _ in actions])
+        data = np.concatenate([c * phases for (_, c), (_, phases) in zip(strings, actions)])
+        mat = scipy.sparse.coo_matrix((data, (rows, np.tile(cols, len(strings)))), shape=(dim, dim))
+        mat = mat.tocsr()
+        mat.sum_duplicates()
+        return mat
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state
-        block; reuses its work buffers across terms."""
-        dim = 1 << self.n
-        if vec.shape[0] != dim:
-            raise DimensionError(f"state dimension {vec.shape[0]} != 2^{self.n}")
-        vec = vec.astype(complex, copy=False)
-        out = self._constant * vec
-        cols = np.arange(dim, dtype=np.uint64)
-        idx, odd, term = np.empty_like(cols), np.empty(dim, np.uint8), np.empty_like(out)
-        rows = (slice(None),) + (None,) * (vec.ndim - 1)  # broadcast a row mask over states
-        for string, coeff in self._terms.items():
-            flip, sign_mask, base = string_action(string)
-            # term = vec[c ^ flip] row by row
-            np.take(vec, np.bitwise_xor(cols, np.uint64(flip), out=idx), axis=0, out=term)
-            np.bitwise_count(np.bitwise_and(idx, np.uint64(sign_mask), out=idx), out=odd)
-            np.multiply(term, coeff * base, out=term)
-            np.negative(term, out=term, where=np.bitwise_and(odd, 1, out=odd).view(bool)[rows])
-            out += term
-        return out
+        block, through apply_pauli_terms."""
+        terms = [(c, s.x, s.z) for s, c in self._terms.items()]
+        return apply_pauli_terms([(self._constant, 0, 0), *terms], vec, self.n)
 
 
 def _require_real(value, what: str) -> float:

@@ -2,20 +2,22 @@
 
 The shot-count figure of merit for a partition {M_q} on a state is
 (sum_q sqrt(Var[M_q]))^2; a single-fragment partition gives the lower
-bound Var[H]. Everything here is matrix-free: fragments are applied factor
-by factor to a (2^n, S) block holding all S states at once, one application
-per fragment, using Var[M] = |M psi|^2 - <psi|M psi>^2 for Hermitian M.
+bound Var[H]. Everything here is matrix-free: each fragment is applied once
+to a (2^n, S) block holding all S states, as grouped Pauli strings (one flip
+and one diagonal per x mask) or factor by factor, whichever costs less, and
+Var[M] = |M psi|^2 - <psi|M psi>^2 for Hermitian M.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, ResourceError
-from .fragments import Fragment, Partition, apply_fragment
-from .pauli import PauliSum
+from .fragments import Fragment, Partition, apply_fragment, pauli_coefficients
+from .pauli import PauliSum, apply_pauli_terms
 
 STATE_QUBIT_CAP = 16
 _NEGATIVE_VAR_TOL = 1e-10
@@ -44,6 +46,8 @@ def random_state(n: int, seed: int) -> StateVector:
     """Haar-distributed state: normalized i.i.d. complex Gaussian amplitudes."""
     if n > STATE_QUBIT_CAP:
         raise ResourceError(f"states capped at {STATE_QUBIT_CAP} qubits, got {n}")
+    if seed < 0:
+        raise DomainError(f"state seeds must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amp /= np.linalg.norm(amp)
@@ -106,12 +110,27 @@ class VarianceReport:
         return {**asdict(self), "per_fragment": list(self.per_fragment)}
 
 
+def _apply(frag: Fragment, states: np.ndarray, n: int) -> np.ndarray:
+    """frag @ states through apply_pauli_terms on its Pauli expansion when its flip groups
+    times 2^n undercut the per-factor contraction cost, the sum over factors of 2^(n+m).
+    Not worth expanding: a factor with more block entries (4^m) than the state block, or a
+    term over EXPANSION_CAP strings."""
+    factors = [f for t in frag.terms for f in t.factors]
+    coeffs = None
+    if all(4**f.size <= states.size for f in factors):
+        with suppress(ResourceError):
+            coeffs = pauli_coefficients(frag.terms)
+    if coeffs is not None and len({x for x, _ in coeffs}) < sum(1 << f.size for f in factors):
+        return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n)
+    return apply_fragment(frag, states, n)
+
+
 def partition_costs(p: Partition, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Totals (S,) and per-fragment variances (fragments, S) on a (2^n, S) block of
     normalized states; each fragment is applied once to all S columns.
     Total = (sum_q sqrt(Var[M_q]))^2; the constant contributes nothing."""
     bra = _bra(states, p.n)
-    per = np.array([_variances(apply_fragment(f, states, p.n), bra) for f in p.fragments])
+    per = np.array([_variances(_apply(f, states, p.n), bra) for f in p.fragments])
     per = per.reshape(len(p.fragments), states.shape[1])
     return np.sum(np.sqrt(per), axis=0) ** 2, per
 

@@ -252,6 +252,14 @@ class TestEvaluate:
         assert repr(spec) in capsys.readouterr().err
         assert not (tmp_path / "rep.csv").exists()
 
+    def test_negative_seed_rejected(self, b3d4, tmp_path, capsys):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        assert run(["evaluate", part, "--hamiltonian", f"{b3d4}.pauli", "--seed", -3,
+                    "--states", 2, "-o", tmp_path / "rep"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_fragment_without_terms_rejected(self, b3d4, tmp_path):
         part = tmp_path / "qpn.json"
         run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
@@ -270,6 +278,15 @@ class TestSweepK:
         out = tmp_path / "s.csv"
         assert run(["sweep-k", f"{stem}.pauli", "--method", "greedy",
                     "--states", states, "-o", out]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, h2_fcidump, capsys):
+        stem = tmp_path / "h2"
+        run(["build", "electronic", "--fcidump", h2_fcidump, "-o", stem])
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", f"{stem}.pauli", "--method", "greedy",
+                    "--seed", -3, "-o", out]) == 2
+        assert "non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_header_and_endpoint(self, tmp_path, h2_fcidump):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import dense_from_letters, dense_pauli_sum, pauli_sums
 from hampart.errors import DataError, DimensionError, ParseError, ResourceError
@@ -140,6 +141,19 @@ class TestPauliSum:
         )
         ordered = [s.letters for _, s in h.items_sorted()]
         assert ordered == ["XY", "YI", "IX", "ZZ"]
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 20), data=st.data())
+    def test_tie_break_orders_like_letters(self, n, data):
+        # Few distinct |c| and few letters, so most terms tie on |c| and share prefixes.
+        strings = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: s != "I" * n)
+        terms = data.draw(st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.5, -0.5]), strings),
+                                   min_size=1, max_size=40))
+        h = PauliSum(n, [(c, ps(s)) for c, s in terms])
+        by_letters = sorted(((c, s) for s, c in h.terms.items()),
+                            key=lambda cs: (-abs(cs[0]), cs[1].letters))
+        assert h.items_sorted() == by_letters
 
     def test_simplify_idempotent_and_matrix_preserving(self):
         h = PauliSum(2, [(0.25, ps("XZ")), (0.75, ps("XZ")), (1.5, ps("YI"))], 0.5)

@@ -2,20 +2,37 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import pauli_sums, random_hermitian
+from conftest import ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian
+from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError, DomainError, ResourceError
 from hampart.fragments import (
     Fragment,
     Partition,
     TensorFactor,
     TensorProductTerm,
+    apply_fragment,
     fragment_matrix,
+    pauli_coefficients,
+)
+from hampart.operators import (
+    ElectronicIntegrals,
+    build_bose_hubbard,
+    build_fermi_hubbard,
+    chain_lattice,
+    fermion_from_integrals,
 )
 from hampart.partitioners import blocking_partition, greedy_partition, sorted_insertion
-from hampart.pauli import PauliString, PauliSum
+from hampart.pauli import (
+    PauliString,
+    PauliSum,
+    apply_pauli_terms,
+    parse_pauli_text,
+    string_to_dense,
+)
+from hampart.validators import diagonalize_fragment
 from hampart.variance import (
     StateVector,
     VarianceReport,
@@ -259,6 +276,97 @@ class TestBatchedEngine:
         totals, per = partition_costs(Partition(2, (), constant=1.0), state_block(
             [random_state(2, s) for s in range(4)]))
         assert per.shape == (0, 4) and np.array_equal(totals, np.zeros(4))
+
+
+@st.composite
+def y_heavy_sums(draw):
+    """Random real Pauli sums on 2-8 qubits, half of whose letters are Y, with a constant."""
+    n = draw(st.integers(2, 8))
+    coeffs = st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 1e-3)
+    terms = draw(st.lists(st.tuples(coeffs, st.text("IXYYYZ", min_size=n, max_size=n)),
+                          min_size=1, max_size=16))
+    constant = draw(st.floats(-1.0, 1.0))
+    return PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in terms], constant)
+
+
+class TestGroupedPauliEngine:
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(h=y_heavy_sums(), width=st.sampled_from([1, 3]), k=st.integers(1, 3),
+           state_seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_and_per_factor(self, h, width, k, state_seed):
+        block = state_block([random_state(h.n, state_seed + i) for i in range(width)])
+        # Complex weights: the grouped application is checked as a linear map, not only on
+        # Hermitian sums.
+        rng = np.random.default_rng(state_seed)
+        phases = np.exp(2j * np.pi * rng.random(len(h)))
+        terms = [(c * w, s.x, s.z) for (s, c), w in zip(h.terms.items(), phases)]
+        dense = sum((c * string_to_dense(s) * w for (s, c), w in zip(h.terms.items(), phases)),
+                    np.zeros((1 << h.n, 1 << h.n)))
+        for got, want in ((apply_pauli_terms(terms, block, h.n), dense @ block),
+                          (h.apply(block), h.to_matrix("dense") @ block),
+                          (h.apply(block[:, 0]), h.to_matrix("dense") @ block[:, 0])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+        for part in (sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise"),
+                     greedy_partition(h, min(k, h.n))):
+            per = partition_costs(part, block)[1]
+            for frag, got in zip(part.fragments, per):
+                m_psi = apply_fragment(frag, block, h.n)
+                mean = np.einsum("ij,ij->j", block.conj(), m_psi).real
+                want = np.sum(np.abs(m_psi) ** 2, axis=0) - mean**2
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+    def test_term_over_expansion_cap_scored_per_factor(self):
+        # Two dense 6-qubit factors expand to 4096^2 strings, over EXPANSION_CAP.
+        rng = np.random.default_rng(5)
+        factors = [TensorFactor(q, random_hermitian(64, rng)) for q in (range(6), range(6, 12))]
+        frag = Fragment((TensorProductTerm(factors),))
+        with pytest.raises(ResourceError):
+            pauli_coefficients(frag.terms)
+        psi = random_state(12, 1)
+        m_psi = apply_fragment(frag, psi.amplitudes, 12)
+        want = np.vdot(m_psi, m_psi).real - np.vdot(psi.amplitudes, m_psi).real ** 2
+        np.testing.assert_allclose(fragment_variance(frag, psi), want, rtol=1e-12)
+
+
+def _electronic_10q():
+    rng = np.random.default_rng(10)
+    ints = ElectronicIntegrals(norb=5)
+    for i in range(5):
+        for j in range(i, 5):
+            ints.set_one_body(i, j, float(rng.normal(0.0, 0.3)))
+    pairs = [(i, j) for i in range(5) for j in range(i + 1)]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[: a + 1]:
+            ints.set_two_body(i, j, k, l, float(rng.normal(0.0, 0.05)))
+    return jordan_wigner(fermion_from_integrals(ints))
+
+
+MOMENT_INSTANCES = {
+    "illustrative": lambda: parse_pauli_text(ILLUSTRATIVE_TEXT, n=4),
+    "fermi-hubbard chain 4": lambda: jordan_wigner(build_fermi_hubbard(chain_lattice(4), 1.0, 4.0)),
+    "bose-hubbard chain 4": lambda: encode_boson_operator(
+        build_bose_hubbard(chain_lattice(4), 1.0, 2.0, 4)).pauli,
+    "electronic norb 5": _electronic_10q,
+}
+
+
+class TestMomentCrossCheck:
+    @pytest.mark.parametrize("name", MOMENT_INSTANCES)
+    def test_basis_moments_match_partition_costs(self, name):
+        # Var = sum D^2 p - (sum D p)^2 with p = |U^dag psi|^2 in each fragment's certified
+        # basis: rotate and D share no code with the grouped Pauli application.
+        h = MOMENT_INSTANCES[name]()
+        block = state_block([random_state(h.n, 40 + i) for i in range(2)])
+        for part in (sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise"),
+                     greedy_partition(h, 2), greedy_partition(h, 3)):
+            per = partition_costs(part, block)[1]
+            for frag, want in zip(part.fragments, per):
+                basis = diagonalize_fragment(frag, h.n, allow_global=True)
+                probs = np.abs(basis.rotate(block, h.n)) ** 2
+                mean, second = basis.diagonal @ probs, basis.diagonal**2 @ probs
+                np.testing.assert_allclose(second - mean**2, want, rtol=1e-10, atol=0)
 
 
 class TestRotatedBasisDemo:
