@@ -166,14 +166,31 @@ def _deposit(values: np.ndarray, bit_sources: list[int], bit_targets: list[int])
 
 
 def term_matrix(term: TensorProductTerm, n: int, representation: str = "sparse"):
-    """Realize a term on the full 2^n space; the dense form is the sparse one expanded."""
-    if representation not in ("dense", "sparse"):
-        raise DataError(f"unknown representation {representation!r}")
-    cap = _pauli.DENSE_QUBIT_CAP if representation == "dense" else _pauli.SPARSE_QUBIT_CAP
-    if n > cap:
-        raise ResourceError(f"{representation} realization capped at {cap} qubits")
-    mat = _term_sparse(term, n)
-    return mat.toarray() if representation == "dense" else mat
+    """Realize a term on the full 2^n space."""
+    if representation == "dense":
+        if n > _pauli.DENSE_QUBIT_CAP:
+            raise ResourceError(f"dense realization capped at {_pauli.DENSE_QUBIT_CAP} qubits")
+        return _term_dense(term, n)
+    if representation == "sparse":
+        if n > _pauli.SPARSE_QUBIT_CAP:
+            raise ResourceError(f"sparse realization capped at {_pauli.SPARSE_QUBIT_CAP} qubits")
+        return _term_sparse(term, n)
+    raise DataError(f"unknown representation {representation!r}")
+
+
+def _term_dense(term: TensorProductTerm, n: int) -> np.ndarray:
+    qubit_order = [q for f in term.factors for q in f.qubits]
+    blocks = [f.block for f in term.factors]
+    rest = [q for q in range(n) if q not in qubit_order]
+    if rest:
+        blocks.append(np.eye(1 << len(rest), dtype=complex))
+    full = reduce(np.kron, blocks) if blocks else np.eye(1 << n, dtype=complex)
+    order = qubit_order + rest
+    # kron axis j corresponds to qubit order[j]; permute axes to qubit order.
+    axis_of_qubit = [order.index(q) for q in range(n)]
+    tensor = full.reshape((2,) * (2 * n))
+    perm = axis_of_qubit + [n + a for a in axis_of_qubit]
+    return tensor.transpose(perm).reshape(1 << n, 1 << n)
 
 
 def _term_sparse(term: TensorProductTerm, n: int) -> scipy.sparse.csr_matrix:
@@ -203,9 +220,15 @@ def _term_sparse(term: TensorProductTerm, n: int) -> scipy.sparse.csr_matrix:
 
 
 def fragment_matrix(frag: Fragment, n: int, representation: str = "sparse"):
+    if representation == "dense":
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        for term in frag.terms:
+            out += _term_dense(term, n)
+        return out
     mats = [term_matrix(t, n, "sparse") for t in frag.terms]
-    out = reduce(lambda a, b: a + b, mats, scipy.sparse.csr_matrix((1 << n, 1 << n), dtype=complex))
-    return out.toarray() if representation == "dense" else out
+    if not mats:
+        return scipy.sparse.csr_matrix((1 << n, 1 << n), dtype=complex)
+    return reduce(lambda a, b: a + b, mats)
 
 
 def partition_matrix(p: Partition, representation: str = "sparse"):
@@ -249,18 +272,18 @@ def apply_fragment(frag: Fragment, vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def pauli_coefficients(terms) -> defaultdict[tuple[int, int], complex]:
+def pauli_coefficients(terms, cap: int = EXPANSION_CAP) -> defaultdict[tuple[int, int], complex]:
     """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient,
-    through tensor_expansion of each term's factors; nothing is dropped. A term that would
-    expand to over EXPANSION_CAP strings raises ResourceError first."""
-    out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    through tensor_expansion of each term's factors; nothing is dropped. If any term would
+    expand to over `cap` strings, ResourceError is raised before a term is expanded."""
     masks: dict[TensorFactor, list] = {}  # keyed by identity: a shared factor expands once
-    for term in terms:
-        expanded = [masks.get(f) or masks.setdefault(f, pauli_masks(f.block, f.qubits))
-                    for f in term.factors]
-        if (size := prod(len(coeffs) for coeffs in expanded)) > EXPANSION_CAP:
-            raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
-        for c, x, z in tensor_expansion(1.0, expanded):
+    expanded = [[masks.get(f) or masks.setdefault(f, pauli_masks(f.block, f.qubits))
+                 for f in term.factors] for term in terms]
+    if (size := max((prod(map(len, e)) for e in expanded), default=0)) > cap:
+        raise ResourceError(f"term expands to {size} Pauli strings, cap {cap}")
+    out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    for e in expanded:
+        for c, x, z in tensor_expansion(1.0, e):
             out[(x, z)] += c
     return out
 

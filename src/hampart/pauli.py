@@ -10,6 +10,8 @@ significant bit of a computational-basis index.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -174,11 +176,14 @@ def _basis_mask(mask: int, n: int) -> int:
 
 
 def _phases_over_basis(p: PauliString) -> tuple[int, np.ndarray]:
-    """p|b> = phases[b] |b ^ flip> over basis indices b (qubit 0 the top bit), with
-    phases[b] = i^|x&z| (-1)^popcount(b & sign_mask); flip and sign_mask are x and z there."""
+    """p|b> = phases[b] |b ^ flip>, with phases[b] = i^|x&z| (-1)^popcount(b & sign_mask)."""
     flip, sign_mask = _basis_mask(p.x, p.n), _basis_mask(p.z, p.n)
-    parity = np.bitwise_count(np.arange(1 << p.n, dtype=np.uint64) & np.uint64(sign_mask)) & 1
-    return flip, (1j) ** (p.x & p.z).bit_count() * np.where(parity, -1.0, 1.0)
+    base = 1j ** (p.x & p.z).bit_count()
+    dim = 1 << p.n
+    idx = np.arange(dim, dtype=np.uint64)
+    parity = np.bitwise_count(idx & np.uint64(sign_mask)) & 1
+    phases = base * np.where(parity, -1.0, 1.0)
+    return flip, phases
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
@@ -247,25 +252,17 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
 
 def _group_diagonal(x: int, members, n: int, state_axes: int) -> np.ndarray:
     """sum_j c_j (-i)^|x&z_j| Z^z_j over (c_j, z_j) as a diagonal on the (2,)*n view, with
-    extent only on the z qubits. Strings whose z masks share qubits, transitively, form one
-    part; each part is the Walsh-Hadamard transform of its phased coefficients."""
-    parts: list[tuple[int, list[tuple[complex, int]]]] = []
+    extent only on the qubits the z masks touch: the Walsh-Hadamard transform of the phased
+    coefficients over those qubits."""
+    union = reduce(or_, (z for _, z in members), 0)
+    qubits = [q for q in range(n) if union >> q & 1]  # the diagonal's axes, first = top bit
+    d = np.zeros(1 << len(qubits), dtype=complex)
     for c, z in members:
-        mask, joined = z, [(c, z)]
-        for pmask, pjoined in [p for p in parts if p[0] & z]:
-            mask, joined = mask | pmask, joined + pjoined
-        parts = [p for p in parts if not p[0] & z] + [(mask, joined)]
-    diag = np.zeros((1,) * (n + state_axes), dtype=complex)
-    for mask, joined in parts:
-        qubits = [q for q in range(n) if mask >> q & 1]  # the part's axes, first = top bit
-        d = np.zeros(1 << len(qubits), dtype=complex)
-        for c, z in joined:
-            d[sum(1 << b for b, q in enumerate(reversed(qubits)) if z >> q & 1)] += (
-                c * _MINUS_I_POWERS[(x & z).bit_count() & 3])
-        for _ in qubits:  # transform the leading axis and move it last, as in pauli_project
-            d = (d.reshape(2, -1).T @ _HADAMARD).ravel()
-        diag = diag + d.reshape([2 if mask >> q & 1 else 1 for q in range(n)] + [1] * state_axes)
-    return diag
+        d[sum(1 << b for b, q in enumerate(reversed(qubits)) if z >> q & 1)] += (
+            c * _MINUS_I_POWERS[(x & z).bit_count() & 3])
+    for _ in qubits:  # transform the leading axis and move it last, as in pauli_project
+        d = (d.reshape(2, -1).T @ _HADAMARD).ravel()
+    return d.reshape([2 if union >> q & 1 else 1 for q in range(n)] + [1] * state_axes)
 
 
 def apply_pauli_terms(terms, vec: np.ndarray, n: int) -> np.ndarray:
@@ -375,32 +372,49 @@ class PauliSum:
 
     def to_matrix(self, representation: str = "sparse", *, dense_cap: int | None = None):
         """Realize as a 2^n x 2^n matrix (scipy CSR or numpy array)."""
-        if representation not in ("dense", "sparse"):
-            raise DataError(f"unknown representation {representation!r}")
-        cap = SPARSE_QUBIT_CAP if representation == "sparse" else (
-            DENSE_QUBIT_CAP if dense_cap is None else dense_cap)
-        if self.n > cap:
-            raise ResourceError(
-                f"{representation} realization capped at {cap} qubits, got {self.n}")
-        dim = 1 << self.n
-        cols = np.arange(dim)
-        strings = [(PauliString.identity(self.n), self._constant)] if self._constant else []
-        strings += self._terms.items()
         if representation == "dense":
+            cap = DENSE_QUBIT_CAP if dense_cap is None else dense_cap
+            if self.n > cap:
+                raise ResourceError(f"dense realization capped at {cap} qubits, got {self.n}")
+            dim = 1 << self.n
             mat = np.zeros((dim, dim), dtype=complex)
-            for string, coeff in strings:
+            cols = np.arange(dim)
+            if self._constant:
+                mat[cols, cols] = self._constant
+            for string, coeff in self._terms.items():
                 flip, phases = _phases_over_basis(string)
                 mat[cols ^ flip, cols] += coeff * phases
             return mat
-        if not strings:
-            return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        actions = [_phases_over_basis(string) for string, _ in strings]
-        rows = np.concatenate([cols ^ flip for flip, _ in actions])
-        data = np.concatenate([c * phases for (_, c), (_, phases) in zip(strings, actions)])
-        mat = scipy.sparse.coo_matrix((data, (rows, np.tile(cols, len(strings)))), shape=(dim, dim))
-        mat = mat.tocsr()
-        mat.sum_duplicates()
-        return mat
+        if representation == "sparse":
+            if self.n > SPARSE_QUBIT_CAP:
+                raise ResourceError(
+                    f"sparse realization capped at {SPARSE_QUBIT_CAP} qubits, got {self.n}")
+            dim = 1 << self.n
+            cols = np.arange(dim)
+            row_chunks = []
+            col_chunks = []
+            data_chunks = []
+            if self._constant:
+                row_chunks.append(cols)
+                col_chunks.append(cols)
+                data_chunks.append(np.full(dim, self._constant, dtype=complex))
+            for string, coeff in self._terms.items():
+                flip, phases = _phases_over_basis(string)
+                row_chunks.append(cols ^ flip)
+                col_chunks.append(cols)
+                data_chunks.append(coeff * phases)
+            if not data_chunks:
+                return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+            mat = scipy.sparse.coo_matrix(
+                (
+                    np.concatenate(data_chunks),
+                    (np.concatenate(row_chunks), np.concatenate(col_chunks)),
+                ),
+                shape=(dim, dim),
+            ).tocsr()
+            mat.sum_duplicates()
+            return mat
+        raise DataError(f"unknown representation {representation!r}")
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state

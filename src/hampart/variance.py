@@ -4,19 +4,19 @@ The shot-count figure of merit for a partition {M_q} on a state is
 (sum_q sqrt(Var[M_q]))^2; a single-fragment partition gives the lower
 bound Var[H]. Everything here is matrix-free: each fragment is applied once
 to a (2^n, S) block holding all S states, as grouped Pauli strings (one flip
-and one diagonal per x mask) or factor by factor, whichever costs less, and
-Var[M] = |M psi|^2 - <psi|M psi>^2 for Hermitian M.
+and one diagonal per x mask), or factor by factor where the Pauli expansion
+would outweigh the state block, and Var[M] = |M psi|^2 - <psi|M psi>^2
+for Hermitian M.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, ResourceError
-from .fragments import Fragment, Partition, apply_fragment, pauli_coefficients
+from .fragments import EXPANSION_CAP, Fragment, Partition, apply_fragment, pauli_coefficients
 from .pauli import PauliSum, apply_pauli_terms
 
 STATE_QUBIT_CAP = 16
@@ -111,18 +111,17 @@ class VarianceReport:
 
 
 def _apply(frag: Fragment, states: np.ndarray, n: int) -> np.ndarray:
-    """frag @ states through apply_pauli_terms on its Pauli expansion when its flip groups
-    times 2^n undercut the per-factor contraction cost, the sum over factors of 2^(n+m).
-    Not worth expanding: a factor with more block entries (4^m) than the state block, or a
-    term over EXPANSION_CAP strings."""
-    factors = [f for t in frag.terms for f in t.factors]
-    coeffs = None
-    if all(4**f.size <= states.size for f in factors):
-        with suppress(ResourceError):
-            coeffs = pauli_coefficients(frag.terms)
-    if coeffs is not None and len({x for x, _ in coeffs}) < sum(1 << f.size for f in factors):
-        return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n)
-    return apply_fragment(frag, states, n)
+    """frag @ states through apply_pauli_terms on its Pauli expansion, or factor by factor
+    (apply_fragment) where expanding would outweigh the state block: a factor with more block
+    entries (4^m) than the block, or a term with more Pauli strings than the block's entries
+    or EXPANSION_CAP. Both are decided before anything is expanded."""
+    if any(4**f.size > states.size for t in frag.terms for f in t.factors):
+        return apply_fragment(frag, states, n)
+    try:
+        coeffs = pauli_coefficients(frag.terms, min(states.size, EXPANSION_CAP))
+    except ResourceError:
+        return apply_fragment(frag, states, n)
+    return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n)
 
 
 def partition_costs(p: Partition, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

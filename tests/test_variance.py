@@ -1,5 +1,8 @@
 """Variance engine: exact costs, lower bounds, and the rotated-basis result."""
 
+import tracemalloc
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +12,7 @@ from conftest import ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError, DomainError, ResourceError
 from hampart.fragments import (
+    EXPANSION_CAP,
     Fragment,
     Partition,
     TensorFactor,
@@ -30,6 +34,7 @@ from hampart.pauli import (
     PauliSum,
     apply_pauli_terms,
     parse_pauli_text,
+    pauli_masks,
     string_to_dense,
 )
 from hampart.validators import diagonalize_fragment
@@ -328,6 +333,25 @@ class TestGroupedPauliEngine:
         m_psi = apply_fragment(frag, psi.amplitudes, 12)
         want = np.vdot(m_psi, m_psi).real - np.vdot(psi.amplitudes, m_psi).real ** 2
         np.testing.assert_allclose(fragment_variance(frag, psi), want, rtol=1e-12)
+
+    def test_term_at_expansion_cap_not_expanded(self):
+        # Two dense 5-qubit factors expand to exactly EXPANSION_CAP strings, far more than the
+        # 2^10 state entries: scored per factor without building the ~10^6-string expansion.
+        rng = np.random.default_rng(6)
+        factors = [TensorFactor(q, random_hermitian(32, rng)) for q in (range(5), range(5, 10))]
+        frag = Fragment((TensorProductTerm(factors),))
+        assert prod(len(pauli_masks(f.block, f.qubits)) for f in factors) == EXPANSION_CAP
+        psi = random_state(10, 2)
+        m_psi = apply_fragment(frag, psi.amplitudes, 10)
+        want = np.vdot(m_psi, m_psi).real - np.vdot(psi.amplitudes, m_psi).real ** 2
+        tracemalloc.start()
+        try:
+            got = fragment_variance(frag, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def _electronic_10q():
