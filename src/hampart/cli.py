@@ -361,14 +361,18 @@ def cmd_sweep_k(args) -> int:
     lb_mean = float(np.mean(lower_bounds(h, block)))
     lines = ["k,L,mean_var,fc_si_var,lower_bound"]
     k_star = None
-    for k in range(args.k_min, k_max + 1):
-        part = run_method(args.method, h, meta, k)
-        mean = float(np.mean(partition_costs(part, block)[0]))
-        if k_star is None and mean <= fc_mean:
-            k_star = k
-        lines.append(
-            f"{k},{len(part.fragments)},{_fmt(mean)},{_fmt(fc_mean)},{_fmt(lb_mean)}"
-        )
+    try:
+        for k in range(args.k_min, k_max + 1):
+            part = run_method(args.method, h, meta, k)
+            mean = float(np.mean(partition_costs(part, block)[0]))
+            if k_star is None and mean <= fc_mean:
+                k_star = k
+            lines.append(
+                f"{k},{len(part.fragments)},{_fmt(mean)},{_fmt(fc_mean)},{_fmt(lb_mean)}"
+            )
+    except ResourceError:  # keep the rows of every k before the refused one, then exit 4
+        _write_text(args.output, "\n".join(lines) + "\n")
+        raise
     _write_text(args.output, "\n".join(lines) + "\n")
     print(f"k_star={k_star if k_star is not None else 'none'}")
     return 0

@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from math import prod
 
 import numpy as np
-import scipy.sparse
 
 from . import pauli as _pauli
-from .errors import DataError, DimensionError, ResourceError, read_text
+from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
 from .pauli import PauliString, PauliSum, pauli_masks, pauli_matrix, tensor_expansion
 
 _HERMITIAN_TOL = 1e-10
@@ -157,91 +156,25 @@ def pauli_group_fragment(group: list[tuple[float, PauliString]], label: str) -> 
 # Realization
 
 
-def _deposit(values: np.ndarray, bit_sources: list[int], bit_targets: list[int]) -> np.ndarray:
-    """Move bit `bit_sources[j]` of each value to bit `bit_targets[j]`."""
-    out = np.zeros_like(values)
-    for src, tgt in zip(bit_sources, bit_targets):
-        out |= ((values >> src) & 1) << tgt
+def term_matrix(term: TensorProductTerm, n: int) -> np.ndarray:
+    """Dense 2^n x 2^n realization of a term: apply_term on the identity."""
+    if n > _pauli.DENSE_QUBIT_CAP:
+        raise ResourceError(f"dense realization capped at {_pauli.DENSE_QUBIT_CAP} qubits")
+    return apply_term(term, np.eye(1 << n, dtype=complex), n)
+
+
+def fragment_matrix(frag: Fragment, n: int) -> np.ndarray:
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for term in frag.terms:
+        out += term_matrix(term, n)
     return out
 
 
-def term_matrix(term: TensorProductTerm, n: int, representation: str = "sparse"):
-    """Realize a term on the full 2^n space."""
-    if representation == "dense":
-        if n > _pauli.DENSE_QUBIT_CAP:
-            raise ResourceError(f"dense realization capped at {_pauli.DENSE_QUBIT_CAP} qubits")
-        return _term_dense(term, n)
-    if representation == "sparse":
-        if n > _pauli.SPARSE_QUBIT_CAP:
-            raise ResourceError(f"sparse realization capped at {_pauli.SPARSE_QUBIT_CAP} qubits")
-        return _term_sparse(term, n)
-    raise DataError(f"unknown representation {representation!r}")
-
-
-def _term_dense(term: TensorProductTerm, n: int) -> np.ndarray:
-    qubit_order = [q for f in term.factors for q in f.qubits]
-    blocks = [f.block for f in term.factors]
-    rest = [q for q in range(n) if q not in qubit_order]
-    if rest:
-        blocks.append(np.eye(1 << len(rest), dtype=complex))
-    full = reduce(np.kron, blocks) if blocks else np.eye(1 << n, dtype=complex)
-    order = qubit_order + rest
-    # kron axis j corresponds to qubit order[j]; permute axes to qubit order.
-    axis_of_qubit = [order.index(q) for q in range(n)]
-    tensor = full.reshape((2,) * (2 * n))
-    perm = axis_of_qubit + [n + a for a in axis_of_qubit]
-    return tensor.transpose(perm).reshape(1 << n, 1 << n)
-
-
-def _term_sparse(term: TensorProductTerm, n: int) -> scipy.sparse.csr_matrix:
-    dim = 1 << n
-    if not term.factors:
-        return scipy.sparse.identity(dim, dtype=complex, format="csr")
-    qubit_order = [q for f in term.factors for q in f.qubits]
-    m = len(qubit_order)
-    combined = reduce(np.kron, [f.block for f in term.factors])
-    a_idx, b_idx = np.nonzero(combined)
-    vals = combined[a_idx, b_idx]
-    # Support bits: combined-index bit (m-1-j) belongs to qubit qubit_order[j],
-    # which sits at basis bit (n-1-q).
-    src = [m - 1 - j for j in range(m)]
-    tgt = [n - 1 - qubit_order[j] for j in range(m)]
-    row_supp = _deposit(a_idx.astype(np.int64), src, tgt)
-    col_supp = _deposit(b_idx.astype(np.int64), src, tgt)
-    rest = [q for q in range(n) if q not in qubit_order]
-    x = np.arange(1 << len(rest), dtype=np.int64)
-    rest_bits = _deposit(x, list(range(len(rest))), [n - 1 - q for q in reversed(rest)])
-    rows = (row_supp[:, None] + rest_bits[None, :]).ravel()
-    cols = (col_supp[:, None] + rest_bits[None, :]).ravel()
-    data = np.repeat(vals, rest_bits.shape[0])
-    mat = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-    mat.sum_duplicates()
-    return mat
-
-
-def fragment_matrix(frag: Fragment, n: int, representation: str = "sparse"):
-    if representation == "dense":
-        out = np.zeros((1 << n, 1 << n), dtype=complex)
-        for term in frag.terms:
-            out += _term_dense(term, n)
-        return out
-    mats = [term_matrix(t, n, "sparse") for t in frag.terms]
-    if not mats:
-        return scipy.sparse.csr_matrix((1 << n, 1 << n), dtype=complex)
-    return reduce(lambda a, b: a + b, mats)
-
-
-def partition_matrix(p: Partition, representation: str = "sparse"):
-    n = p.n
-    if representation == "dense":
-        out = np.zeros((1 << n, 1 << n), dtype=complex)
-        for frag in p.fragments:
-            out += fragment_matrix(frag, n, "dense")
-        out += p.constant * np.eye(1 << n)
-        return out
-    out = p.constant * scipy.sparse.identity(1 << n, dtype=complex, format="csr")
+def partition_matrix(p: Partition) -> np.ndarray:
+    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
     for frag in p.fragments:
-        out = out + fragment_matrix(frag, n, "sparse")
+        out += fragment_matrix(frag, p.n)
+    out += p.constant * np.eye(1 << p.n)
     return out
 
 
@@ -366,7 +299,9 @@ def partition_from_json(data: dict | str) -> Partition:
             source=data.get("source", ""),
             hamiltonian_sha256=data.get("hamiltonian_sha256"),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except HampartError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed partition: {exc!r}") from exc
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParseError, read_text
+from .errors import DataError, DomainError, HampartError, ParseError, read_text
 
 LATTICE_KINDS = ("chain", "square", "hexagonal", "triangular", "cubic", "tetrahedral", "custom")
 
@@ -187,6 +187,10 @@ def lattice_from_json(data: dict | str) -> Lattice:
         )
     except KeyError as exc:
         raise DataError(f"lattice JSON missing field {exc}") from None
+    except HampartError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed lattice JSON: {exc!r}") from exc
 
 
 FermionTerm = tuple[float, tuple[tuple[int, bool], ...]]

@@ -15,15 +15,13 @@ from operator import or_
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DataError, DimensionError, DomainError, ParseError, ResourceError
 
 SIMPLIFY_TOL = 1e-12
 
-# Qubit caps for matrix realization.
+# Qubit cap for dense matrix realization.
 DENSE_QUBIT_CAP = 12
-SPARSE_QUBIT_CAP = 16
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -186,15 +184,22 @@ def _phases_over_basis(p: PauliString) -> tuple[int, np.ndarray]:
     return flip, phases
 
 
-def string_to_dense(p: PauliString) -> np.ndarray:
-    if p.n > DENSE_QUBIT_CAP:  # checked before any 4^n allocation
-        raise ResourceError(f"dense realization capped at {DENSE_QUBIT_CAP} qubits, got {p.n}")
-    flip, phases = _phases_over_basis(p)
-    dim = 1 << p.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    mat[cols ^ flip, cols] = phases
+def dense_sum(terms, n: int) -> np.ndarray:
+    """Dense 2^n x 2^n sum of c * s over weighted n-qubit strings (c, s), one scatter-add of
+    c * phases into mat[cols ^ flip, cols] per string; more than DENSE_QUBIT_CAP qubits is
+    refused before allocating."""
+    if n > DENSE_QUBIT_CAP:
+        raise ResourceError(f"dense realization capped at {DENSE_QUBIT_CAP} qubits, got {n}")
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    cols = np.arange(1 << n)
+    for c, s in terms:
+        flip, phases = _phases_over_basis(s)
+        mat[cols ^ flip, cols] += c * phases
     return mat
+
+
+def string_to_dense(p: PauliString) -> np.ndarray:
+    return dense_sum([(1.0, p)], p.n)
 
 
 # One qubit's block entries (M00, M01, M10, M11) -> its (I, X, Y, Z) coefficients Tr(P M) / 2.
@@ -240,9 +245,8 @@ def tensor_expansion(coeff, factors, tol: float | None = None) -> list[tuple[com
 
 
 def restricted_block(terms, qubits) -> np.ndarray:
-    """Dense sum of c * s over weighted strings (c, s), each restricted to `qubits` in the listed
-    order; string_to_dense refuses more than DENSE_QUBIT_CAP qubits before allocating."""
-    return sum(c * string_to_dense(s.restricted(qubits)) for c, s in terms)
+    """dense_sum of weighted strings (c, s), each restricted to `qubits` in the listed order."""
+    return dense_sum([(c, s.restricted(qubits)) for c, s in terms], len(qubits))
 
 
 # (-i)^k for k = |x & z| mod 4, and the unnormalized one-qubit Walsh-Hadamard map.
@@ -370,51 +374,10 @@ class PauliSum:
     def __repr__(self) -> str:
         return f"PauliSum(n={self.n}, terms={len(self)}, constant={self._constant!r})"
 
-    def to_matrix(self, representation: str = "sparse", *, dense_cap: int | None = None):
-        """Realize as a 2^n x 2^n matrix (scipy CSR or numpy array)."""
-        if representation == "dense":
-            cap = DENSE_QUBIT_CAP if dense_cap is None else dense_cap
-            if self.n > cap:
-                raise ResourceError(f"dense realization capped at {cap} qubits, got {self.n}")
-            dim = 1 << self.n
-            mat = np.zeros((dim, dim), dtype=complex)
-            cols = np.arange(dim)
-            if self._constant:
-                mat[cols, cols] = self._constant
-            for string, coeff in self._terms.items():
-                flip, phases = _phases_over_basis(string)
-                mat[cols ^ flip, cols] += coeff * phases
-            return mat
-        if representation == "sparse":
-            if self.n > SPARSE_QUBIT_CAP:
-                raise ResourceError(
-                    f"sparse realization capped at {SPARSE_QUBIT_CAP} qubits, got {self.n}")
-            dim = 1 << self.n
-            cols = np.arange(dim)
-            row_chunks = []
-            col_chunks = []
-            data_chunks = []
-            if self._constant:
-                row_chunks.append(cols)
-                col_chunks.append(cols)
-                data_chunks.append(np.full(dim, self._constant, dtype=complex))
-            for string, coeff in self._terms.items():
-                flip, phases = _phases_over_basis(string)
-                row_chunks.append(cols ^ flip)
-                col_chunks.append(cols)
-                data_chunks.append(coeff * phases)
-            if not data_chunks:
-                return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-            mat = scipy.sparse.coo_matrix(
-                (
-                    np.concatenate(data_chunks),
-                    (np.concatenate(row_chunks), np.concatenate(col_chunks)),
-                ),
-                shape=(dim, dim),
-            ).tocsr()
-            mat.sum_duplicates()
-            return mat
-        raise DataError(f"unknown representation {representation!r}")
+    def to_matrix(self) -> np.ndarray:
+        """Realize as a dense 2^n x 2^n numpy array (dense_sum, constant included)."""
+        terms = [(c, s) for s, c in self._terms.items()]
+        return dense_sum([(self._constant, PauliString.identity(self.n)), *terms], self.n)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state

@@ -27,7 +27,6 @@ from .fragments import (
     Partition,
     TensorFactor,
     TensorProductTerm,
-    _deposit,
     apply_block,
     pauli_coefficients,
     term_matrix,
@@ -114,7 +113,7 @@ def check_commutation(p: Partition) -> float:
             raise ResourceError(
                 f"fragment support {m} exceeds dense commutation cap {COMMUTATION_QUBIT_CAP}"
             )
-        mats = [term_matrix(_restrict_term(t, support), m, "dense") for t in frag.terms]
+        mats = [term_matrix(_restrict_term(t, support), m) for t in frag.terms]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -124,11 +123,7 @@ def check_commutation(p: Partition) -> float:
 
 def _sorted_block(f: TensorFactor) -> np.ndarray:
     """Re-index a factor block so its qubits appear in ascending order."""
-    order = np.argsort(f.qubits)
-    m = f.size
-    tensor = f.block.reshape((2,) * (2 * m))
-    perm = list(order) + [m + int(a) for a in order]
-    return tensor.transpose(perm).reshape(1 << m, 1 << m)
+    return term_matrix(_restrict_term(TensorProductTerm((f,)), tuple(sorted(f.qubits))), f.size)
 
 
 def _off_diagonal(mat: np.ndarray) -> float:
@@ -229,18 +224,15 @@ def check_tensor_wise(frag: Fragment) -> bool:
 
 
 def _tensor_wise_diagonal(rotated, n: int) -> np.ndarray:
-    indices = np.arange(1 << n, dtype=np.int64)
-    local_index = {
-        key: _deposit(indices, [n - 1 - q for q in key], list(range(len(key) - 1, -1, -1)))
-        for key in {key for term in rotated for key in term}
-    }
-    diagonal = np.zeros(1 << n)
+    """Sum over terms of the product of their rotated diagonals, each broadcast on the (2,)*n
+    qubit axes (a support's qubits ascend, the first is the top bit of its diagonal's index)."""
+    diagonal = np.zeros((2,) * n)
     for term in rotated:
-        contrib = np.ones(1 << n)
+        contrib = np.ones((2,) * n)
         for key, (d_local, _, _) in term.items():
-            contrib *= d_local[local_index[key]]
+            contrib *= d_local.reshape([2 if q in key else 1 for q in range(n)])
         diagonal += contrib
-    return diagonal
+    return diagonal.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def test_criterion_8_oracle_equivalence():
             frag = Fragment(tuple(terms), "rand")
             psi = random_state(n, 9000 + trial)
             fast = fragment_variance(frag, psi)
-            m = fragment_matrix(frag, n, "dense")
+            m = fragment_matrix(frag, n)
             vec = psi.amplitudes
             mean = np.vdot(vec, m @ vec).real
             dense = np.vdot(vec, m @ (m @ vec)).real - mean**2

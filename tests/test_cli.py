@@ -1,15 +1,19 @@
 """Command-line driver: workflows, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hampart
 from conftest import ILLUSTRATIVE_TEXT
 from hampart.cli import main
 from hampart.fragments import Fragment, Partition, pauli_term, save_partition
 from hampart.operators import ElectronicIntegrals, write_fcidump
-from hampart.pauli import PauliString, PauliSum
+from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum
 from hampart.validators import check_reconstruction, validate_partition
 
 
@@ -61,8 +65,13 @@ class TestBuild:
     @pytest.mark.parametrize("content", [
         b"not json", b"\xff\xfe{}", b"[1.0, 1.2]", b'{"d": 4}', b'{"omega": 3}',
         b'{"omega": [1.0], "couplings": [0.1]}',
+        b'{"kind": "custom", "sites": "abc", "edges": [[0, 1]]}',
+        b'{"kind": "custom", "sites": 2, "edges": [[0]]}',
+        b'{"kind": "custom", "sites": 2, "edges": 5}',
+        b'{"kind": "custom", "sites": 2, "edges": [["a", 1]]}',
     ], ids=["not-json", "not-utf8", "not-object", "no-omega", "omega-mistyped",
-            "couplings-mistyped"])
+            "couplings-mistyped", "sites-mistyped", "edge-short", "edges-mistyped",
+            "edge-mistyped"])
     def test_malformed_json_input_exit_code(self, tmp_path, content):
         (tmp_path / "in.json").write_bytes(content)
         stem = tmp_path / "out"
@@ -311,6 +320,20 @@ class TestSweepK:
         k_star = printed.rsplit("k_star=", 1)[1].split()[0]
         assert k_star != "none" and 1 <= int(k_star) <= 4
 
+    def test_refused_k_keeps_earlier_rows(self, tmp_path):
+        # k = n needs one dense block on n > DENSE_QUBIT_CAP qubits: exit 4 after the rows
+        # of k = n - 2 and n - 1 are written.
+        n = DENSE_QUBIT_CAP + 1
+        ham = tmp_path / "xz.pauli"
+        ham.write_text("".join(f"{c} {' '.join(f'{p}{q}' for q in range(n))}\n"
+                               for c, p in ((1.0, "X"), (0.5, "Z"))))
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", ham, "--method", "greedy", "--k-min", n - 2,
+                    "--states", 2, "-o", out]) == 4
+        lines = out.read_text().splitlines()
+        assert lines[0] == "k,L,mean_var,fc_si_var,lower_bound"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(n - 2), str(n - 1)]
+
 
 class TestTheorem1:
     def test_default_grid_passes(self, tmp_path):
@@ -378,6 +401,31 @@ class TestVerify:
         extra = ["-o", tmp_path / "rep"] if command == "evaluate" else []
         assert run([command, part, "--hamiltonian", f"{b3d4}.pauli", *extra]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "evaluate"])
+    @pytest.mark.parametrize("field", ["block-entry", "qubit", "n", "constant"])
+    def test_mistyped_partition_field_exit_code(self, b3d4, tmp_path, command, field):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        data = json.loads(part.read_text())
+        factor = data["fragments"][0]["terms"][0]["factors"][0]
+        if field == "block-entry":
+            factor["block"][0] = [1.0]
+        elif field == "qubit":
+            factor["qubits"][0] = "a"
+        else:
+            data[field] = "x"
+        part.write_text(json.dumps(data))
+        extra = ["-o", tmp_path / "rep"] if command == "evaluate" else []
+        assert run([command, part, "--hamiltonian", f"{b3d4}.pauli", *extra]) == 2
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["verify", tmp_path / "nope.json",
                     "--hamiltonian", tmp_path / "nope.pauli"]) == 2
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(hampart.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hampart.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -131,12 +131,12 @@ class TestJordanWigner:
                 terms.append((c, ((int(j), True), (int(i), False))))
             op = FermionOperator(modes, tuple(terms))
             h = jordan_wigner(op)
-            assert np.max(np.abs(h.to_matrix("dense") - dense_fermion(op))) < 1e-10
+            assert np.max(np.abs(h.to_matrix() - dense_fermion(op))) < 1e-10
 
     def test_hubbard_faithful(self):
         op = build_fermi_hubbard(chain_lattice(4), 1.0, 2.0)
         h = jordan_wigner(op)
-        assert np.max(np.abs(h.to_matrix("dense") - dense_fermion(op))) < 1e-10
+        assert np.max(np.abs(h.to_matrix() - dense_fermion(op))) < 1e-10
 
 
 class TestGrayMap:
@@ -188,7 +188,7 @@ class TestEncodeBlock:
             m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             m = (m + m.conj().T) / 2
             h = encode_boson_block(m, gm)
-            assert np.max(np.abs(h.to_matrix("dense") - embed_matrix(m, gm))) < 1e-12
+            assert np.max(np.abs(h.to_matrix() - embed_matrix(m, gm))) < 1e-12
 
     def test_projection_completeness(self):
         # decompose-then-realize is the identity on arbitrary blocks
@@ -264,7 +264,7 @@ class TestEncodeOperator:
                     for m in range(modes)
                 ]
                 oracle += coeff * kron_all(blocks)
-            assert np.max(np.abs(enc.pauli.to_matrix("dense") - oracle)) < 1e-10
+            assert np.max(np.abs(enc.pauli.to_matrix() - oracle)) < 1e-10
 
     def test_bose_hubbard_encoding_faithful(self):
         op = build_bose_hubbard(chain_lattice(2), 1.0, 2.0, 3)
@@ -279,7 +279,7 @@ class TestEncodeOperator:
         )
         eye = np.eye(4)
         oracle += np.kron(onsite, eye) + np.kron(eye, onsite)
-        assert np.max(np.abs(enc.pauli.to_matrix("dense") - oracle)) < 1e-10
+        assert np.max(np.abs(enc.pauli.to_matrix() - oracle)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class TestConstruction:
     def test_pauli_term_folds_coefficient(self):
         s = PauliString.from_letters("XIZ")
         term = pauli_term(-2.0, s)
-        full = term_matrix(term, 3, "dense")
+        full = term_matrix(term, 3)
         assert np.max(np.abs(full - -2.0 * dense_from_letters("XIZ"))) < 1e-13
 
     def test_pauli_term_rejects_identity(self):
@@ -68,9 +68,7 @@ class TestRealization:
         b = random_hermitian(2, rng)
         term = TensorProductTerm([TensorFactor((0, 1), a), TensorFactor((2,), b)])
         expect = np.kron(a, b)
-        assert np.max(np.abs(term_matrix(term, 3, "dense") - expect)) < 1e-12
-        sp = term_matrix(term, 3, "sparse").toarray()
-        assert np.max(np.abs(sp - expect)) < 1e-12
+        assert np.max(np.abs(term_matrix(term, 3) - expect)) < 1e-12
 
     def test_non_contiguous_and_implicit_identity(self):
         rng = np.random.default_rng(42)
@@ -78,8 +76,7 @@ class TestRealization:
         b = random_hermitian(2, rng)
         term = TensorProductTerm([TensorFactor((0,), a), TensorFactor((2,), b)])
         expect = kron_all([a, np.eye(2), b])
-        assert np.max(np.abs(term_matrix(term, 3, "dense") - expect)) < 1e-12
-        assert np.max(np.abs(term_matrix(term, 3, "sparse").toarray() - expect)) < 1e-12
+        assert np.max(np.abs(term_matrix(term, 3) - expect)) < 1e-12
 
     def test_reordered_factor_qubits(self):
         # Listing qubits as (1, 0) makes qubit 1 the block's most significant bit.
@@ -87,8 +84,8 @@ class TestRealization:
         a = random_hermitian(4, rng)
         term_01 = TensorProductTerm([TensorFactor((0, 1), a)])
         term_10 = TensorProductTerm([TensorFactor((1, 0), a)])
-        m01 = term_matrix(term_01, 2, "dense")
-        m10 = term_matrix(term_10, 2, "dense")
+        m01 = term_matrix(term_01, 2)
+        m10 = term_matrix(term_10, 2)
         swap = np.zeros((4, 4))
         for q0 in range(2):
             for q1 in range(2):
@@ -102,11 +99,9 @@ class TestRealization:
         term_a = TensorProductTerm([TensorFactor((0, 2), a)])
         term_b = TensorProductTerm([TensorFactor((1, 3), b)])
         prod = TensorProductTerm([TensorFactor((0, 2), a), TensorFactor((1, 3), b)])
-        lhs = term_matrix(prod, 4, "dense")
-        rhs = term_matrix(term_a, 4, "dense") @ term_matrix(term_b, 4, "dense")
+        lhs = term_matrix(prod, 4)
+        rhs = term_matrix(term_a, 4) @ term_matrix(term_b, 4)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
-        sp = term_matrix(prod, 4, "sparse").toarray()
-        assert np.max(np.abs(sp - lhs)) < 1e-11
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(45)
@@ -120,15 +115,15 @@ class TestRealization:
         ]
         frag = Fragment(tuple(terms), "t")
         vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        direct = fragment_matrix(frag, n, "dense") @ vec
+        direct = fragment_matrix(frag, n) @ vec
         assert np.max(np.abs(apply_fragment(frag, vec, n) - direct)) < 1e-11
         one = apply_term(terms[0], vec, n)
-        assert np.max(np.abs(one - term_matrix(terms[0], n, "dense") @ vec)) < 1e-11
+        assert np.max(np.abs(one - term_matrix(terms[0], n) @ vec)) < 1e-11
         # A (2^n, S) block of states: each column matches the vector result.
         block = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
         batched = apply_fragment(frag, block, n)
         assert batched.shape == block.shape
-        assert np.max(np.abs(batched - fragment_matrix(frag, n, "dense") @ block)) < 1e-11
+        assert np.max(np.abs(batched - fragment_matrix(frag, n) @ block)) < 1e-11
         for col in range(block.shape[1]):
             assert np.max(np.abs(batched[:, col] - apply_fragment(frag, block[:, col], n))) < 1e-13
 
@@ -136,13 +131,12 @@ class TestRealization:
         term = pauli_term(2.0, PauliString.from_letters("Z"))
         p = Partition(1, (Fragment((term,), "z"),), constant=1.5)
         expect = np.diag([3.5, -0.5])
-        assert np.max(np.abs(partition_matrix(p, "dense") - expect)) < 1e-13
-        assert np.max(np.abs(partition_matrix(p, "sparse").toarray() - expect)) < 1e-13
+        assert np.max(np.abs(partition_matrix(p) - expect)) < 1e-13
 
     def test_empty_fragment(self):
         frag = Fragment((), "empty")
-        assert fragment_matrix(frag, 2, "dense").shape == (4, 4)
-        assert np.max(np.abs(fragment_matrix(frag, 2, "dense"))) == 0.0
+        assert fragment_matrix(frag, 2).shape == (4, 4)
+        assert np.max(np.abs(fragment_matrix(frag, 2))) == 0.0
         vec = np.ones(4, dtype=complex)
         assert np.max(np.abs(apply_fragment(frag, vec, 2))) == 0.0
 

@@ -249,7 +249,7 @@ class TestFcidump:
         from hampart.encodings import jordan_wigner
 
         h = jordan_wigner(op)
-        dense = h.to_matrix("dense")
+        dense = h.to_matrix()
         oracle = dense_fermion(op)
         assert np.max(np.abs(dense - oracle)) < 1e-10
         ground = float(np.linalg.eigvalsh(dense)[0])

@@ -585,7 +585,7 @@ class TestQpn:
         lat = chain_lattice(3)
         b = build_bose_hubbard(lat, 1.0, 2.0, 4)
         part = qpn_partition(b, lat)
-        m = fragment_matrix(part.fragments[2], part.n, "dense")
+        m = fragment_matrix(part.fragments[2], part.n)
         assert np.max(np.abs(m - np.diag(np.diag(m)))) < 1e-12
 
 

@@ -160,19 +160,19 @@ class TestPauliSum:
         s1 = h.simplified()
         s2 = s1.simplified()
         assert s1 == s2 == h
-        assert np.allclose(h.to_matrix("dense"), s1.to_matrix("dense"))
+        assert np.allclose(h.to_matrix(), s1.to_matrix())
 
 
 class TestToMatrix:
     def test_z_is_diag(self):
         h = PauliSum(1, [(1.0, ps("Z"))])
-        assert np.allclose(h.to_matrix("dense"), np.diag([1.0, -1.0]))
+        assert np.allclose(h.to_matrix(), np.diag([1.0, -1.0]))
 
     def test_h1_matches_rotated_pauli_matrix(self):
         s = 1 / np.sqrt(2)
         h = PauliSum(1, [(s, ps("X")), (s, ps("Z"))])
         expect = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.allclose(h.to_matrix("dense"), expect, atol=1e-15)
+        assert np.allclose(h.to_matrix(), expect, atol=1e-15)
 
     def test_sparse_equals_dense_random_3q(self):
         rng = np.random.default_rng(5)
@@ -182,9 +182,7 @@ class TestToMatrix:
             s = "".join(letters[i] for i in rng.integers(0, 4, 3))
             terms.append((float(rng.standard_normal()), ps(s)))
         h = PauliSum(3, terms, constant=0.3)
-        dense = h.to_matrix("dense")
-        sparse = h.to_matrix("sparse").toarray()
-        assert np.max(np.abs(dense - sparse)) < 1e-14
+        dense = h.to_matrix()
         assert np.max(np.abs(dense - dense_pauli_sum(h))) < 1e-14
 
     def test_linearity(self):
@@ -200,8 +198,8 @@ class TestToMatrix:
 
         a, b = rand_sum(), rand_sum()
         combo = a.scaled(2.5) + b.scaled(-0.5)
-        expect = 2.5 * a.to_matrix("dense") - 0.5 * b.to_matrix("dense")
-        assert np.max(np.abs(combo.to_matrix("dense") - expect)) < 1e-12
+        expect = 2.5 * a.to_matrix() - 0.5 * b.to_matrix()
+        assert np.max(np.abs(combo.to_matrix() - expect)) < 1e-12
 
     def test_hermitian(self):
         rng = np.random.default_rng(13)
@@ -210,18 +208,13 @@ class TestToMatrix:
             (float(rng.standard_normal()), ps("".join(letters[i] for i in rng.integers(0, 4, 4))))
             for _ in range(10)
         ]
-        m = PauliSum(4, terms).to_matrix("dense")
+        m = PauliSum(4, terms).to_matrix()
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_caps(self):
         h = PauliSum(13, [(1.0, PauliString.from_ops([(0, "X")], 13))])
         with pytest.raises(ResourceError):
-            h.to_matrix("dense")
-        h17 = PauliSum(17, [(1.0, PauliString.from_ops([(0, "X")], 17))])
-        with pytest.raises(ResourceError):
-            h17.to_matrix("sparse")
-        # explicit override loosens the cap
-        assert h.to_matrix("dense", dense_cap=13).shape == (8192, 8192)
+            h.to_matrix()
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(8)
@@ -234,7 +227,7 @@ class TestToMatrix:
         for vec in (rng.standard_normal(16) + 1j * rng.standard_normal(16),
                     rng.standard_normal(16),
                     rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))):
-            assert np.max(np.abs(h.apply(vec) - h.to_matrix("dense") @ vec)) < 1e-12
+            assert np.max(np.abs(h.apply(vec) - h.to_matrix() @ vec)) < 1e-12
 
 
 class TestTextFormat:

@@ -162,7 +162,7 @@ class TestReconstruction:
             f = part.fragments[where[0]].terms[where[1]].factors[where[2]]
             noise = 10.0 ** rng.uniform(-6, 0) * random_hermitian(1 << f.size, rng)
             broken = _with_factor(part, where, f.block + noise)
-            dense = np.max(np.abs(partition_matrix(broken, "dense") - h.to_matrix("dense")))
+            dense = np.max(np.abs(partition_matrix(broken) - h.to_matrix()))
             assert check_reconstruction(broken, h) >= dense - 1e-15, part.source
 
 
@@ -328,7 +328,7 @@ class TestDiagonalization:
                 result = diagonalize_fragment(frag, n, allow_global=True)
                 # Dense oracle: U^dag M U column by column through `rotate`;
                 # the columns of M U are the conjugated rows of U^dag M.
-                m = fragment_matrix(frag, n, "dense")
+                m = fragment_matrix(frag, n)
                 u_dag_m = np.column_stack([result.rotate(c, n) for c in m.T])
                 rotated = np.column_stack([result.rotate(c, n) for c in u_dag_m.conj()])
                 dense = np.max(np.abs(rotated - np.diag(result.diagonal)))
@@ -348,9 +348,9 @@ class TestDiagonalization:
             result = diagonalize_fragment(frag, n, allow_global=True)
             assert result.kind in ("tensor-wise", "clifford")
             for term in frag.terms:  # each conjugated string is Z-type (x = 0)
-                one = rotated(result, fragment_matrix(Fragment((term,)), n, "dense"))
+                one = rotated(result, fragment_matrix(Fragment((term,)), n))
                 assert np.max(np.abs(one - np.diag(np.diag(one)))) < 1e-12
-            m = fragment_matrix(frag, n, "dense")
+            m = fragment_matrix(frag, n)
             dense = np.max(np.abs(rotated(result, m) - np.diag(result.diagonal)))
             assert dense <= result.residual + 1e-15
             assert result.residual < 1e-9

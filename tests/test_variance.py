@@ -142,7 +142,7 @@ class TestFragmentVariance:
             frag = Fragment(tuple(terms), "rand")
             psi = random_state(n, 500 + trial)
             got = fragment_variance(frag, psi)
-            m = fragment_matrix(frag, n, "dense")
+            m = fragment_matrix(frag, n)
             vec = psi.amplitudes
             mean = np.vdot(vec, m @ vec).real
             want = np.vdot(vec, m @ (m @ vec)).real - mean**2
@@ -309,8 +309,8 @@ class TestGroupedPauliEngine:
         dense = sum((c * string_to_dense(s) * w for (s, c), w in zip(h.terms.items(), phases)),
                     np.zeros((1 << h.n, 1 << h.n)))
         for got, want in ((apply_pauli_terms(terms, block, h.n), dense @ block),
-                          (h.apply(block), h.to_matrix("dense") @ block),
-                          (h.apply(block[:, 0]), h.to_matrix("dense") @ block[:, 0])):
+                          (h.apply(block), h.to_matrix() @ block),
+                          (h.apply(block[:, 0]), h.to_matrix() @ block[:, 0])):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
         for part in (sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise"),
                      greedy_partition(h, min(k, h.n))):
@@ -485,7 +485,7 @@ class TestNumericalSafety:
             total = partition_cost(part, psi).total
             dense_total = 0.0
             for frag in part.fragments:
-                m = fragment_matrix(frag, n, "dense")
+                m = fragment_matrix(frag, n)
                 vec = psi.amplitudes
                 mean = np.vdot(vec, m @ vec).real
                 var = np.vdot(vec, m @ (m @ vec)).real - mean**2
