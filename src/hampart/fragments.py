@@ -30,28 +30,46 @@ EXPANSION_CAP = 1 << 20
 
 
 class TensorFactor:
-    """Hermitian block acting on an ordered tuple of qubits."""
+    """Hermitian block acting on an ordered tuple of qubits. Given `masks` instead of a block, the
+    (c, x, z) triples it sums over the register, its block is their restricted_block."""
 
-    __slots__ = ("qubits", "block")
+    __slots__ = ("qubits", "_block", "masks", "_projection")
 
-    def __init__(self, qubits, block):
+    def __init__(self, qubits, block=None, masks=None):
         qubits = tuple(int(q) for q in qubits)
         if len(set(qubits)) != len(qubits):
             raise DataError(f"repeated qubit in factor {qubits}")
-        block = np.array(block, dtype=complex)
-        dim = 1 << len(qubits)
-        if block.shape != (dim, dim):
-            raise DimensionError(
-                f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
-            )
-        if np.max(np.abs(block - block.conj().T)) > _HERMITIAN_TOL:
-            raise DataError("factor block is not Hermitian")
-        block.setflags(write=False)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "block", block)
+        if masks is None:
+            block = np.array(block, dtype=complex)
+            dim = 1 << len(qubits)
+            if block.shape != (dim, dim):
+                raise DimensionError(
+                    f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
+                )
+            if np.max(np.abs(block - block.conj().T)) > _HERMITIAN_TOL:
+                raise DataError("factor block is not Hermitian")
+            block.setflags(write=False)
+        for name, value in zip(self.__slots__, (qubits, block, masks, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("TensorFactor is immutable")
+
+    @property
+    def block(self) -> np.ndarray:
+        """The dense block, realized on first read for a factor built from strings."""
+        if self._block is None:
+            strings = [(c, PauliString(max(self.qubits) + 1, x, z)) for c, x, z in self.masks]
+            object.__setattr__(self, "_block", _pauli.restricted_block(strings, self.qubits))
+            self._block.setflags(write=False)
+        return self._block
+
+    @property
+    def projection(self) -> list[tuple[complex, int, int]]:
+        """pauli_masks of the dense block, computed once."""
+        if self._projection is None:
+            object.__setattr__(self, "_projection", pauli_masks(self.block, self.qubits))
+        return self._projection
 
     @property
     def size(self) -> int:
@@ -133,6 +151,12 @@ class Partition:
         return max((f.max_factor_size() for f in self.fragments), default=0)
 
 
+def pauli_factor(members, qubits) -> TensorFactor:
+    """Factor on `qubits` holding the weighted strings (c, s) of `members`, cut to `qubits`."""
+    mask = sum(1 << q for q in qubits)
+    return TensorFactor(qubits, masks=tuple((c, s.x & mask, s.z & mask) for c, s in members))
+
+
 @cache
 def unit_factor(q: int, letter: str) -> TensorFactor:
     """The one-qubit factor of a bare Pauli letter, one shared immutable object per (q, letter)."""
@@ -205,13 +229,13 @@ def apply_fragment(frag: Fragment, vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def pauli_coefficients(terms, cap: int = EXPANSION_CAP) -> defaultdict[tuple[int, int], complex]:
-    """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient,
-    through tensor_expansion of each term's factors; nothing is dropped. If any term would
-    expand to over `cap` strings, ResourceError is raised before a term is expanded."""
-    masks: dict[TensorFactor, list] = {}  # keyed by identity: a shared factor expands once
-    expanded = [[masks.get(f) or masks.setdefault(f, pauli_masks(f.block, f.qubits))
-                 for f in term.factors] for term in terms]
+def pauli_coefficients(terms, cap: int = EXPANSION_CAP, blocks: bool = False) -> defaultdict:
+    """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient, by
+    tensor_expansion of the factors' masks; with `blocks` (certification: the blocks a file holds)
+    or no masks, of their blocks' projections. Nothing is dropped; a term over `cap` strings
+    raises ResourceError before anything is expanded."""
+    expanded = [[f.projection if blocks or f.masks is None else f.masks for f in term.factors]
+                for term in terms]
     if (size := max((prod(map(len, e)) for e in expanded), default=0)) > cap:
         raise ResourceError(f"term expands to {size} Pauli strings, cap {cap}")
     out: defaultdict[tuple[int, int], complex] = defaultdict(complex)

@@ -19,12 +19,13 @@ from .fragments import (
     Partition,
     TensorFactor,
     TensorProductTerm,
+    pauli_factor,
     pauli_group_fragment,
     pauli_term,
     unit_factor,
 )
 from .operators import BosonOperator, FermionOperator, Lattice, boson_matrices
-from .pauli import PauliString, PauliSum, restricted_block
+from .pauli import PauliString, PauliSum
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +85,7 @@ def _match_set_term(members, free_mask: int, n: int) -> TensorProductTerm:
     if not free:
         return pauli_term(*members[0])
     factors = [unit_factor(q, ref.letter(q)) for q in ref.support() if q not in free]
-    factors.append(TensorFactor(free, restricted_block(members, free)))
-    return TensorProductTerm(factors)
+    return TensorProductTerm(factors + [pauli_factor(members, free)])
 
 
 def greedy_partition(h: PauliSum, k: int) -> Partition:
@@ -171,8 +171,7 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
         for key in windows:
             group = assigned[key]
             qubits = tuple(sorted({q for _, s in group for q in s.support()}))
-            block = restricted_block(group, qubits)
-            terms.append(TensorProductTerm((TensorFactor(qubits, block),)))
+            terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}"))
     for i, group in enumerate(sorted_insertion_groups(PauliSum(n, residual), "full")):
         fragments.append(pauli_group_fragment(group, f"blocking-residual-{i}"))
@@ -628,7 +627,7 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
     frags = []
     for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
         terms = tuple(
-            TensorProductTerm((TensorFactor(pair, restricted_block(members[pair], pair)),))
+            TensorProductTerm((pauli_factor(members[pair], pair),))
             for pair in pairs
             if pair in members
         )

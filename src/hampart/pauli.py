@@ -226,6 +226,10 @@ def pauli_project(M: np.ndarray, k: int) -> list[tuple[complex, PauliString]]:
 def pauli_masks(M: np.ndarray, qubits) -> list[tuple[complex, int, int]]:
     """pauli_project of a block acting on `qubits` (the first listed is its qubit 0) as
     (coefficient, x mask, z mask) triples, with masks lifted to the register's qubits."""
+    if len(qubits) == 1 and M.shape == (2, 2):  # pauli_project's product, no PauliString built
+        coeffs = (np.ravel(M).reshape(4, -1).T @ _ENTRIES_TO_PAULI.T).ravel()
+        return [(complex(coeffs[i]), *(bit << qubits[0] for bit in _LETTER_TO_BITS["IXYZ"[i]]))
+                for i in np.flatnonzero(coeffs)]
     lift = [0]  # mask over the block's qubits -> mask over `qubits`
     for q in qubits:
         lift += [m | (1 << q) for m in lift]
@@ -269,10 +273,11 @@ def _group_diagonal(x: int, members, n: int, state_axes: int) -> np.ndarray:
     return d.reshape([2 if union >> q & 1 else 1 for q in range(n)] + [1] * state_axes)
 
 
-def apply_pauli_terms(terms, vec: np.ndarray, n: int) -> np.ndarray:
+def apply_pauli_terms(terms, vec: np.ndarray, n: int, out=None, tmp=None) -> np.ndarray:
     """sum_j c_j P_j @ vec over (c, x mask, z mask) triples, for a 2^n vector or a (2^n, S)
     block. A string is P = (-i)^|x&z| Z^z X^x, so the strings sharing an x mask act as one
-    strided flip of the (2,)*n view times one diagonal (_group_diagonal)."""
+    strided flip of the (2,)*n view times one diagonal (_group_diagonal). Given C-contiguous
+    complex `out` and `tmp` shaped like vec, it overwrites them and returns a view of `out`."""
     if vec.shape[0] != 1 << n:
         raise DimensionError(f"state dimension {vec.shape[0]} != 2^{n}")
     groups: dict[int, list[tuple[complex, int]]] = {}
@@ -280,7 +285,8 @@ def apply_pauli_terms(terms, vec: np.ndarray, n: int) -> np.ndarray:
         groups.setdefault(x, []).append((c, z))
     shape = (2,) * n + vec.shape[1:]
     psi = vec.astype(complex, copy=False).reshape(shape)
-    out, tmp = np.zeros(shape, dtype=complex), np.empty(shape, dtype=complex)
+    out, tmp = (np.empty(shape, complex) if b is None else b.reshape(shape) for b in (out, tmp))
+    out.fill(0)
     for x, members in groups.items():
         flipped = np.flip(psi, tuple(q for q in range(n) if x >> q & 1))
         out += np.multiply(flipped, _group_diagonal(x, members, n, vec.ndim - 1), out=tmp)

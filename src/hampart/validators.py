@@ -80,7 +80,7 @@ def check_reconstruction(p: Partition, h: PauliSum) -> float:
     fragments plus constant from h: each Pauli matrix has one unit-modulus entry per row."""
     if p.n != h.n:
         raise DimensionError(f"partition on {p.n} qubits, operator on {h.n}")
-    diff = pauli_coefficients(term for frag in p.fragments for term in frag.terms)
+    diff = pauli_coefficients((term for frag in p.fragments for term in frag.terms), blocks=True)
     diff[(0, 0)] += p.constant - h.constant
     for s, c in h.terms.items():
         diff[(s.x, s.z)] -= c
@@ -365,7 +365,7 @@ def diagonalize_fragment(
         raise ConstraintError(
             "fragment is not tensor-wise diagonalizable; allow_global=True tries a Clifford basis"
         )
-    coeffs = {s: c for s, c in pauli_coefficients(frag.terms).items() if c != 0}
+    coeffs = {s: c for s, c in pauli_coefficients(frag.terms, blocks=True).items() if c != 0}
     gates = _clifford_circuit(coeffs)
     diagonal_terms = []
     off = 0.0

@@ -110,10 +110,10 @@ class VarianceReport:
         return {**asdict(self), "per_fragment": list(self.per_fragment)}
 
 
-def _apply(frag: Fragment, states: np.ndarray, n: int) -> np.ndarray:
-    """frag @ states through apply_pauli_terms on its Pauli expansion, or factor by factor
-    (apply_fragment) where expanding would outweigh the state block: a factor with more block
-    entries (4^m) than the block, or a term with more Pauli strings than the block's entries
+def _apply(frag: Fragment, states: np.ndarray, n: int, *buffers: np.ndarray) -> np.ndarray:
+    """frag @ states through apply_pauli_terms (into `buffers`) on its Pauli expansion, or factor
+    by factor (apply_fragment) where expanding would outweigh the state block: a factor with more
+    block entries (4^m) than the block, or a term with more Pauli strings than the block's entries
     or EXPANSION_CAP. Both are decided before anything is expanded."""
     if any(4**f.size > states.size for t in frag.terms for f in t.factors):
         return apply_fragment(frag, states, n)
@@ -121,7 +121,7 @@ def _apply(frag: Fragment, states: np.ndarray, n: int) -> np.ndarray:
         coeffs = pauli_coefficients(frag.terms, min(states.size, EXPANSION_CAP))
     except ResourceError:
         return apply_fragment(frag, states, n)
-    return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n)
+    return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n, *buffers)
 
 
 def partition_costs(p: Partition, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +129,8 @@ def partition_costs(p: Partition, states: np.ndarray) -> tuple[np.ndarray, np.nd
     normalized states; each fragment is applied once to all S columns.
     Total = (sum_q sqrt(Var[M_q]))^2; the constant contributes nothing."""
     bra = _bra(states, p.n)
-    per = np.array([_variances(_apply(f, states, p.n), bra) for f in p.fragments])
+    buffers = np.empty((2, *states.shape), dtype=complex)  # out and tmp, shared by fragments
+    per = np.array([_variances(_apply(f, states, p.n, *buffers), bra) for f in p.fragments])
     per = per.reshape(len(p.fragments), states.shape[1])
     return np.sum(np.sqrt(per), axis=0) ** 2, per
 

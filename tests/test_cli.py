@@ -29,6 +29,17 @@ def b3d4(tmp_path):
     return stem
 
 
+@pytest.fixture()
+def xz13(tmp_path):
+    """X...X + 0.5 Z...Z on DENSE_QUBIT_CAP + 1 qubits: its k = n match set is one block over
+    the dense cap."""
+    n = DENSE_QUBIT_CAP + 1
+    ham = tmp_path / "xz.pauli"
+    ham.write_text("".join(f"{c} {' '.join(f'{p}{q}' for q in range(n))}\n"
+                           for c, p in ((1.0, "X"), (0.5, "Z"))))
+    return ham
+
+
 class TestBuild:
     def test_bose_hubbard_b3d4(self, b3d4):
         meta = json.loads((b3d4.parent / "b3d4.json").read_text())
@@ -170,6 +181,12 @@ class TestPartition:
         assert summary["kinds"]["clifford"] > 0 and summary["largest_block"] == 2
         gates = [b["two_qubit_gates"] for b in validation["bases"]]
         assert summary["two_qubit_gates"] == {"total": sum(gates), "max": max(gates)}
+
+    def test_block_over_dense_cap_exit_code(self, xz13, tmp_path):
+        out = tmp_path / "x.json"
+        assert run(["partition", xz13, "--method", "greedy", "--k", DENSE_QUBIT_CAP + 1,
+                    "-o", out]) == 4
+        assert not out.exists()
 
     def test_greedy_needs_k(self, b3d4, tmp_path):
         assert run(["partition", f"{b3d4}.pauli", "--method", "greedy",
@@ -320,19 +337,22 @@ class TestSweepK:
         k_star = printed.rsplit("k_star=", 1)[1].split()[0]
         assert k_star != "none" and 1 <= int(k_star) <= 4
 
-    def test_refused_k_keeps_earlier_rows(self, tmp_path):
+    def test_refused_k_keeps_earlier_rows(self, xz13, tmp_path):
         # k = n needs one dense block on n > DENSE_QUBIT_CAP qubits: exit 4 after the rows
         # of k = n - 2 and n - 1 are written.
         n = DENSE_QUBIT_CAP + 1
-        ham = tmp_path / "xz.pauli"
-        ham.write_text("".join(f"{c} {' '.join(f'{p}{q}' for q in range(n))}\n"
-                               for c, p in ((1.0, "X"), (0.5, "Z"))))
         out = tmp_path / "s.csv"
-        assert run(["sweep-k", ham, "--method", "greedy", "--k-min", n - 2,
+        assert run(["sweep-k", xz13, "--method", "greedy", "--k-min", n - 2,
                     "--states", 2, "-o", out]) == 4
         lines = out.read_text().splitlines()
         assert lines[0] == "k,L,mean_var,fc_si_var,lower_bound"
         assert [line.split(",")[0] for line in lines[1:]] == [str(n - 2), str(n - 1)]
+
+    def test_refused_first_k_writes_header_only(self, xz13, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", xz13, "--method", "greedy", "--k-min", DENSE_QUBIT_CAP + 1,
+                    "--states", 2, "-o", out]) == 4
+        assert out.read_text() == "k,L,mean_var,fc_si_var,lower_bound\n"
 
 
 class TestTheorem1:
@@ -363,6 +383,17 @@ class TestVerify:
         part = tmp_path / "qpn.json"
         run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
         assert run(["verify", part, "--hamiltonian", f"{b3d4}.pauli"]) == 0
+
+    @pytest.mark.parametrize("method", [["greedy", "--k", 3], ["blocking", "--k", 3]])
+    def test_report_equals_partition_report(self, b3d4, tmp_path, capsys, method):
+        # Both certify the blocks the file holds, not the strings the factors were built from.
+        part = tmp_path / "p.json"
+        assert run(["partition", f"{b3d4}.pauli", "--method", *method, "-o", part]) == 0
+        capsys.readouterr()
+        assert run(["verify", part, "--hamiltonian", f"{b3d4}.pauli"]) == 0
+        verified = json.loads(capsys.readouterr().out)
+        assert verified == json.loads(part.read_text())["validation"]
+        assert verified["reconstruction_error"] > 0.0  # the blocks' rounding, not exact strings
 
     def test_corrupted_partition_fails(self, b3d4, tmp_path):
         part = tmp_path / "qpn.json"

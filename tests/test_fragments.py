@@ -1,5 +1,6 @@
 """Tensor-product terms: construction, realization, state application, JSON."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import dense_from_letters, kron_all, random_hermitian
+from conftest import dense_from_letters, h2_sto3g_integrals, kron_all, random_hermitian
+from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError
 from hampart.fragments import (
     Fragment,
@@ -23,11 +25,19 @@ from hampart.fragments import (
     partition_from_json,
     partition_matrix,
     partition_to_json,
+    pauli_factor,
     pauli_term,
     save_partition,
     term_matrix,
 )
-from hampart.pauli import PauliString
+from hampart.operators import build_bose_hubbard, chain_lattice, fermion_from_integrals
+from hampart.partitioners import (
+    blocking_partition,
+    greedy_partition,
+    qpn_partition,
+    sorted_insertion,
+)
+from hampart.pauli import PauliString, pauli_masks, restricted_block
 
 
 class TestConstruction:
@@ -59,6 +69,31 @@ class TestConstruction:
     def test_pauli_term_rejects_identity(self):
         with pytest.raises(DataError):
             pauli_term(1.0, PauliString.identity(3))
+
+
+class TestPauliBornFactors:
+    """Factors built from Pauli strings realize the bytes of the dense construction."""
+
+    @pytest.mark.parametrize("coeff", [0.75, -0.75, -1.0])
+    @pytest.mark.parametrize("letter", "XYZ")
+    def test_blocks_equal_dense_construction(self, letter, coeff):
+        s = PauliString.from_ops([(1, letter), (3, "Y")], 4)
+        members = [(coeff, s), (0.5, PauliString.from_ops([(1, "Z"), (3, "X")], 4)),
+                   (-0.25, PauliString.from_ops([(3, letter)], 4))]
+        for group, qubits in ((members, (1, 3)), (members, (3, 1)), (members[2:], (3,))):
+            block = pauli_factor(group, qubits).block
+            want = TensorFactor(qubits, restricted_block(group, qubits)).block
+            assert block.tobytes() == want.tobytes()
+            assert not block.flags.writeable
+
+    def test_masks_are_the_strings_of_the_block(self):
+        s, t = PauliString.from_letters("XZY"), PauliString.from_letters("ZZX")
+        f = pauli_factor([(0.3, s), (-1.2, t)], (2, 0))
+        assert f.masks == ((0.3, s.x & 0b101, s.z & 0b101), (-1.2, t.x & 0b101, t.z & 0b101))
+        want = {(x, z): c for c, x, z in f.masks}
+        got = {(x, z): c for c, x, z in pauli_masks(f.block, f.qubits) if abs(c) > 1e-15}
+        assert got.keys() == want.keys()
+        assert all(abs(got[key] - c) < 1e-15 for key, c in want.items())
 
 
 class TestRealization:
@@ -165,6 +200,45 @@ def partitions(draw):
         fragments.append(Fragment(tuple(terms), draw(st.text(max_size=8))))
     return Partition(n, tuple(fragments), draw(entries), draw(st.text(max_size=8)),
                      draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)))
+
+
+def _fixture_partitions():
+    """The library partitions of H2 (4 qubits) and the 3-mode d=4 Bose-Hubbard chain (6)."""
+    h2 = jordan_wigner(fermion_from_integrals(h2_sto3g_integrals()))
+    lat = chain_lattice(3)
+    bose = build_bose_hubbard(lat, 1.0, 2.0, 4)
+    out = {}
+    for name, h in (("h2", h2), ("b3d4", encode_boson_operator(bose).pauli)):
+        out[name, "fc-si"] = sorted_insertion(h, "full")
+        out[name, "qwc-si"] = sorted_insertion(h, "qubitwise")
+        out[name, "greedy-k2"] = greedy_partition(h, 2)
+        out[name, "greedy-k3"] = greedy_partition(h, 3)
+        out[name, "blocking-k3"] = blocking_partition(h, 3)
+    out["b3d4", "qpn"] = qpn_partition(bose, lat)
+    return out
+
+
+# sha256 of json.dumps(partition_to_json(p)), computed when every factor held a dense block
+# from the start: factors realized from their Pauli strings must write the same bytes.
+PARTITION_DIGESTS = {
+    ("h2", "fc-si"): "dbf50485b525b1a7cd907b562615965f81d8c3208015ebd829b79df7b04c754e",
+    ("h2", "qwc-si"): "b6c38fe42b3eab8848bafd39952e1e62659ae096c82563c35f4d092219bae885",
+    ("h2", "greedy-k2"): "d6482159332c98bbb2b1fff17c20f1f0af413bb2c2912ef2ce8f209cf235be55",
+    ("h2", "greedy-k3"): "76dd0f659cae0dee63e16e4dce6670118581cd7aff37201423b01100859964f7",
+    ("h2", "blocking-k3"): "aee23c5782a7881a1e3219380bc60657f02421aff1c4e4ae21835f573e175cf4",
+    ("b3d4", "fc-si"): "b95b325afab826279cacc96cb116006f8e2a5deb41e30a4463424c96ea754586",
+    ("b3d4", "qwc-si"): "d3626e61c68fff4d76f7983a23fc0af6f07746688d388c7ce07cff2d12f6633f",
+    ("b3d4", "greedy-k2"): "959a389d3aa1faa02c1a8de8f0b5f0d43238851971293f40cde01e64c24d64d8",
+    ("b3d4", "greedy-k3"): "cdbbee67a07e5c5aec91fbe5e4ed70bf2fe171cf1faf65f2815e540c39360225",
+    ("b3d4", "blocking-k3"): "510de2f1268a1470f5e6741070729b2c259e314dce634ace05a059a17e6a83a4",
+    ("b3d4", "qpn"): "23fb6d6bde79893d45caf9dbcab8ee37c415113834db11e2845dd09e494caae3",
+}
+
+
+def test_partition_json_digests_pinned():
+    got = {key: hashlib.sha256(json.dumps(partition_to_json(p)).encode()).hexdigest()
+           for key, p in _fixture_partitions().items()}
+    assert got == PARTITION_DIGESTS
 
 
 class TestJson:

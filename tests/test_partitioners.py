@@ -22,6 +22,7 @@ from hampart.fragments import (
     TensorFactor,
     TensorProductTerm,
     fragment_matrix,
+    partition_to_json,
     pauli_sum_from_fragment,
     pauli_term,
 )
@@ -205,15 +206,21 @@ class TestBlocking:
 class TestDenseBlockCap:
     @pytest.mark.parametrize("method", [greedy_partition, blocking_partition])
     def test_oversized_block_raises_before_allocating(self, method):
-        n = DENSE_QUBIT_CAP + 1  # one 2^n x 2^n block of the two strings would be 1 GiB
+        # Factors keep their Pauli strings, so building the partition allocates no block; the
+        # one 2^n x 2^n block of the two strings (1 GiB) is refused when JSON realizes it.
+        n = DENSE_QUBIT_CAP + 1
         h = PauliSum(n, [(1.0, ps("X" * n)), (0.5, ps("Z" * n))])
         tracemalloc.start()
         try:
+            part = method(h, n)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             with pytest.raises(ResourceError):
-                method(h, n)
+                partition_to_json(part)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert build_peak < 1 << 20
         assert peak < 1 << 20
 
 
@@ -474,6 +481,20 @@ class TestEdgeColoring:
                 degree[i] += 1
                 degree[j] += 1
             assert len(classes) <= degree.max() + 1
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_misra_gries_vizing_bound(self, data):
+        n = data.draw(st.integers(2, 12))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = {tuple(sorted(e)) for e in data.draw(st.lists(pairs, min_size=1, max_size=40))}
+        classes = misra_gries(n, sorted(edges))
+        assert is_proper_edge_coloring(classes)
+        assert {e for group in classes for e in group} == edges
+        degree = np.bincount(np.array(sorted(edges)).ravel(), minlength=n)
+        assert len(classes) <= degree.max() + 1
 
     def test_custom_lattice_uses_misra_gries(self):
         lat = Lattice("custom", 4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))

@@ -10,11 +10,14 @@ from hampart.errors import DataError, DimensionError, ParseError, ResourceError
 from hampart.pauli import (
     PauliString,
     PauliSum,
+    apply_pauli_terms,
     commutes,
     format_pauli_text,
     multiply,
     parse_pauli_text,
+    pauli_masks,
     pauli_matrix,
+    pauli_project,
     string_to_dense,
     weight,
 )
@@ -228,6 +231,54 @@ class TestToMatrix:
                     rng.standard_normal(16),
                     rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))):
             assert np.max(np.abs(h.apply(vec) - h.to_matrix() @ vec)) < 1e-12
+
+    def test_apply_into_reused_buffers(self):
+        # Buffers that held an earlier result give the bytes of fresh ones.
+        rng = np.random.default_rng(9)
+        terms = [(complex(rng.standard_normal()), int(x), int(z))
+                 for x, z in rng.integers(0, 16, (12, 2))]
+        vec = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        out, tmp = (rng.standard_normal((16, 3)) + 0j for _ in range(2))
+        got = apply_pauli_terms(terms, vec, 4, out, tmp)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == apply_pauli_terms(terms, vec, 4).tobytes()
+
+
+class TestPauliMasks:
+    """The closed form for one-qubit blocks against pauli_project, bit for bit."""
+
+    @staticmethod
+    def assert_matches_project(block, q):
+        got = pauli_masks(block, (q,))
+        want = [(c, s.x << q, s.z << q) for c, s in pauli_project(block, 1)]
+        assert [(x, z) for _, x, z in got] == [(x, z) for _, x, z in want]
+        assert np.array([c for c, _, _ in got]).tobytes() == np.array(
+            [c for c, _, _ in want]).tobytes()
+
+    def test_random_hermitian_blocks(self):
+        rng = np.random.default_rng(21)
+        for q in range(6):
+            for _ in range(50):
+                m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                self.assert_matches_project((m + m.conj().T) / 2, q)
+
+    @pytest.mark.parametrize("block", [
+        np.zeros((2, 2)),
+        np.diag([0.3, 0.0]),
+        np.diag([0.0, -1.7]),
+        np.diag([0.5, 0.5]),
+        np.array([[0.0, 0.25 - 0.5j], [0.25 + 0.5j, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, -2.0]], dtype=complex),
+    ])
+    def test_blocks_with_exact_zeros(self, block):
+        self.assert_matches_project(np.asarray(block, dtype=complex), 3)
+
+    @pytest.mark.parametrize("letter", "IXYZ")
+    @pytest.mark.parametrize("coeff", [1.0, -1.0, 0.7, -2.5e-7, 3e5])
+    def test_scaled_letters(self, letter, coeff):
+        block = coeff * pauli_matrix(letter)
+        self.assert_matches_project(block, 2)
+        assert len(pauli_masks(block, (2,))) == 1
 
 
 class TestTextFormat:

@@ -1,6 +1,8 @@
 """Partition certification and fragment diagonalization."""
 
+import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import pauli_sums, random_hermitian
+from hampart import fragments, pauli
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import ConstraintError, ResourceError
 from hampart.fragments import (
@@ -18,7 +21,9 @@ from hampart.fragments import (
     TensorProductTerm,
     apply_fragment,
     fragment_matrix,
+    partition_from_json,
     partition_matrix,
+    partition_to_json,
     pauli_term,
 )
 from hampart.operators import build_bose_hubbard, build_fermi_hubbard, chain_lattice
@@ -406,6 +411,28 @@ class TestValidatePartition:
         )
         report = validate_partition(shuffled, illustrative_hamiltonian, k=2)
         assert report.ok
+
+    def test_one_projection_per_factor(self, monkeypatch):
+        # check_reconstruction and the Clifford bases share each factor's projection.
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(4), 1.0, 2.0))
+        loaded = partition_from_json(json.dumps(partition_to_json(sorted_insertion(h, "full"))))
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(fragments, "pauli_masks")
+        counted(pauli, "pauli_project")
+        report = validate_partition(loaded, h)
+        factors = {id(f) for frag in loaded.fragments for t in frag.terms for f in t.factors}
+        assert report.ok and "clifford" in {b["kind"] for b in report.bases}
+        assert 0 < calls["pauli_masks"] <= len(factors)
+        assert calls["pauli_project"] <= len(factors)
 
     def test_suite_methods_validate(self):
         lat = chain_lattice(3)
