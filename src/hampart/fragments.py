@@ -13,6 +13,7 @@ significant block bit.
 from __future__ import annotations
 
 import json
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
@@ -27,6 +28,7 @@ from .pauli import PauliString, PauliSum, pauli_masks, pauli_matrix, tensor_expa
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
 EXPANSION_CAP = 1 << 20
+_UNIT_BLOCKS = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
 
 
 class TensorFactor:
@@ -46,7 +48,7 @@ class TensorFactor:
                 raise DimensionError(
                     f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
                 )
-            if np.max(np.abs(block - block.conj().T)) > _HERMITIAN_TOL:
+            if abs(block - block.conj().T).max() > _HERMITIAN_TOL:
                 raise DataError("factor block is not Hermitian")
             block.setflags(write=False)
         for name, value in zip(self.__slots__, (qubits, block, masks, None)):
@@ -259,11 +261,19 @@ def pauli_sum_from_fragment(frag: Fragment, n: int) -> PauliSum | None:
 FORMAT_TAG = "hampart-partition-v1"
 
 
-def _block_from_json(data, dim: int) -> np.ndarray:
+def _factor_from_json(f: dict) -> TensorFactor:
+    """A factor from its JSON form. A one-qubit block bitwise equal to X, Y or Z (signed zeros
+    included; its floats packed, no array built) is that letter's shared unit_factor."""
+    qubits = tuple(map(int, f["qubits"]))
+    data, dim = f["block"], 1 << len(qubits)
+    if dim == 2 and len(data) == 4:
+        letter = _UNIT_BLOCKS.get(struct.pack("8d", *data[0], *data[1], *data[2], *data[3]))
+        if letter:
+            return unit_factor(*qubits, letter)
     arr = np.array([complex(re, im) for re, im in data], dtype=complex)
     if arr.size != dim * dim:
         raise DataError(f"block length {arr.size} != {dim * dim}")
-    return arr.reshape(dim, dim)
+    return TensorFactor(qubits, arr.reshape(dim, dim))
 
 
 def partition_to_json(p: Partition) -> dict:
@@ -306,15 +316,8 @@ def partition_from_json(data: dict | str) -> Partition:
     try:
         fragments = []
         for frag in data["fragments"]:
-            terms = []
-            for term in frag["terms"]:
-                factors = []
-                for f in term["factors"]:
-                    qubits = tuple(int(q) for q in f["qubits"])
-                    factors.append(
-                        TensorFactor(qubits, _block_from_json(f["block"], 1 << len(qubits)))
-                    )
-                terms.append(TensorProductTerm(factors))
+            terms = [TensorProductTerm(_factor_from_json(f) for f in term["factors"])
+                     for term in frag["terms"]]
             fragments.append(Fragment(tuple(terms), frag.get("label", "")))
         return Partition(
             n=int(data["n"]),
@@ -325,7 +328,7 @@ def partition_from_json(data: dict | str) -> Partition:
         )
     except HampartError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, struct.error) as exc:
         raise DataError(f"malformed partition: {exc!r}") from exc
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, HampartError, ParseError, read_text
+from .pauli import _require_real
 
 LATTICE_KINDS = ("chain", "square", "hexagonal", "triangular", "cubic", "tetrahedral", "custom")
 
@@ -210,7 +211,7 @@ class FermionOperator:
             for m, _ in ops:
                 if not 0 <= m < self.modes:
                     raise DataError(f"mode {m} out of range for {self.modes} modes")
-            canon.append((float(coeff), ops))
+            canon.append((_require_real(coeff, "term coefficient"), ops))
         object.__setattr__(self, "terms", tuple(canon))
 
     def __len__(self) -> int:
@@ -274,7 +275,7 @@ class BosonOperator:
                     raise DataError(f"mode {m} out of range for {self.modes} modes")
                 if s not in BOSON_SYMBOLS:
                     raise DataError(f"unknown bosonic symbol {s!r}")
-            canon.append((float(coeff), factors))
+            canon.append((_require_real(coeff, "term coefficient"), factors))
         object.__setattr__(self, "terms", tuple(canon))
 
     def __len__(self) -> int:

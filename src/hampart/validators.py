@@ -3,12 +3,13 @@ basis per fragment.
 
 A fragment is measurable when one basis change diagonalizes every one of its
 terms; that is the single criterion certified here (commutation follows from
-it). Fragments whose factor supports align get one unitary per support, found
-simultaneously for the support's family of blocks. Other fragments, when
-`allow_global=True`, get a Clifford circuit if the strings of their exact
-Pauli expansion commute: it maps every string to a Z-type string, checked by
-conjugating each string exactly. Either way the certificate is a bound on the
-max-entry norm of U^dag M U - diag(D).
+it). Fragments of one-qubit Pauli letters that agree qubit by qubit get one
+Clifford per qubit, decided on their masks; other fragments whose factor supports
+align get one unitary per support, found simultaneously for the support's family
+of blocks. Other fragments, when `allow_global=True`, get a Clifford circuit if
+the strings of their exact Pauli expansion commute: it maps every string to a
+Z-type string, checked by conjugating each string exactly. Either way the
+certificate is a bound on the max-entry norm of U^dag M U - diag(D).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .fragments import (
     pauli_coefficients,
     term_matrix,
 )
-from .pauli import PauliSum, _basis_mask
+from .pauli import PauliSum, _basis_mask, tensor_expansion
 from .variance import StateVector
 
 COMMUTATION_QUBIT_CAP = 10
@@ -245,19 +246,20 @@ _GATE_OPS = {
     "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
     "cz": np.diag([1, 1, 1, -1]).astype(complex),
 }
+# The 2x2 Clifford for a qubit's shared letter (x, z): H for X, S^dag H for Y, identity for Z.
+_LETTER_BASES = {(1, 0): _GATE_OPS["h"], (1, 1): _GATE_OPS["s"] @ _GATE_OPS["h"], (0, 1): np.eye(2)}
 
 
 def _conjugate(gate: tuple[str, tuple[int, ...]], x: int, z: int) -> tuple[int, int, int]:
     """g P g^dag = (-1)^flip P' for a Hermitian Pauli string P = (x, z) (Y is x = z = 1):
     the masks of P' and flip, by the rules of Aaronson & Gottesman (quant-ph/0406196)."""
-    name, (a, *rest) = gate
+    name, a, b = gate[0], gate[1][0], gate[1][-1]
     xa, za = (x >> a) & 1, (z >> a) & 1
     if name == "h":
         swap = (xa ^ za) << a
         return x ^ swap, z ^ swap, xa & za
     if name == "s":
         return x, z ^ (xa << a), xa & za
-    b = rest[0]
     xb, zb = (x >> b) & 1, (z >> b) & 1
     if name == "cx":
         return x ^ (xa << b), z ^ (zb << a), xa & zb & (xb ^ za ^ 1)
@@ -338,35 +340,62 @@ class FragmentDiagonalization:
         return float(np.sum(self.diagonal * np.abs(rotated) ** 2))
 
 
+def _letter_strings(frag: Fragment) -> list[tuple[complex, int, int]] | None:
+    """Each term's Pauli string (c, x, z) if every factor projects to one letter, else None."""
+    projections = [[f.projection if f.size == 1 else () for f in t.factors] for t in frag.terms]
+    if any(len(p) != 1 or not p[0][1] | p[0][2] for ps in projections for p in ps):
+        return None
+    return [tensor_expansion(1.0, ps)[0] for ps in projections]
+
+
+def _qubitwise(strings, n: int) -> list[tuple[int, int, int]] | None:
+    """Each qubit's shared letter (q, x bit, z bit) for strings that agree qubit by qubit, or
+    None when two strings hold different letters on a qubit."""
+    xs = zs = 0
+    for x, z in strings:
+        if (x ^ xs | z ^ zs) & (x | z) & (xs | zs):
+            return None
+        xs, zs = xs | x, zs | z
+    return [(q, xs >> q & 1, zs >> q & 1) for q in range(n)]
+
+
 def diagonalize_fragment(
     frag: Fragment,
     n: int,
     *,
     allow_global: bool = False,
 ) -> FragmentDiagonalization:
-    """Diagonalize a fragment per factor support, or by a Clifford circuit.
+    """Diagonalize a fragment per qubit or factor support, or by a Clifford circuit.
 
-    Stacked blocks on a shared support are diagonalized simultaneously.
-    Raises ConstraintError when that tensor-wise basis does not diagonalize
-    the fragment, unless `allow_global` permits a Clifford basis instead;
-    that one needs the fragment's Pauli strings to commute pairwise, and
-    raises ConstraintError otherwise.
+    Pauli letters that agree qubit by qubit get one 2x2 Clifford per qubit;
+    other fragments, the stacked blocks of each shared support at once. With
+    no tensor-wise basis, raises ConstraintError unless `allow_global` permits
+    a Clifford basis, which needs the Pauli strings to commute pairwise.
     """
-    if not frag.terms:
-        return FragmentDiagonalization((), "tensor-wise", 0.0, lambda: np.zeros(1 << n))
-    basis = _tensor_wise_basis(frag)
-    if basis is not None:
-        unitaries, rotated = basis
-        return FragmentDiagonalization(
-            tuple(unitaries.items()), "tensor-wise", _residual_bound(rotated),
-            lambda: _tensor_wise_diagonal(rotated, n),
-        )
-    if not allow_global:
-        raise ConstraintError(
-            "fragment is not tensor-wise diagonalizable; allow_global=True tries a Clifford basis"
-        )
+    strings = _letter_strings(frag)
+    shared = None if strings is None else _qubitwise(((x, z) for _, x, z in strings), n)
+    if shared is None:
+        # Any eigh basis keeps one letter per qubit diagonal, so a clash over 2*tol must fail.
+        clash = strings is not None and _qubitwise(
+            ((x, z) for c, x, z in strings if abs(c) > 2 * _DIAG_TOL), n) is None
+        basis = None if clash else _tensor_wise_basis(frag)
+        if basis is not None:
+            unitaries, rotated = basis
+            return FragmentDiagonalization(
+                tuple(unitaries.items()), "tensor-wise", _residual_bound(rotated),
+                lambda: _tensor_wise_diagonal(rotated, n),
+            )
+        if not allow_global:
+            raise ConstraintError(
+                "fragment is not tensor-wise diagonalizable; allow_global=True tries a Clifford basis"
+            )
     coeffs = {s: c for s, c in pauli_coefficients(frag.terms, blocks=True).items() if c != 0}
-    gates = _clifford_circuit(coeffs)
+    if shared is None:
+        gates = _clifford_circuit(coeffs)
+        kind, ops = "clifford", tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
+    else:
+        gates = [(name, (q,)) for q, x, z in shared if x for name in ("s", "h")[1 - z:]]
+        kind, ops = "tensor-wise", tuple(((q,), _LETTER_BASES[x, z]) for q, x, z in shared if x | z)
     diagonal_terms = []
     off = 0.0
     for (x, z), c in coeffs.items():
@@ -386,8 +415,7 @@ def diagonalize_fragment(
         parities = ((c, np.bitwise_count(idx & np.uint64(mask)) & 1) for c, mask in diagonal_terms)
         return sum((np.where(odd, -c, c) for c, odd in parities), np.zeros(1 << n))
 
-    ops = tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
-    return FragmentDiagonalization(ops, "clifford", off + rounding, diagonal)
+    return FragmentDiagonalization(ops, kind, off + rounding, diagonal)
 
 
 def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:

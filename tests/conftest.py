@@ -60,6 +60,19 @@ def h2_sto3g_integrals() -> ElectronicIntegrals:
     return ints
 
 
+def random_integrals(norb: int, rng) -> ElectronicIntegrals:
+    """Random spatial integrals: h_ij ~ N(0, 0.3^2), one (ij|kl) ~ N(0, 0.05^2) per symmetry class."""
+    ints = ElectronicIntegrals(norb=norb)
+    for i in range(norb):
+        for j in range(i, norb):
+            ints.set_one_body(i, j, float(rng.normal(0.0, 0.3)))
+    pairs = [(i, j) for i in range(norb) for j in range(i + 1)]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[: a + 1]:
+            ints.set_two_body(i, j, k, l, float(rng.normal(0.0, 0.05)))
+    return ints
+
+
 @pytest.fixture(scope="session")
 def h2_integrals():
     return h2_sto3g_integrals()

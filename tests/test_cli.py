@@ -73,6 +73,20 @@ class TestBuild:
         meta = json.loads((tmp_path / "vib.json").read_text())
         assert meta["params"]["couplings"] == {"0,0,1": 0.1}
 
+    @pytest.mark.parametrize("argv", [
+        ["fermi-hubbard", "--sites", 3, "--t", "nan", "--U", 2],
+        ["bose-hubbard", "--modes", 2, "--d", 3, "--t", "nan", "--U", 1],
+        ["vibrational", "--omega", "1.0,1.2", "--coupling", "0,1=nan"],
+    ])
+    def test_non_finite_parameter_exit_code(self, tmp_path, argv):
+        assert run(["build", *argv, "-o", tmp_path / "h"]) == 2
+        assert not (tmp_path / "h.pauli").exists()
+
+    def test_non_finite_fcidump_record_exit_code(self, tmp_path, h2_fcidump):
+        h2_fcidump.write_text(h2_fcidump.read_text() + " nan 1 2 0 0\n")
+        assert run(["build", "electronic", "--fcidump", h2_fcidump, "-o", tmp_path / "h2"]) == 2
+        assert not (tmp_path / "h2.pauli").exists()
+
     @pytest.mark.parametrize("content", [
         b"not json", b"\xff\xfe{}", b"[1.0, 1.2]", b'{"d": 4}', b'{"omega": 3}',
         b'{"omega": [1.0], "couplings": [0.1]}',
@@ -384,16 +398,19 @@ class TestVerify:
         run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
         assert run(["verify", part, "--hamiltonian", f"{b3d4}.pauli"]) == 0
 
-    @pytest.mark.parametrize("method", [["greedy", "--k", 3], ["blocking", "--k", 3]])
+    @pytest.mark.parametrize("method", [["greedy", "--k", 3], ["blocking", "--k", 3],
+                                        ["fc-si"], ["qwc-si"]])
     def test_report_equals_partition_report(self, b3d4, tmp_path, capsys, method):
-        # Both certify the blocks the file holds, not the strings the factors were built from.
+        # Both certify the blocks the file holds, not the strings the factors were built from;
+        # loaded X/Y/Z blocks are the shared unit factors the partitioner used.
         part = tmp_path / "p.json"
         assert run(["partition", f"{b3d4}.pauli", "--method", *method, "-o", part]) == 0
         capsys.readouterr()
         assert run(["verify", part, "--hamiltonian", f"{b3d4}.pauli"]) == 0
         verified = json.loads(capsys.readouterr().out)
         assert verified == json.loads(part.read_text())["validation"]
-        assert verified["reconstruction_error"] > 0.0  # the blocks' rounding, not exact strings
+        if method[0] in ("greedy", "blocking"):  # the blocks' rounding, not exact strings
+            assert verified["reconstruction_error"] > 0.0
 
     def test_corrupted_partition_fails(self, b3d4, tmp_path):
         part = tmp_path / "qpn.json"

@@ -29,6 +29,7 @@ from hampart.fragments import (
     pauli_term,
     save_partition,
     term_matrix,
+    unit_factor,
 )
 from hampart.operators import build_bose_hubbard, chain_lattice, fermion_from_integrals
 from hampart.partitioners import (
@@ -37,7 +38,7 @@ from hampart.partitioners import (
     qpn_partition,
     sorted_insertion,
 )
-from hampart.pauli import PauliString, pauli_masks, restricted_block
+from hampart.pauli import PauliString, pauli_masks, pauli_matrix, restricted_block
 
 
 class TestConstruction:
@@ -290,6 +291,34 @@ class TestJson:
                     for xa, xb in zip(ta.factors, tb.factors):
                         assert xa.block.tobytes() == xb.block.tobytes()  # bit-exact
             assert json.dumps(partition_to_json(q)) == text  # reruns are byte-identical
+
+    @pytest.mark.parametrize("name", ["h2", "b3d4"])
+    @pytest.mark.parametrize("method", ["fc-si", "qwc-si"])
+    def test_letter_blocks_load_as_unit_factors(self, name, method):
+        text = json.dumps(partition_to_json(_fixture_partitions()[name, method]))
+        loaded = partition_from_json(text)
+        letters = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
+        interned = 0
+        for frag in loaded.fragments:
+            for term in frag.terms:
+                for f in term.factors:
+                    letter = letters.get(f.block.tobytes()) if f.size == 1 else None
+                    if letter:
+                        assert f is unit_factor(f.qubits[0], letter)
+                        interned += 1
+        assert interned > 0
+        assert json.dumps(partition_to_json(loaded)) == text  # save -> load -> save
+
+    @pytest.mark.parametrize("index, entry", [(0, [-0.0, 0.0]), (1, [1.0 + 2.0**-52, 0.0])])
+    def test_near_letter_blocks_are_not_interned(self, index, entry):
+        data = partition_to_json(
+            Partition(2, (Fragment((pauli_term(1.0, PauliString.from_letters("XZ")),)),)))
+        assert partition_from_json(data).fragments[0].terms[0].factors[0] is unit_factor(0, "X")
+        data["fragments"][0]["terms"][0]["factors"][0]["block"][index] = entry
+        loaded = partition_from_json(data)
+        first, second = loaded.fragments[0].terms[0].factors
+        assert first is not unit_factor(0, "X") and second is unit_factor(1, "Z")
+        assert json.dumps(partition_to_json(loaded)) == json.dumps(data)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(DataError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_fermion, h2_sto3g_integrals
+from conftest import dense_fermion, h2_sto3g_integrals, random_integrals
 from hampart.errors import DataError, DomainError, ParseError
 from hampart.operators import (
     BosonOperator,
@@ -218,6 +218,28 @@ class TestHermiticityChecks:
             2, 3, ((1.0, ((0, "bdag"), (1, "b"))), (1.0, ((1, "bdag"), (0, "b"))))
         )
         assert full.is_hermitian()
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(DataError):
+            FermionOperator(2, ((coeff, ((0, True), (1, False))),))
+        with pytest.raises(DataError):
+            BosonOperator(2, 3, ((coeff, ((0, "bdag"), (1, "b"))),))
+
+    def test_fcidump_round_trip_is_hermitian(self, tmp_path):
+        # Why `build electronic` needs no is_hermitian call: reading stores every integral
+        # with each of its symmetric partners, so any written set loads Hermitian.
+        rng = np.random.default_rng(20261018)
+        for trial in range(25):
+            norb = int(rng.integers(1, 5))
+            ints = random_integrals(norb, rng)
+            for _ in range(3):  # entries without their partners are written as one record
+                ints.h[tuple(rng.integers(0, norb, 2))] = float(rng.normal())
+                ints.g[tuple(rng.integers(0, norb, 4))] = float(rng.normal())
+            ints.core = float(rng.normal())
+            path = tmp_path / f"random{trial}.fcidump"
+            write_fcidump(path, ints)
+            assert load_fcidump(path).is_hermitian()
 
 
 class TestFcidump:

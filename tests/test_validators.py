@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import pauli_sums, random_hermitian
+from conftest import pauli_sums, random_hermitian, random_integrals
 from hampart import fragments, pauli
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import ConstraintError, ResourceError
@@ -26,7 +26,12 @@ from hampart.fragments import (
     partition_to_json,
     pauli_term,
 )
-from hampart.operators import build_bose_hubbard, build_fermi_hubbard, chain_lattice
+from hampart.operators import (
+    build_bose_hubbard,
+    build_fermi_hubbard,
+    chain_lattice,
+    fermion_from_integrals,
+)
 from hampart.partitioners import (
     blocking_partition,
     color_partition_bose_hubbard,
@@ -326,6 +331,8 @@ class TestDiagonalization:
             sorted_insertion(illustrative_hamiltonian, "full"),
             greedy_partition(illustrative_hamiltonian, 2),
             sorted_insertion(jordan_wigner(f), "full"),  # whole-support bases
+            sorted_insertion(illustrative_hamiltonian, "qubitwise"),  # one Clifford per qubit
+            sorted_insertion(jordan_wigner(f), "qubitwise"),
         ]
         for part in dense_checked:
             n = part.n
@@ -370,6 +377,42 @@ class TestDiagonalization:
         report = validate_partition(sorted_insertion(h, "full"), h)
         assert report.ok
         assert report.to_dict()["basis_summary"]["kinds"].get("clifford", 0) > 0
+
+
+def _letter_fragment(strings) -> Fragment:
+    return Fragment(tuple(pauli_term(c, PauliString.from_letters(s)) for c, s in strings))
+
+
+class TestLetterFragments:
+    """Fragments whose factors are all one-qubit Pauli letters are decided on their masks."""
+
+    def test_si_partitions_need_no_eigh(self, monkeypatch):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(3, np.random.default_rng(7))))
+        calls = Counter()
+        real = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls["eigh"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        reports = {kind: validate_partition(sorted_insertion(h, kind), h)
+                   for kind in ("full", "qubitwise")}
+        assert calls["eigh"] == 0
+        assert all(r.ok for r in reports.values())
+        # Kinds pinned from the code that tried per-qubit eigh families first.
+        assert [b["kind"] for b in reports["full"].bases] == ["tensor-wise"] + ["clifford"] * 12
+        assert [(b["kind"], b["largest_block"], b["two_qubit_gates"])
+                for b in reports["qubitwise"].bases] == [("tensor-wise", 1, 0)] * 37
+        validate_partition(greedy_partition(h, 2), h)  # multi-qubit blocks still use eigh
+        assert calls["eigh"] > 0
+
+    def test_near_tolerance_clash_keeps_kind(self):
+        # Z on both qubits at 1e-11 clashes with X, but the eigh basis of X certifies it.
+        result = diagonalize_fragment(_letter_fragment([(1.0, "XX"), (1e-11, "ZZ")]), 2,
+                                      allow_global=True)
+        assert result.kind == "tensor-wise"
+        assert 1e-11 <= result.residual < 1e-9
 
 
 class TestValidatePartition:
