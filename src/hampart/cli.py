@@ -43,6 +43,7 @@ from .operators import (
     square_lattice,
     tetrahedral_lattice,
     triangular_lattice,
+    vibrational_from_json,
 )
 from .partitioners import (
     blocking_partition,
@@ -235,8 +236,7 @@ def _rebuild_operator(meta: dict | None, expect_class: tuple[str, ...]):
             lat = lattice_from_json(params["lattice"])
             return build_fermi_hubbard(lat, params["t"], params["U"]), lat
         if cls == "vibrational":
-            couplings = couplings_from_json(params.get("couplings", {}))
-            return build_vibrational(params["omega"], couplings, params["d"]), None
+            return vibrational_from_json(params), None
     except HampartError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -176,9 +176,10 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(data: dict | str) -> Lattice:
-    if isinstance(data, str):
-        data = json.loads(data)
+    """Lattice from its JSON form; malformed input raises DataError."""
     try:
+        if isinstance(data, str):
+            data = json.loads(data)
         return Lattice(
             data["kind"],
             int(data["sites"]),
@@ -186,11 +187,9 @@ def lattice_from_json(data: dict | str) -> Lattice:
             data.get("boundary", "open"),
             tuple(tuple(p) for p in data["positions"]) if data.get("positions") else None,
         )
-    except KeyError as exc:
-        raise DataError(f"lattice JSON missing field {exc}") from None
     except HampartError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed lattice JSON: {exc!r}") from exc
 
 
@@ -379,12 +378,18 @@ def couplings_from_json(data: dict) -> dict[tuple[int, ...], float]:
 
 
 def vibrational_from_json(data: dict | str, d: int | None = None) -> BosonOperator:
-    """JSON form: {"omega": [...], "couplings": {"0,1,2": t, ...}, "d": 4}."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if d is None:
-        d = int(data["d"])
-    return build_vibrational(data["omega"], couplings_from_json(data.get("couplings", {})), d)
+    """JSON form: {"omega": [...], "couplings": {"0,1,2": t, ...}, "d": 4}; malformed input
+    raises DataError."""
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        if d is None:
+            d = int(data["d"])
+        return build_vibrational(data["omega"], couplings_from_json(data.get("couplings", {})), d)
+    except HampartError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed vibrational JSON: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@ basis per fragment.
 
 A fragment is measurable when one basis change diagonalizes every one of its
 terms; that is the single criterion certified here (commutation follows from
-it). Fragments of one-qubit Pauli letters that agree qubit by qubit get one
-Clifford per qubit, decided on their masks; other fragments whose factor supports
-align get one unitary per support, found simultaneously for the support's family
-of blocks. Other fragments, when `allow_global=True`, get a Clifford circuit if
-the strings of their exact Pauli expansion commute: it maps every string to a
-Z-type string, checked by conjugating each string exactly. Either way the
-certificate is a bound on the max-entry norm of U^dag M U - diag(D).
+it). A fragment of one-qubit Pauli letters gets one Clifford per qubit, decided
+on its masks; other fragments whose factor supports align get one unitary per
+support, found simultaneously for the support's family of blocks. Every other
+fragment gets a Clifford circuit if the strings of its exact Pauli expansion
+commute: it maps every string to a Z-type string, checked by conjugating each
+string exactly. Either way the certificate is a bound on the max-entry norm of
+U^dag M U - diag(D).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fragments import (
     pauli_coefficients,
     term_matrix,
 )
-from .pauli import PauliSum, _basis_mask, tensor_expansion
+from .pauli import PauliSum, _basis_mask
 from .variance import StateVector
 
 COMMUTATION_QUBIT_CAP = 10
@@ -123,8 +123,9 @@ def check_commutation(p: Partition) -> float:
 
 
 def _sorted_block(f: TensorFactor) -> np.ndarray:
-    """Re-index a factor block so its qubits appear in ascending order."""
-    return term_matrix(_restrict_term(TensorProductTerm((f,)), tuple(sorted(f.qubits))), f.size)
+    """Re-index a factor block so its qubits appear in ascending order: one axis transpose."""
+    m, order = f.size, np.argsort(f.qubits)
+    return f.block.reshape((2,) * (2 * m)).transpose([*order, *(order + m)]).reshape(1 << m, -1)
 
 
 def _off_diagonal(mat: np.ndarray) -> float:
@@ -340,62 +341,23 @@ class FragmentDiagonalization:
         return float(np.sum(self.diagonal * np.abs(rotated) ** 2))
 
 
-def _letter_strings(frag: Fragment) -> list[tuple[complex, int, int]] | None:
-    """Each term's Pauli string (c, x, z) if every factor projects to one letter, else None."""
-    projections = [[f.projection if f.size == 1 else () for f in t.factors] for t in frag.terms]
-    if any(len(p) != 1 or not p[0][1] | p[0][2] for ps in projections for p in ps):
-        return None
-    return [tensor_expansion(1.0, ps)[0] for ps in projections]
-
-
-def _qubitwise(strings, n: int) -> list[tuple[int, int, int]] | None:
-    """Each qubit's shared letter (q, x bit, z bit) for strings that agree qubit by qubit, or
-    None when two strings hold different letters on a qubit."""
+def _qubit_letters(coeffs, n: int) -> list[tuple[int, int, int]] | None:
+    """Each qubit's letter (q, x bit, z bit), taken from the strings in descending |c|. A string
+    that holds another letter on a qubit is left to the residual when |c| <= 2 * _DIAG_TOL, and
+    otherwise no per-qubit basis can certify the strings (None)."""
     xs = zs = 0
-    for x, z in strings:
+    for (x, z), c in sorted(coeffs.items(), key=lambda sc: -abs(sc[1])):
         if (x ^ xs | z ^ zs) & (x | z) & (xs | zs):
-            return None
+            if abs(c) > 2 * _DIAG_TOL:
+                return None
+            continue
         xs, zs = xs | x, zs | z
     return [(q, xs >> q & 1, zs >> q & 1) for q in range(n)]
 
 
-def diagonalize_fragment(
-    frag: Fragment,
-    n: int,
-    *,
-    allow_global: bool = False,
-) -> FragmentDiagonalization:
-    """Diagonalize a fragment per qubit or factor support, or by a Clifford circuit.
-
-    Pauli letters that agree qubit by qubit get one 2x2 Clifford per qubit;
-    other fragments, the stacked blocks of each shared support at once. With
-    no tensor-wise basis, raises ConstraintError unless `allow_global` permits
-    a Clifford basis, which needs the Pauli strings to commute pairwise.
-    """
-    strings = _letter_strings(frag)
-    shared = None if strings is None else _qubitwise(((x, z) for _, x, z in strings), n)
-    if shared is None:
-        # Any eigh basis keeps one letter per qubit diagonal, so a clash over 2*tol must fail.
-        clash = strings is not None and _qubitwise(
-            ((x, z) for c, x, z in strings if abs(c) > 2 * _DIAG_TOL), n) is None
-        basis = None if clash else _tensor_wise_basis(frag)
-        if basis is not None:
-            unitaries, rotated = basis
-            return FragmentDiagonalization(
-                tuple(unitaries.items()), "tensor-wise", _residual_bound(rotated),
-                lambda: _tensor_wise_diagonal(rotated, n),
-            )
-        if not allow_global:
-            raise ConstraintError(
-                "fragment is not tensor-wise diagonalizable; allow_global=True tries a Clifford basis"
-            )
-    coeffs = {s: c for s, c in pauli_coefficients(frag.terms, blocks=True).items() if c != 0}
-    if shared is None:
-        gates = _clifford_circuit(coeffs)
-        kind, ops = "clifford", tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
-    else:
-        gates = [(name, (q,)) for q, x, z in shared if x for name in ("s", "h")[1 - z:]]
-        kind, ops = "tensor-wise", tuple(((q,), _LETTER_BASES[x, z]) for q, x, z in shared if x | z)
+def _conjugated(coeffs, gates, n: int, kind: str, ops) -> FragmentDiagonalization:
+    """The basis of `gates` for Pauli strings {(x, z): c}, each conjugated exactly: strings left
+    with an X or Y letter are its residual, the Z-type rest its diagonal."""
     diagonal_terms = []
     off = 0.0
     for (x, z), c in coeffs.items():
@@ -418,6 +380,34 @@ def diagonalize_fragment(
     return FragmentDiagonalization(ops, kind, off + rounding, diagonal)
 
 
+def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
+    """Diagonalize a fragment per qubit or factor support, or by a Clifford circuit.
+
+    A fragment of one-qubit Pauli letters is decided on its strings: one 2x2
+    Clifford per qubit for the letters of its strings with |c| > 2 * tol.
+    Other fragments try the stacked blocks of each shared support at once.
+    Without such a basis, or with a residual over tol, a Clifford circuit is
+    searched; ConstraintError when the Pauli strings anticommute.
+    """
+    letters = all(f.size == 1 and len(f.projection) == 1 and f.projection[0][1] | f.projection[0][2]
+                  for t in frag.terms for f in t.factors)
+    if not letters and (basis := _tensor_wise_basis(frag)) is not None:
+        unitaries, rotated = basis
+        return FragmentDiagonalization(
+            tuple(unitaries.items()), "tensor-wise", _residual_bound(rotated),
+            lambda: _tensor_wise_diagonal(rotated, n),
+        )
+    coeffs = {s: c for s, c in pauli_coefficients(frag.terms, blocks=True).items() if c != 0}
+    if letters and (shared := _qubit_letters(coeffs, n)) is not None:
+        gates = [(name, (q,)) for q, x, z in shared if x for name in ("s", "h")[1 - z:]]
+        ops = tuple(((q,), _LETTER_BASES[x, z]) for q, x, z in shared if x | z)
+        if (basis := _conjugated(coeffs, gates, n, "tensor-wise", ops)).residual <= _DIAG_TOL:
+            return basis
+    gates = _clifford_circuit(coeffs)
+    ops = tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
+    return _conjugated(coeffs, gates, n, "clifford", ops)
+
+
 def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:
     """Check reconstruction and locality, and certify every fragment by its
     measurement basis; `k` defaults to the largest factor seen. A fragment
@@ -428,7 +418,7 @@ def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> Valid
     bases = []
     for frag in p.fragments:
         try:
-            bases.append(diagonalize_fragment(frag, p.n, allow_global=True).record())
+            bases.append(diagonalize_fragment(frag, p.n).record())
         except ConstraintError:
             bases.append(dict(kind="none", largest_block=0, two_qubit_gates=0, residual=None))
     return ValidationReport(

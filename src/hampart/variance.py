@@ -55,6 +55,8 @@ def random_state(n: int, seed: int) -> StateVector:
 
 
 def basis_state(n: int, index: int) -> StateVector:
+    if n > STATE_QUBIT_CAP:
+        raise ResourceError(f"states capped at {STATE_QUBIT_CAP} qubits, got {n}")
     if not 0 <= index < (1 << n):
         raise DomainError(f"basis index {index} out of range for n={n}")
     amp = np.zeros(1 << n, dtype=complex)
@@ -112,10 +114,10 @@ class VarianceReport:
 
 def _apply(frag: Fragment, states: np.ndarray, n: int, *buffers: np.ndarray) -> np.ndarray:
     """frag @ states through apply_pauli_terms (into `buffers`) on its Pauli expansion, or factor
-    by factor (apply_fragment) where expanding would outweigh the state block: a factor with more
-    block entries (4^m) than the block, or a term with more Pauli strings than the block's entries
-    or EXPANSION_CAP. Both are decided before anything is expanded."""
-    if any(4**f.size > states.size for t in frag.terms for f in t.factors):
+    by factor (apply_fragment) where expanding would outweigh the state block: a factor given as
+    a block (masks None) with more entries (4^m) than the block, or a term with more strings than
+    the block's entries or EXPANSION_CAP. Both are decided before anything is expanded."""
+    if any(f.masks is None and 4**f.size > states.size for t in frag.terms for f in t.factors):
         return apply_fragment(frag, states, n)
     try:
         coeffs = pauli_coefficients(frag.terms, min(states.size, EXPANSION_CAP))

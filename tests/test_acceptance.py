@@ -334,7 +334,7 @@ def test_criterion_9_diagonalization_residuals(suite):
         for name, h, methods in suite:
             for method, part in methods.items():
                 for frag in part.fragments:
-                    result = diagonalize_fragment(frag, part.n, allow_global=True)
+                    result = diagonalize_fragment(frag, part.n)
                     assert result.residual < 1e-9, (name, method, frag.label)
                     for seed in range(10):
                         psi = random_state(part.n, 5000 + seed)

@@ -10,11 +10,15 @@ import pytest
 
 import hampart
 from conftest import ILLUSTRATIVE_TEXT
+from hampart import cli, pauli
 from hampart.cli import main
+from hampart.errors import ResourceError
 from hampart.fragments import Fragment, Partition, pauli_term, save_partition
 from hampart.operators import ElectronicIntegrals, write_fcidump
-from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum
+from hampart.partitioners import greedy_partition
+from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum, parse_pauli_text
 from hampart.validators import check_reconstruction, validate_partition
+from hampart.variance import lower_bounds, partition_costs, random_state, state_block
 
 
 def run(argv):
@@ -248,6 +252,17 @@ class TestEvaluate:
         assert abs(float(row[3]) - 0.5) < 1e-12
         assert abs(float(row[4]) - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("spec", ["basis:0", "haar:1"])
+    def test_state_over_qubit_cap_exit_code(self, tmp_path, capsys, spec):
+        ham = tmp_path / "z16.pauli"
+        ham.write_text("1.0 Z16\n")  # 17 qubits, one over the state cap
+        part = tmp_path / "z.json"
+        assert run(["partition", ham, "--method", "qwc-si", "-o", part]) == 0
+        assert run(["evaluate", part, "--hamiltonian", ham, "--state", spec,
+                    "-o", tmp_path / "rep"]) == 4
+        assert "states capped at 16 qubits" in capsys.readouterr().err
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_single_fragment_row_equals_lower_bound(self, b3d4, tmp_path):
         part = tmp_path / "g.json"
         run(["partition", f"{b3d4}.pauli", "--method", "greedy", "--k", 6, "-o", part])
@@ -351,10 +366,22 @@ class TestSweepK:
         k_star = printed.rsplit("k_star=", 1)[1].split()[0]
         assert k_star != "none" and 1 <= int(k_star) <= 4
 
-    def test_refused_k_keeps_earlier_rows(self, xz13, tmp_path):
-        # k = n needs one dense block on n > DENSE_QUBIT_CAP qubits: exit 4 after the rows
-        # of k = n - 2 and n - 1 are written.
+    @staticmethod
+    def _refuse_at(monkeypatch, k):
+        """Make sweep-k's scoring of greedy at locality bound k raise ResourceError."""
+        real = cli.partition_costs
+
+        def refusing(part, states):
+            if part.source == f"greedy(k={k})":
+                raise ResourceError(f"scoring refused at k={k}")
+            return real(part, states)
+
+        monkeypatch.setattr(cli, "partition_costs", refusing)
+
+    def test_refused_k_keeps_earlier_rows(self, xz13, tmp_path, monkeypatch):
+        # exit 4 at k = n, after the rows of k = n - 2 and n - 1 are written.
         n = DENSE_QUBIT_CAP + 1
+        self._refuse_at(monkeypatch, n)
         out = tmp_path / "s.csv"
         assert run(["sweep-k", xz13, "--method", "greedy", "--k-min", n - 2,
                     "--states", 2, "-o", out]) == 4
@@ -362,11 +389,40 @@ class TestSweepK:
         assert lines[0] == "k,L,mean_var,fc_si_var,lower_bound"
         assert [line.split(",")[0] for line in lines[1:]] == [str(n - 2), str(n - 1)]
 
-    def test_refused_first_k_writes_header_only(self, xz13, tmp_path):
+    def test_refused_first_k_writes_header_only(self, xz13, tmp_path, monkeypatch):
+        self._refuse_at(monkeypatch, DENSE_QUBIT_CAP + 1)
         out = tmp_path / "s.csv"
         assert run(["sweep-k", xz13, "--method", "greedy", "--k-min", DENSE_QUBIT_CAP + 1,
                     "--states", 2, "-o", out]) == 4
         assert out.read_text() == "k,L,mean_var,fc_si_var,lower_bound\n"
+
+    def test_block_over_dense_cap_is_scored(self, xz13, tmp_path):
+        # Scoring expands the k = n free block from its strings; no dense block is realized.
+        n = DENSE_QUBIT_CAP + 1
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", xz13, "--method", "greedy", "--k-min", n,
+                    "--states", 2, "-o", out]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["k", str(n)]
+
+    def test_fourteen_qubit_chain_matches_library(self, tmp_path, monkeypatch):
+        stem = tmp_path / "b7"
+        assert run(["build", "bose-hubbard", "--modes", 7, "--d", 4, "-o", stem]) == 0
+        calls = []
+        real = pauli.restricted_block
+        monkeypatch.setattr(pauli, "restricted_block", lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", f"{stem}.pauli", "--method", "greedy", "--k-min", 12,
+                    "--states", 1, "--seed", 2024, "-o", out]) == 0
+        h = parse_pauli_text((tmp_path / "b7.pauli").read_text())
+        assert h.n == 14
+        block = state_block([random_state(h.n, 2024)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [12, 13, 14]
+        for row in rows:
+            expected = partition_costs(greedy_partition(h, int(row[0])), block)[0][0]
+            np.testing.assert_allclose(float(row[2]), expected, rtol=1e-12)
+        np.testing.assert_allclose(float(rows[-1][2]), lower_bounds(h, block)[0], rtol=1e-12)
+        assert calls == []  # greedy's free blocks are never realized for scoring
 
 
 class TestTheorem1:

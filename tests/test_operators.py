@@ -61,6 +61,10 @@ class TestLattice:
         again = lattice_from_json(lattice_to_json(lat))
         assert again == lat
 
+    def test_malformed_json_raises_data_error(self):
+        with pytest.raises(DataError):
+            lattice_from_json("{")
+
 
 class TestBosonMatrices:
     def test_d2_quadrature_is_x(self):
@@ -200,6 +204,13 @@ class TestVibrational:
         )
         assert op.modes == 2 and op.d == 4
         assert op.is_hermitian()
+
+    @pytest.mark.parametrize("text", [
+        "{", '{"d": 4}', '{"omega": [1.0]}', '{"omega": [1.0], "d": "x"}',
+    ], ids=["not-json", "no-omega", "no-d", "d-mistyped"])
+    def test_malformed_json_raises_data_error(self, text):
+        with pytest.raises(DataError):
+            vibrational_from_json(text)
 
 
 class TestHermiticityChecks:

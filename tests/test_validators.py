@@ -1,5 +1,6 @@
 """Partition certification and fragment diagonalization."""
 
+import itertools
 import json
 import tracemalloc
 from collections import Counter
@@ -25,6 +26,7 @@ from hampart.fragments import (
     partition_matrix,
     partition_to_json,
     pauli_term,
+    term_matrix,
 )
 from hampart.operators import (
     build_bose_hubbard,
@@ -42,6 +44,8 @@ from hampart.partitioners import (
 )
 from hampart.pauli import PauliString, PauliSum
 from hampart.validators import (
+    _restrict_term,
+    _sorted_block,
     check_commutation,
     check_locality,
     check_reconstruction,
@@ -242,6 +246,21 @@ class TestTensorWise:
         )
         assert not check_tensor_wise(frag)
 
+    def test_sorted_block_is_term_matrix_reindexing(self):
+        # Bit for bit the dense re-indexing it replaced: the factor restricted to its sorted
+        # qubits, realized through term_matrix.
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 3):
+            for _ in range(3):
+                block = random_hermitian(1 << m, rng)
+                for qubits in itertools.permutations((5, 0, 3)[:m]):
+                    f = TensorFactor(qubits, block)
+                    dense = term_matrix(
+                        _restrict_term(TensorProductTerm((f,)), tuple(sorted(qubits))), m)
+                    ours = _sorted_block(f)
+                    assert ours.dtype == dense.dtype and ours.shape == dense.shape
+                    assert ours.tobytes() == dense.tobytes(), qubits
+
 
 class TestDiagonalization:
     def test_already_diagonal_identity_unitary(self):
@@ -283,7 +302,7 @@ class TestDiagonalization:
         assert result.tensor_wise
         assert result.residual < 1e-9
 
-    def test_non_tensor_wise_raises_without_fallback(self):
+    def test_non_tensor_wise_gets_clifford_basis(self):
         h = PauliSum(
             2,
             [
@@ -292,9 +311,8 @@ class TestDiagonalization:
             ],
         )
         frag = sorted_insertion(h, "full").fragments[0]
-        with pytest.raises(ConstraintError):
-            diagonalize_fragment(frag, 2)
-        result = diagonalize_fragment(frag, 2, allow_global=True)
+        result = diagonalize_fragment(frag, 2)
+        assert result.kind == "clifford"
         assert not result.tensor_wise
         assert result.residual < 1e-10
 
@@ -337,7 +355,7 @@ class TestDiagonalization:
         for part in dense_checked:
             n = part.n
             for frag in part.fragments:
-                result = diagonalize_fragment(frag, n, allow_global=True)
+                result = diagonalize_fragment(frag, n)
                 # Dense oracle: U^dag M U column by column through `rotate`;
                 # the columns of M U are the conjugated rows of U^dag M.
                 m = fragment_matrix(frag, n)
@@ -357,7 +375,7 @@ class TestDiagonalization:
             return result.rotate(result.rotate(m, n).conj().T, n)
 
         for frag in sorted_insertion(h, "full").fragments:
-            result = diagonalize_fragment(frag, n, allow_global=True)
+            result = diagonalize_fragment(frag, n)
             assert result.kind in ("tensor-wise", "clifford")
             for term in frag.terms:  # each conjugated string is Z-type (x = 0)
                 one = rotated(result, fragment_matrix(Fragment((term,)), n))
@@ -386,8 +404,9 @@ def _letter_fragment(strings) -> Fragment:
 class TestLetterFragments:
     """Fragments whose factors are all one-qubit Pauli letters are decided on their masks."""
 
-    def test_si_partitions_need_no_eigh(self, monkeypatch):
-        h = jordan_wigner(fermion_from_integrals(random_integrals(3, np.random.default_rng(7))))
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """Counter of np.linalg.eigh calls under key "eigh"."""
         calls = Counter()
         real = np.linalg.eigh
 
@@ -396,23 +415,43 @@ class TestLetterFragments:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_si_partitions_need_no_eigh(self, eigh_calls):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(3, np.random.default_rng(7))))
         reports = {kind: validate_partition(sorted_insertion(h, kind), h)
                    for kind in ("full", "qubitwise")}
-        assert calls["eigh"] == 0
+        assert eigh_calls["eigh"] == 0
         assert all(r.ok for r in reports.values())
         # Kinds pinned from the code that tried per-qubit eigh families first.
         assert [b["kind"] for b in reports["full"].bases] == ["tensor-wise"] + ["clifford"] * 12
         assert [(b["kind"], b["largest_block"], b["two_qubit_gates"])
                 for b in reports["qubitwise"].bases] == [("tensor-wise", 1, 0)] * 37
         validate_partition(greedy_partition(h, 2), h)  # multi-qubit blocks still use eigh
-        assert calls["eigh"] > 0
+        assert eigh_calls["eigh"] > 0
 
-    def test_near_tolerance_clash_keeps_kind(self):
-        # Z on both qubits at 1e-11 clashes with X, but the eigh basis of X certifies it.
-        result = diagonalize_fragment(_letter_fragment([(1.0, "XX"), (1e-11, "ZZ")]), 2,
-                                      allow_global=True)
+    def test_near_tolerance_clash_keeps_kind(self, eigh_calls):
+        # Z on both qubits at 1e-11 clashes with X, but the per-qubit basis of X certifies it.
+        result = diagonalize_fragment(_letter_fragment([(1.0, "XX"), (1e-11, "ZZ")]), 2)
         assert result.kind == "tensor-wise"
         assert 1e-11 <= result.residual < 1e-9
+        assert eigh_calls["eigh"] == 0
+
+    @pytest.mark.parametrize("strings", [
+        [(1.0, "X"), (1.5e-9, "Z")],
+        [(1.0, "XI"), (0.5, "IX"), (1.5e-9, "ZZ")],
+    ], ids=["X0+Z0", "XI+IX+ZZ"])
+    def test_clash_over_tolerance_records_none(self, eigh_calls, strings):
+        # The per-qubit basis of the large letters leaves 1.5e-9 off the diagonal, and the
+        # strings anticommute, so no basis certifies the fragment.
+        n = len(strings[0][1])
+        h = PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in strings])
+        report = validate_partition(Partition(n, (_letter_fragment(strings),)), h)
+        assert [b["kind"] for b in report.bases] == ["none"]
+        assert not report.ok
+        assert eigh_calls["eigh"] == 0
+        with pytest.raises(ConstraintError):
+            diagonalize_fragment(_letter_fragment(strings), n)
 
 
 class TestValidatePartition:

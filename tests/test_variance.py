@@ -387,7 +387,7 @@ class TestMomentCrossCheck:
                      greedy_partition(h, 2), greedy_partition(h, 3)):
             per = partition_costs(part, block)[1]
             for frag, want in zip(part.fragments, per):
-                basis = diagonalize_fragment(frag, h.n, allow_global=True)
+                basis = diagonalize_fragment(frag, h.n)
                 probs = np.abs(basis.rotate(block, h.n)) ** 2
                 mean, second = basis.diagonal @ probs, basis.diagonal**2 @ probs
                 np.testing.assert_allclose(second - mean**2, want, rtol=1e-10, atol=0)
