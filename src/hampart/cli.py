@@ -32,7 +32,6 @@ from .operators import (
     Lattice,
     build_bose_hubbard,
     build_fermi_hubbard,
-    build_vibrational,
     chain_lattice,
     couplings_from_json,
     cubic_lattice,
@@ -131,11 +130,12 @@ def _parse_lattice(spec: str, sites: int | None, boundary: str) -> Lattice:
         raise DomainError(f"bad lattice spec {spec!r}: {exc}") from None
 
 
-def _parse_couplings(pairs: list[str]) -> dict[tuple[int, ...], float]:
+def _parse_couplings(pairs: list[str]) -> dict[str, str]:
+    """Repeated --coupling 0,1,2=0.1 values as a {"0,1,2": "0.1"} couplings map."""
     for pair in pairs:
         if not pair.partition("=")[2]:
             raise DomainError(f"coupling must look like 0,1,2=0.1, got {pair!r}")
-    return couplings_from_json(dict(pair.split("=", 1) for pair in pairs))
+    return dict(pair.split("=", 1) for pair in pairs)
 
 
 def cmd_build(args) -> int:
@@ -153,28 +153,20 @@ def cmd_build(args) -> int:
             lattice=lattice_to_json(lat), t=args.t, U=args.U, d=args.d, encoding="gray"
         )
     elif args.hamiltonian_class == "vibrational":
-        try:
-            if args.model:
-                model = _read_json_object(args.model)
-                omega = model["omega"]
-                couplings = couplings_from_json(model.get("couplings", {}))
-                d = int(model.get("d", args.d))
-            else:
-                if not args.omega:
-                    raise DomainError("vibrational build needs --omega or --model")
-                omega = [float(tok) for tok in args.omega.split(",")]
-                couplings = _parse_couplings(args.coupling or [])
-                d = args.d
-            op = build_vibrational(omega, couplings, d)
-        except HampartError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise DataError(f"malformed vibrational input: {exc!r}") from exc
+        if args.model:
+            model = {"d": args.d, **_read_json_object(args.model)}
+        elif args.omega:
+            model = {"omega": args.omega.split(","),
+                     "couplings": _parse_couplings(args.coupling or []), "d": args.d}
+        else:
+            raise DomainError("vibrational build needs --omega or --model")
+        op = vibrational_from_json(model)
         h = encode_boson_operator(op).pauli
+        couplings = couplings_from_json(model.get("couplings", {}))
         params.update(
-            omega=list(omega),
+            omega=[float(w) for w in model["omega"]],
             couplings={",".join(map(str, k)): v for k, v in couplings.items()},
-            d=d,
+            d=op.d,
             encoding="gray",
         )
     elif args.hamiltonian_class == "electronic":

@@ -65,13 +65,17 @@ class Lattice:
         return max(deg, default=0)
 
 
-def chain_lattice(sites: int, boundary: str = "open") -> Lattice:
-    if sites < 1:
-        raise DomainError("chain needs at least 1 site")
-    edges = [(i, i + 1) for i in range(sites - 1)]
-    if boundary == "periodic" and sites > 2:
-        edges.append((sites - 1, 0))
-    return Lattice("chain", sites, tuple(edges), boundary, tuple((i,) for i in range(sites)))
+# Bond steps of each grid kind, in the order a site adds them. A hexagonal (brick-wall) patch
+# keeps its (0, 1) rungs only at even x + y.
+GRID_STEPS = {
+    "chain": ((1,),),
+    "square": ((1, 0), (0, 1)),
+    "hexagonal": ((1, 0), (0, 1)),
+    "triangular": ((1, 0), (0, 1), (1, 1)),
+    "cubic": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+# Bond vectors from the even sublattice of the diamond (tetrahedral) lattice.
+TETRAHEDRAL_BONDS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 def _grid(kind: str, *dims: int) -> dict[tuple[int, ...], int]:
@@ -82,58 +86,43 @@ def _grid(kind: str, *dims: int) -> dict[tuple[int, ...], int]:
     return {p[::-1]: i for i, p in enumerate(points)}
 
 
+def _grid_lattice(kind: str, *dims: int) -> Lattice:
+    """Open patch of a grid kind: each point in site order bonds along each of its GRID_STEPS."""
+    idx = _grid(kind, *dims)
+    edges = []
+    for p, i in idx.items():
+        for step in GRID_STEPS[kind]:
+            nb = tuple(a + b for a, b in zip(p, step))
+            if nb in idx and ((kind, step) != ("hexagonal", (0, 1)) or sum(p) % 2 == 0):
+                edges.append((i, idx[nb]))
+    return Lattice(kind, len(idx), tuple(edges), "open", tuple(idx))
+
+
+def chain_lattice(sites: int, boundary: str = "open") -> Lattice:
+    if sites < 1:
+        raise DomainError("chain needs at least 1 site")
+    lat = _grid_lattice("chain", sites)
+    wrap = ((sites - 1, 0),) if boundary == "periodic" and sites > 2 else ()
+    return Lattice("chain", sites, lat.edges + wrap, boundary, lat.positions)
+
+
 def square_lattice(width: int, height: int) -> Lattice:
     """Open-boundary rectangular patch of the square lattice."""
-    idx = _grid("square", width, height)
-    edges = []
-    for (x, y), i in idx.items():
-        if (x + 1, y) in idx:
-            edges.append((i, idx[(x + 1, y)]))
-        if (x, y + 1) in idx:
-            edges.append((i, idx[(x, y + 1)]))
-    pos = sorted(idx, key=idx.get)
-    return Lattice("square", len(idx), tuple(edges), "open", tuple(pos))
+    return _grid_lattice("square", width, height)
 
 
 def hexagonal_lattice(width: int, height: int) -> Lattice:
     """Brick-wall patch of the honeycomb lattice (vertical rungs on even x+y)."""
-    idx = _grid("hexagonal", width, height)
-    edges = []
-    for (x, y), i in idx.items():
-        if (x + 1, y) in idx:
-            edges.append((i, idx[(x + 1, y)]))
-        if (x, y + 1) in idx and (x + y) % 2 == 0:
-            edges.append((i, idx[(x, y + 1)]))
-    pos = sorted(idx, key=idx.get)
-    return Lattice("hexagonal", len(idx), tuple(edges), "open", tuple(pos))
+    return _grid_lattice("hexagonal", width, height)
 
 
 def triangular_lattice(width: int, height: int) -> Lattice:
     """Open patch of the triangular lattice (square grid plus one diagonal family)."""
-    idx = _grid("triangular", width, height)
-    edges = []
-    for (x, y), i in idx.items():
-        for dx, dy in ((1, 0), (0, 1), (1, 1)):
-            if (x + dx, y + dy) in idx:
-                edges.append((i, idx[(x + dx, y + dy)]))
-    pos = sorted(idx, key=idx.get)
-    return Lattice("triangular", len(idx), tuple(edges), "open", tuple(pos))
+    return _grid_lattice("triangular", width, height)
 
 
 def cubic_lattice(nx: int, ny: int, nz: int) -> Lattice:
-    idx = _grid("cubic", nx, ny, nz)
-    edges = []
-    for (x, y, z), i in idx.items():
-        for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            nb = (x + d[0], y + d[1], z + d[2])
-            if nb in idx:
-                edges.append((i, idx[nb]))
-    pos = sorted(idx, key=idx.get)
-    return Lattice("cubic", len(idx), tuple(edges), "open", tuple(pos))
-
-
-# Bond vectors from the even sublattice of the diamond (tetrahedral) lattice.
-TETRAHEDRAL_BONDS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    return _grid_lattice("cubic", nx, ny, nz)
 
 
 def tetrahedral_lattice(extent: int = 2) -> Lattice:
@@ -377,19 +366,18 @@ def couplings_from_json(data: dict) -> dict[tuple[int, ...], float]:
     return couplings
 
 
-def vibrational_from_json(data: dict | str, d: int | None = None) -> BosonOperator:
+def vibrational_from_json(data: dict | str) -> BosonOperator:
     """JSON form: {"omega": [...], "couplings": {"0,1,2": t, ...}, "d": 4}; malformed input
     raises DataError."""
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        if d is None:
-            d = int(data["d"])
-        return build_vibrational(data["omega"], couplings_from_json(data.get("couplings", {})), d)
+        couplings = couplings_from_json(data.get("couplings", {}))
+        return build_vibrational(data["omega"], couplings, int(data["d"]))
     except HampartError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"malformed vibrational JSON: {exc!r}") from exc
+        raise DataError(f"malformed vibrational model: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,14 @@ from .fragments import (
     pauli_term,
     unit_factor,
 )
-from .operators import BosonOperator, FermionOperator, Lattice, boson_matrices
+from .operators import (
+    GRID_STEPS,
+    TETRAHEDRAL_BONDS,
+    BosonOperator,
+    FermionOperator,
+    Lattice,
+    boson_matrices,
+)
 from .pauli import PauliString, PauliSum
 
 
@@ -249,12 +256,12 @@ def edge_coloring(lat: Lattice) -> list[list[Edge]]:
 
     Named kinds carrying positions use direction/parity classes that achieve
     the optimal color counts (chain 2, square 4, hexagonal 3, triangular 6,
-    cubic 6, tetrahedral 4); anything else falls back to Misra-Gries with at
-    most (max degree + 1) colors.
+    cubic 6, tetrahedral 4) when those classes are proper; anything else falls
+    back to Misra-Gries with at most (max degree + 1) colors.
     """
     if lat.kind != "custom" and lat.positions is not None:
         classes = _structured_coloring(lat)
-        if classes is not None:
+        if classes is not None and is_proper_edge_coloring(classes):
             return classes
     return misra_gries(lat.sites, lat.edges)
 
@@ -269,60 +276,24 @@ def _compress(colored: dict[Edge, int]) -> list[list[Edge]]:
 
 
 def _structured_coloring(lat: Lattice) -> list[list[Edge]] | None:
-    pos = lat.positions
+    """Direction classes of a named kind, or None if an edge has no class. Step s of GRID_STEPS
+    takes color 2s plus the site's parity along the step's first axis (hexagonal rungs one
+    color), a tetrahedral bond its +-TETRAHEDRAL_BONDS index, an even periodic chain's wrap 1."""
+    steps = GRID_STEPS.get(lat.kind, ())
+    bonds = {tuple(sign * v for v in bond): c
+             for c, bond in enumerate(TETRAHEDRAL_BONDS) for sign in (1, -1)}
     colored: dict[Edge, int] = {}
-    from .operators import TETRAHEDRAL_BONDS
-
     for i, j in lat.edges:
-        a, b = pos[i], pos[j]
-        delta = tuple(y - x for x, y in zip(a, b))
-        if lat.kind == "chain":
-            if delta == (1,):
-                colored[(i, j)] = a[0] % 2
-            elif lat.boundary == "periodic" and lat.sites % 2 == 0:
-                colored[(i, j)] = (lat.sites - 1) % 2
-            else:
-                return None
-        elif lat.kind == "square":
-            if delta == (1, 0):
-                colored[(i, j)] = a[0] % 2
-            elif delta == (0, 1):
-                colored[(i, j)] = 2 + a[1] % 2
-            else:
-                return None
-        elif lat.kind == "hexagonal":
-            if delta == (1, 0):
-                colored[(i, j)] = a[0] % 2
-            elif delta == (0, 1):
-                colored[(i, j)] = 2
-            else:
-                return None
-        elif lat.kind == "triangular":
-            if delta == (1, 0):
-                colored[(i, j)] = a[0] % 2
-            elif delta == (0, 1):
-                colored[(i, j)] = 2 + a[1] % 2
-            elif delta == (1, 1):
-                colored[(i, j)] = 4 + a[0] % 2
-            else:
-                return None
-        elif lat.kind == "cubic":
-            if delta == (1, 0, 0):
-                colored[(i, j)] = a[0] % 2
-            elif delta == (0, 1, 0):
-                colored[(i, j)] = 2 + a[1] % 2
-            elif delta == (0, 0, 1):
-                colored[(i, j)] = 4 + a[2] % 2
-            else:
-                return None
-        elif lat.kind == "tetrahedral":
-            if delta in TETRAHEDRAL_BONDS:
-                colored[(i, j)] = TETRAHEDRAL_BONDS.index(delta)
-            else:
-                neg = tuple(-x for x in delta)
-                if neg not in TETRAHEDRAL_BONDS:
-                    return None
-                colored[(i, j)] = TETRAHEDRAL_BONDS.index(neg)
+        a = lat.positions[i]
+        delta = tuple(y - x for x, y in zip(a, lat.positions[j]))
+        if delta in steps:
+            axis = next(k for k, v in enumerate(delta) if v)
+            parity = 0 if (lat.kind, delta) == ("hexagonal", (0, 1)) else a[axis] % 2
+            colored[(i, j)] = 2 * steps.index(delta) + parity
+        elif lat.kind == "tetrahedral" and delta in bonds:
+            colored[(i, j)] = bonds[delta]
+        elif lat.kind == "chain" and lat.boundary == "periodic" and lat.sites % 2 == 0:
+            colored[(i, j)] = 1
         else:
             return None
     return _compress(colored)

@@ -12,11 +12,12 @@ for Hermitian M.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import inf, prod
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, ResourceError
-from .fragments import EXPANSION_CAP, Fragment, Partition, apply_fragment, pauli_coefficients
+from .fragments import Fragment, Partition, apply_fragment, pauli_coefficients
 from .pauli import PauliSum, apply_pauli_terms
 
 STATE_QUBIT_CAP = 16
@@ -115,12 +116,17 @@ class VarianceReport:
 def _apply(frag: Fragment, states: np.ndarray, n: int, *buffers: np.ndarray) -> np.ndarray:
     """frag @ states through apply_pauli_terms (into `buffers`) on its Pauli expansion, or factor
     by factor (apply_fragment) where expanding would outweigh the state block: a factor given as
-    a block (masks None) with more entries (4^m) than the block, or a term with more strings than
-    the block's entries or EXPANSION_CAP. Both are decided before anything is expanded."""
-    if any(f.masks is None and 4**f.size > states.size for t in frag.terms for f in t.factors):
+    a block (masks None) with more entries (4^m) than the block, a term whose block factors
+    expand to more strings than the block's entries (factors given as masks do not count), or a
+    term over EXPANSION_CAP strings. All is decided before any term is expanded."""
+    # A block with more entries than the state block counts as unboundedly many strings, so it is
+    # never projected.
+    strings = (prod(len(f.projection) if 4**f.size <= states.size else inf
+                    for f in t.factors if f.masks is None) for t in frag.terms)
+    if any(count > states.size for count in strings):
         return apply_fragment(frag, states, n)
     try:
-        coeffs = pauli_coefficients(frag.terms, min(states.size, EXPANSION_CAP))
+        coeffs = pauli_coefficients(frag.terms)
     except ResourceError:
         return apply_fragment(frag, states, n)
     return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n, *buffers)

@@ -77,6 +77,22 @@ class TestBuild:
         meta = json.loads((tmp_path / "vib.json").read_text())
         assert meta["params"]["couplings"] == {"0,0,1": 0.1}
 
+    @pytest.mark.parametrize("model, d_flag", [
+        ({"omega": [1.0, 1.2, 0.9], "couplings": {"0,1,2": 0.1, "1,1": -0.05}, "d": 3}, 4),
+        ({"omega": [1.0, 1.2, 0.9], "couplings": {"0,1,2": 0.1, "1,1": -0.05}}, 3),
+    ], ids=["d-in-model", "d-from-flag"])
+    def test_vibrational_model_matches_inline(self, tmp_path, model, d_flag):
+        # A --model file builds exactly what the same model given inline builds: the .pauli
+        # file and the metadata sidecar, with d taken from the model before --d.
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        assert run(["build", "vibrational", "--model", tmp_path / "model.json", "--d", d_flag,
+                    "-o", tmp_path / "m"]) == 0
+        assert run(["build", "vibrational", "--omega", "1.0,1.2,0.9", "--coupling", "0,1,2=0.1",
+                    "--coupling", "1,1=-0.05", "--d", 3, "-o", tmp_path / "i"]) == 0
+        for ext in (".pauli", ".json"):
+            assert (tmp_path / f"m{ext}").read_bytes() == (tmp_path / f"i{ext}").read_bytes()
+        assert json.loads((tmp_path / "m.json").read_text())["params"]["d"] == 3
+
     @pytest.mark.parametrize("argv", [
         ["fermi-hubbard", "--sites", 3, "--t", "nan", "--U", 2],
         ["bose-hubbard", "--modes", 2, "--d", 3, "--t", "nan", "--U", 1],
@@ -154,6 +170,20 @@ class TestPartition:
         out = tmp_path / "fc.json"
         assert run(["partition", ham, "--method", "fc-si", "-o", out]) == 0
         assert len(json.loads(out.read_text())["fragments"]) == 5
+
+    def test_coloring_of_lattice_file_with_stacked_rungs(self, tmp_path):
+        # Two hexagonal rungs meet at site 1, so their direction class is not a proper coloring.
+        lat = {"kind": "hexagonal", "sites": 3, "edges": [[0, 1], [1, 2]],
+               "positions": [[0, 0], [0, 1], [0, 2]]}
+        (tmp_path / "hex3.json").write_text(json.dumps(lat))
+        stem = tmp_path / "hex3"
+        assert run(["build", "bose-hubbard", "--lattice", f"@{tmp_path / 'hex3.json'}",
+                    "--d", 4, "-o", stem]) == 0
+        out = tmp_path / "col.json"
+        assert run(["partition", f"{stem}.pauli", "--method", "coloring", "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["validation"]["ok"] is True
+        assert len(data["fragments"]) == 3  # two hop colors and the diagonal
 
     def test_qp_requires_vibrational(self, b3d4, tmp_path):
         code = run(["partition", f"{b3d4}.pauli", "--method", "qp",

@@ -496,6 +496,70 @@ class TestEdgeColoring:
         degree = np.bincount(np.array(sorted(edges)).ravel(), minlength=n)
         assert len(classes) <= degree.max() + 1
 
+    # Exact edges (in builder order), positions and coloring classes of small patches. The counts
+    # and properness checked above pass under any edge order or color relabeling; these do not.
+    PINNED = [
+        (chain_lattice(4),
+         [(0, 1), (1, 2), (2, 3)],
+         [(0,), (1,), (2,), (3,)],
+         [[(0, 1), (2, 3)], [(1, 2)]]),
+        (chain_lattice(4, "periodic"),
+         [(0, 1), (1, 2), (2, 3), (0, 3)],
+         [(0,), (1,), (2,), (3,)],
+         [[(0, 1), (2, 3)], [(0, 3), (1, 2)]]),
+        (chain_lattice(5, "periodic"),
+         [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+         [(0,), (1,), (2,), (3,), (4,)],
+         [[(0, 1), (3, 4)], [(0, 4), (2, 3)], [(1, 2)]]),
+        (square_lattice(3, 2),
+         [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)],
+         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+         [[(0, 1), (3, 4)], [(1, 2), (4, 5)], [(0, 3), (1, 4), (2, 5)]]),
+        (hexagonal_lattice(3, 3),
+         [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (4, 5), (4, 7), (6, 7), (7, 8)],
+         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)],
+         [[(0, 1), (3, 4), (6, 7)], [(1, 2), (4, 5), (7, 8)], [(0, 3), (2, 5), (4, 7)]]),
+        (triangular_lattice(3, 2),
+         [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 5), (3, 4), (4, 5)],
+         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+         [[(0, 1), (3, 4)], [(1, 2), (4, 5)], [(0, 3), (1, 4), (2, 5)], [(0, 4)], [(1, 5)]]),
+        (cubic_lattice(2, 2, 2),
+         [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6),
+          (5, 7), (6, 7)],
+         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
+          (1, 1, 1)],
+         [[(0, 1), (2, 3), (4, 5), (6, 7)], [(0, 2), (1, 3), (4, 6), (5, 7)],
+          [(0, 4), (1, 5), (2, 6), (3, 7)]]),
+        (tetrahedral_lattice(1),
+         [(4, 8), (4, 6), (1, 4), (0, 4), (5, 10), (5, 8), (3, 5), (2, 5), (11, 15), (11, 13),
+          (8, 11), (7, 11), (12, 16), (12, 14), (9, 12), (8, 12)],
+         [(-1, -1, 1), (-1, 1, -1), (-1, 1, 3), (-1, 3, 1), (0, 0, 0), (0, 2, 2), (1, -1, -1),
+          (1, -1, 3), (1, 1, 1), (1, 3, -1), (1, 3, 3), (2, 0, 2), (2, 2, 0), (3, -1, 1),
+          (3, 1, -1), (3, 1, 3), (3, 3, 1)],
+         [[(4, 8), (5, 10), (11, 15), (12, 16)], [(4, 6), (5, 8), (11, 13), (12, 14)],
+          [(1, 4), (3, 5), (8, 11), (9, 12)], [(0, 4), (2, 5), (7, 11), (8, 12)]]),
+    ]
+
+    @pytest.mark.parametrize("lat, edges, positions, classes", PINNED, ids=[
+        "chain-open-4", "chain-periodic-4", "chain-periodic-5", "square-3x2", "hexagonal-3x3",
+        "triangular-3x2", "cubic-2x2x2", "tetrahedral-1"])
+    def test_pinned_geometry_and_classes(self, lat, edges, positions, classes):
+        assert list(lat.edges) == edges
+        assert list(lat.positions) == positions
+        assert edge_coloring(lat) == classes
+
+    @pytest.mark.parametrize("lat", [
+        Lattice("hexagonal", 3, ((0, 1), (1, 2)), "open", ((0, 0), (0, 1), (0, 2))),
+        Lattice("chain", 4, chain_lattice(4, "periodic").edges + ((0, 2),), "periodic",
+                chain_lattice(4).positions),
+    ], ids=["stacked-hexagonal-rungs", "periodic-chain-with-chord"])
+    def test_improper_direction_classes_fall_back(self, lat):
+        # Both edges of each lattice's shared site fall in one direction class (two rungs; the
+        # chord and the wrap edge); the coloring must come from Misra-Gries instead.
+        classes = edge_coloring(lat)
+        assert is_proper_edge_coloring(classes)
+        assert classes == misra_gries(lat.sites, lat.edges)
+
     def test_custom_lattice_uses_misra_gries(self):
         lat = Lattice("custom", 4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
         classes = edge_coloring(lat)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian
+from conftest import ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian, random_integrals
+from hampart import pauli
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError, DomainError, ResourceError
 from hampart.fragments import (
@@ -352,6 +353,27 @@ class TestGroupedPauliEngine:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_string_factor_over_state_entries_not_realized(self, monkeypatch):
+        # greedy k = n on an 8-qubit electronic instance is one term whose free factor is given
+        # by more strings than one state has entries. Only factors given as blocks count against
+        # the state block, so the strings are applied and the factor's block is never built.
+        ints = random_integrals(4, np.random.default_rng([0, 4]))
+        h = jordan_wigner(fermion_from_integrals(ints))
+        part = greedy_partition(h, h.n)
+        assert sum(len(f.masks) for frag in part.fragments for t in frag.terms
+                   for f in t.factors) > 1 << h.n
+        block = random_state(h.n, 0).amplitudes[:, None]
+        calls = []
+        real = pauli.restricted_block
+        monkeypatch.setattr(pauli, "restricted_block", lambda *a: calls.append(a) or real(*a))
+        per = partition_costs(part, block)[1]
+        assert calls == []
+        for frag, got in zip(part.fragments, per):
+            m_psi = apply_fragment(frag, block, h.n)
+            mean = np.einsum("ij,ij->j", block.conj(), m_psi).real
+            want = np.sum(np.abs(m_psi) ** 2, axis=0) - mean**2
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _electronic_10q():
