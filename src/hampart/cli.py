@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -58,12 +59,11 @@ from .partitioners import (
 from .pauli import PauliSum, format_pauli_text, parse_pauli_text
 from .validators import validate_partition
 from .variance import (
-    StateVector,
     basis_state,
+    column_chunks,
     lower_bounds,
     partition_costs,
     random_state,
-    state_block,
     theorem1_grid,
 )
 
@@ -286,17 +286,34 @@ def cmd_partition(args) -> int:
 # Evaluation
 
 
-def _states_for(args, n: int) -> list[StateVector]:
+def _states_for(args, n: int) -> list[partial]:
+    """A maker per requested state, each spec parsed here; _score_states makes the states."""
     if args.state:
         out = []
         for spec in args.state:
             kind, _, value = spec.partition(":")
             try:
-                out.append({"basis": basis_state, "haar": random_state}[kind](n, int(value)))
+                make = {"basis": basis_state, "haar": random_state}[kind]
+                out.append(partial(make, n, int(value)))
             except (KeyError, ValueError) as exc:
                 raise DomainError(f"bad state spec {spec!r}: {exc!r}") from None
         return out
-    return [random_state(n, args.seed + i) for i in range(args.states)]
+    return [partial(random_state, n, args.seed + i) for i in range(args.states)]
+
+
+def _score_states(n: int, makers, score) -> tuple[list[str], list[np.ndarray]]:
+    """The states' labels, and the arrays score(block) returns for each column_chunks block of
+    the states `makers` make, joined along their last axis. One chunk of states is made and
+    held at a time."""
+    labels, scored = [], []
+    for cols in column_chunks(n, len(makers)):
+        block = np.empty((1 << n, cols.stop - cols.start), dtype=complex)
+        for i, make in enumerate(makers[cols]):
+            psi = make()
+            labels.append(psi.seed)
+            block[:, i] = psi.amplitudes
+        scored.append(score(block))
+    return labels, [np.concatenate(arrays, axis=-1) for arrays in zip(*scored)]
 
 
 def cmd_evaluate(args) -> int:
@@ -311,16 +328,14 @@ def cmd_evaluate(args) -> int:
         if part.n != h.n:
             raise DimensionError(f"{path} is on {part.n} qubits, Hamiltonian on {h.n}")
         parts.append(part)
-    states = _states_for(args, h.n)
-    block = state_block(states)  # every state at once; each fragment is applied once
-    lbs = lower_bounds(h, block)
+    labels, (lbs, *costs) = _score_states(h.n, _states_for(args, h.n), lambda block: (
+        lower_bounds(h, block), *(x for part in parts for x in partition_costs(part, block))))
     lines = ["method,seed,L,total,lower_bound,per_fragment"]
     summary: dict[str, dict] = {}
-    for part in parts:
-        totals, per = partition_costs(part, block)
-        for psi, total, lb, column in zip(states, totals, lbs, per.T):
+    for part, totals, per in zip(parts, costs[::2], costs[1::2]):
+        for label, total, lb, column in zip(labels, totals, lbs, per.T):
             per_txt = ";".join(_fmt(v) for v in column)
-            lines.append(f"{part.source},{psi.seed},{len(part.fragments)},{_fmt(total)},"
+            lines.append(f"{part.source},{label},{len(part.fragments)},{_fmt(total)},"
                          f"{_fmt(lb)},{per_txt}")
         summary[part.source] = {
             "fragments": len(part.fragments),
@@ -346,15 +361,19 @@ def cmd_sweep_k(args) -> int:
     k_max = args.k_max if args.k_max is not None else h.n
     if not 1 <= args.k_min <= k_max <= h.n:
         raise DomainError(f"bad k range [{args.k_min}, {k_max}] for n={h.n}")
-    block = state_block([random_state(h.n, args.seed + i) for i in range(args.states)])
-    fc_mean = float(np.mean(partition_costs(sorted_insertion(h, "full"), block)[0]))
-    lb_mean = float(np.mean(lower_bounds(h, block)))
+    makers = [partial(random_state, h.n, args.seed + i) for i in range(args.states)]
+    fc = sorted_insertion(h, "full")
+    _, (fc_totals, lbs) = _score_states(h.n, makers, lambda block: (
+        partition_costs(fc, block)[0], lower_bounds(h, block)))
+    fc_mean, lb_mean = float(np.mean(fc_totals)), float(np.mean(lbs))
     lines = ["k,L,mean_var,fc_si_var,lower_bound"]
     k_star = None
     try:
         for k in range(args.k_min, k_max + 1):
             part = run_method(args.method, h, meta, k)
-            mean = float(np.mean(partition_costs(part, block)[0]))
+            _, (totals,) = _score_states(h.n, makers,
+                                         lambda block: (partition_costs(part, block)[0],))
+            mean = float(np.mean(totals))
             if k_star is None and mean <= fc_mean:
                 k_star = k
             lines.append(

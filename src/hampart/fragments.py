@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import prod
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
-from .pauli import PauliString, PauliSum, pauli_masks, pauli_matrix, tensor_expansion
+from .pauli import PauliString, PauliSum, pauli_masks, pauli_matrix, string_array, tensor_expansion
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
@@ -111,10 +111,12 @@ class TensorProductTerm:
 
 @dataclass(frozen=True)
 class Fragment:
-    """Terms simultaneously measurable in one basis."""
+    """Terms simultaneously measurable in one basis; `strings` is pauli_coefficients(terms) as a
+    pauli.string_array, set by the partitioners that start from strings or by first scoring."""
 
     terms: tuple[TensorProductTerm, ...]
     label: str = ""
+    strings: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -165,17 +167,36 @@ def unit_factor(q: int, letter: str) -> TensorFactor:
     return TensorFactor((q,), pauli_matrix(letter))
 
 
+def _built(cls, *values):
+    """An instance of cls from its slot values, skipping the checks __init__ makes."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
-    """Weighted Pauli string as a product of 1-qubit factors (coeff in the first)."""
+    """Weighted Pauli string as a product of 1-qubit factors (coeff in the first). A real finite
+    coeff on distinct qubits makes the factor and term checks redundant, so they are skipped."""
     support = string.support()
     if not support:
         raise DataError("identity terms belong in Partition.constant")
-    first = TensorFactor(support[:1], coeff * pauli_matrix(string.letter(support[0])))
-    return TensorProductTerm([first] + [unit_factor(q, string.letter(q)) for q in support[1:]])
+    if isinstance(coeff, complex) or not np.isfinite(coeff):
+        raise DataError(f"Pauli term coefficient must be real and finite, got {coeff!r}")
+    block = coeff * pauli_matrix(string.letter(support[0]))
+    block.setflags(write=False)
+    first = _built(TensorFactor, support[:1], block, None, None)
+    return _built(TensorProductTerm,
+                  (first, *(unit_factor(q, string.letter(q)) for q in support[1:])))
+
+
+def held_strings(items) -> np.ndarray:
+    """Fragment.strings of the weighted strings (c, s) a fragment's terms hold, in order."""
+    return string_array((c, s.x, s.z) for c, s in items)
 
 
 def pauli_group_fragment(group: list[tuple[float, PauliString]], label: str) -> Fragment:
-    return Fragment(tuple(pauli_term(c, s) for c, s in group), label)
+    return Fragment(tuple(pauli_term(c, s) for c, s in group), label, held_strings(group))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from functools import reduce
 import numpy as np
 
 from .encodings import embed_matrix, gray_map, jordan_wigner, mode_qubit_layout
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .fragments import (
     Fragment,
     Partition,
     TensorFactor,
     TensorProductTerm,
+    held_strings,
     pauli_factor,
     pauli_group_fragment,
     pauli_term,
@@ -39,22 +40,13 @@ from .pauli import PauliString, PauliSum
 # SortedInsertion baselines
 
 
-def _term_masks(h: PauliSum):
-    """Terms in placement order (descending |c|) and their x and z masks as uint64 arrays."""
-    if h.n > 64:  # checked before any array is built
-        raise ResourceError(f"placement packs each string into 64 bits, got {h.n} qubits")
-    items = h.items_sorted()
-    x = np.array([s.x for _, s in items], dtype=np.uint64)
-    z = np.array([s.z for _, s in items], dtype=np.uint64)
-    return items, x, z
-
-
 def sorted_insertion_groups(h: PauliSum, kind: str) -> list[list[tuple[float, PauliString]]]:
     """Greedy grouping: descending |c|, first group whose members all commute. Each term
     is tested against every placed term at once and joins the first group with no conflict."""
     if kind not in ("full", "qubitwise"):
         raise DomainError(f"unknown commutation kind {kind!r}")
-    items, xs, zs = _term_masks(h)
+    xs, zs = h.sorted_masks()
+    items = h.items_sorted()
     gid = np.empty(len(items), dtype=np.intp)
     n_groups = 0
     for i in range(len(items)):
@@ -106,7 +98,8 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     """
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
-    items, xs, zs = _term_masks(h)
+    xs, zs = h.sorted_masks()
+    items = h.items_sorted()
     # Per match set: reference letters, free mask, support mask, fragment id.
     ref_x, ref_z, free, supp = (np.zeros(len(items), np.uint64) for _ in range(4))
     fid = np.zeros(len(items), np.intp)
@@ -115,13 +108,13 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     n_frags = 0
     for item, x, z in zip(items, xs, zs):
         w, s = len(members), x | z
+        touched = union[:n_frags + 1] & s  # slot n_frags is still empty
+        target = int(np.argmax(touched == 0))
         grown_free = free[:w] | (ref_x[:w] ^ x) | (ref_z[:w] ^ z)
-        siblings = union[fid[:w]] & ~supp[:w]  # supports are disjoint within a fragment
-        accepts = (np.bitwise_count(grown_free) <= k) & ((supp[:w] | s) & siblings == 0)
-        opens = np.flatnonzero(union[:n_frags] & s == 0)
-        target = opens[0] if opens.size else n_frags
-        if accepts.any() and (best := fid[:w][accepts].min()) <= target:
-            j = np.flatnonzero(accepts & (fid[:w] == best))[0]
+        # Supports are disjoint within a fragment: s may touch only the set's own support there.
+        accepts = (np.bitwise_count(grown_free) <= k) & (touched[fid[:w]] == supp[:w] & s)
+        j = int(np.argmin(np.where(accepts, fid[:w], n_frags + 1))) if w else 0
+        if w and accepts[j] and (best := fid[j]) <= target:  # first set of the first fragment
             free[j], supp[j] = grown_free[j], supp[j] | s
             union[best] |= s
             members[j].append(item)
@@ -131,9 +124,12 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
         members.append([item])
         n_frags = max(n_frags, target + 1)
     frags: list[list[TensorProductTerm]] = [[] for _ in range(n_frags)]
+    strings: list[list[tuple[float, PauliString]]] = [[] for _ in range(n_frags)]
     for j, group in enumerate(members):
         frags[fid[j]].append(_match_set_term(group, int(free[j]), h.n))
-    out = [Fragment(tuple(terms), f"greedy-k{k}-{i}") for i, terms in enumerate(frags)]
+        strings[fid[j]] += group
+    out = [Fragment(tuple(terms), f"greedy-k{k}-{i}", held_strings(group))
+           for i, (terms, group) in enumerate(zip(frags, strings))]
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
 
@@ -169,6 +165,8 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
                 break
         else:
             residual.append((coeff, string))
+    # Grouped first: a sum past 64 qubits is refused before any window's strings are packed.
+    residual_groups = sorted_insertion_groups(PauliSum(n, residual), "full")
     fragments = []
     for o in range(k):
         windows = sorted(key for key in assigned if key[0] == o)
@@ -179,8 +177,9 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
             group = assigned[key]
             qubits = tuple(sorted({q for _, s in group for q in s.support()}))
             terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
-        fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}"))
-    for i, group in enumerate(sorted_insertion_groups(PauliSum(n, residual), "full")):
+        held = [item for key in windows for item in assigned[key]]
+        fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}", held_strings(held)))
+    for i, group in enumerate(residual_groups):
         fragments.append(pauli_group_fragment(group, f"blocking-residual-{i}"))
     return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
 

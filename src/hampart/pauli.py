@@ -10,8 +10,8 @@ significant bit of a computational-basis index.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
+from functools import cache, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -253,43 +253,77 @@ def restricted_block(terms, qubits) -> np.ndarray:
     return dense_sum([(c, s.restricted(qubits)) for c, s in terms], len(qubits))
 
 
+STRING_DTYPE = np.dtype([("c", complex), ("x", np.uint64), ("z", np.uint64)])
+
+
+def string_array(terms) -> np.ndarray:
+    """Weighted strings (c, x mask, z mask), in order, as one read-only STRING_DTYPE array (32
+    bytes a string, one dtype object for all): what apply_pauli_terms takes, Fragment.strings
+    holds."""
+    out = np.fromiter(terms, STRING_DTYPE)
+    out.setflags(write=False)
+    return out
+
+
 # (-i)^k for k = |x & z| mod 4, and the unnormalized one-qubit Walsh-Hadamard map.
-_MINUS_I_POWERS = (1, -1j, -1, 1j)
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
 
 
-def _group_diagonal(x: int, members, n: int, state_axes: int) -> np.ndarray:
-    """sum_j c_j (-i)^|x&z_j| Z^z_j over (c_j, z_j) as a diagonal on the (2,)*n view, with
-    extent only on the qubits the z masks touch: the Walsh-Hadamard transform of the phased
-    coefficients over those qubits."""
-    union = reduce(or_, (z for _, z in members), 0)
-    qubits = [q for q in range(n) if union >> q & 1]  # the diagonal's axes, first = top bit
-    d = np.zeros(1 << len(qubits), dtype=complex)
-    for c, z in members:
-        d[sum(1 << b for b, q in enumerate(reversed(qubits)) if z >> q & 1)] += (
-            c * _MINUS_I_POWERS[(x & z).bit_count() & 3])
-    for _ in qubits:  # transform the leading axis and move it last, as in pauli_project
+@cache
+def _parity_signs(bits: int) -> np.ndarray:
+    """(-1)^popcount(b) for b < 2^bits, shared and read-only."""
+    signs = np.where(np.bitwise_count(np.arange(1 << bits)) & 1, -1.0, 1.0)
+    signs.setflags(write=False)
+    return signs
+
+
+def _group_diagonal(v: np.ndarray, z: list[int], n: int, state_axes: int) -> np.ndarray:
+    """sum_j v_j Z^z_j over one flip group's phased coefficients v and z masks, as a diagonal on
+    the (2,)*n view with extent only on the qubits the masks touch: the Walsh-Hadamard transform
+    of v over the qubits where the masks differ, times the parity signs of the qubits all hold."""
+    union, common = reduce(or_, z), reduce(and_, z)
+    differ = [q for q in range(n) if (union ^ common) >> q & 1]  # first = top bit
+    if differ:
+        bits = np.array(z, np.uint64)[:, None] >> np.array(differ[::-1], np.uint64) & np.uint64(1)
+        d = np.zeros(1 << len(differ), dtype=complex)
+        np.add.at(d, (bits << np.arange(len(differ), dtype=np.uint64)).sum(axis=1), v)
+    else:  # one string (or copies of it)
+        d = v.sum(keepdims=True)
+    for _ in differ:  # transform the leading axis and move it last, as in pauli_project
         d = (d.reshape(2, -1).T @ _HADAMARD).ravel()
-    return d.reshape([2 if union >> q & 1 else 1 for q in range(n)] + [1] * state_axes)
+    signs = _parity_signs(common.bit_count())
+    axes = [1] * state_axes
+    return (d.reshape([2 if (union ^ common) >> q & 1 else 1 for q in range(n)] + axes)
+            * signs.reshape([2 if common >> q & 1 else 1 for q in range(n)] + axes))
 
 
-def apply_pauli_terms(terms, vec: np.ndarray, n: int, out=None, tmp=None) -> np.ndarray:
-    """sum_j c_j P_j @ vec over (c, x mask, z mask) triples, for a 2^n vector or a (2^n, S)
-    block. A string is P = (-i)^|x&z| Z^z X^x, so the strings sharing an x mask act as one
-    strided flip of the (2,)*n view times one diagonal (_group_diagonal). Given C-contiguous
-    complex `out` and `tmp` shaped like vec, it overwrites them and returns a view of `out`."""
+def apply_pauli_terms(strings, vec: np.ndarray, n: int, out=None, tmp=None) -> np.ndarray:
+    """sum_j c_j P_j @ vec over weighted strings given as a string_array, for a 2^n
+    vector or a (2^n, S) block. A string is P = (-i)^|x&z| Z^z X^x, so the strings sharing an x
+    mask act as one strided flip of the (2,)*n view times one diagonal (_group_diagonal); groups
+    are added in the order their x masks first appear. Given C-contiguous complex `out` and
+    `tmp` shaped like vec, it overwrites them and returns a view of `out`."""
     if vec.shape[0] != 1 << n:
         raise DimensionError(f"state dimension {vec.shape[0]} != 2^{n}")
-    groups: dict[int, list[tuple[complex, int]]] = {}
-    for c, x, z in terms:
-        groups.setdefault(x, []).append((c, z))
+    c, x, z = strings["c"], strings["x"], strings["z"]
+    phased = c * _MINUS_I_POWERS[np.bitwise_count(x & z) & 3]
+    groups: dict[int, list[int]] = {}
+    for i, key in enumerate(x.tolist()):
+        groups.setdefault(key, []).append(i)
+    zs = z.tolist()
     shape = (2,) * n + vec.shape[1:]
     psi = vec.astype(complex, copy=False).reshape(shape)
     out, tmp = (np.empty(shape, complex) if b is None else b.reshape(shape) for b in (out, tmp))
-    out.fill(0)
-    for x, members in groups.items():
-        flipped = np.flip(psi, tuple(q for q in range(n) if x >> q & 1))
-        out += np.multiply(flipped, _group_diagonal(x, members, n, vec.ndim - 1), out=tmp)
+    if not groups:
+        out.fill(0)
+    for g, (key, members) in enumerate(groups.items()):
+        flipped = psi[tuple(slice(None, None, -1 if key >> q & 1 else 1) for q in range(n))]
+        diag = _group_diagonal(phased[members], [zs[i] for i in members], n, vec.ndim - 1)
+        if g:
+            out += np.multiply(flipped, diag, out=tmp)
+        else:
+            np.multiply(flipped, diag, out=out)
     return out.reshape(vec.shape)
 
 
@@ -320,6 +354,8 @@ class PauliSum:
         self._n = n
         self._terms = {s: c for s, c in acc.items() if abs(c) > SIMPLIFY_TOL}
         self._constant = const
+        self._sorted: tuple[tuple[float, PauliString], ...] | None = None
+        self._masks: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -341,11 +377,28 @@ class PauliSum:
 
     def items_sorted(self) -> list[tuple[float, PauliString]]:
         """Terms in descending |coefficient|; ties broken by letter sequence (I < X < Y < Z,
-        qubit 0 first), as the base-4 number with digit 2z + (x ^ z) per qubit, qubit 0 on top."""
+        qubit 0 first), as the base-4 number with digit 2z + (x ^ z) per qubit, qubit 0 on top.
+        Sorted once per instance."""
         def digits(mask: int) -> int:  # bit q of mask -> base-4 digit n-1-q
             return int(format(mask, f"0{self.n}b")[::-1], 4)
-        return sorted(((c, s) for s, c in self._terms.items()),
-                      key=lambda cs: (-abs(cs[0]), 2 * digits(cs[1].z) + digits(cs[1].x ^ cs[1].z)))
+        if self._sorted is None:
+            self._sorted = tuple(sorted(
+                ((c, s) for s, c in self._terms.items()),
+                key=lambda cs: (-abs(cs[0]), 2 * digits(cs[1].z) + digits(cs[1].x ^ cs[1].z))))
+        return list(self._sorted)
+
+    def sorted_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and z masks of items_sorted as read-only uint64 arrays, built once per instance;
+        a sum on more than 64 qubits is refused before any array is built."""
+        if self.n > 64:
+            raise ResourceError(f"uint64 masks hold at most 64 qubits, got {self.n}")
+        if self._masks is None:  # contiguous: placement scans them once per term
+            items = self.items_sorted()
+            self._masks = tuple(np.array([getattr(s, m) for _, s in items], np.uint64)
+                                for m in "xz")
+            for mask in self._masks:
+                mask.setflags(write=False)
+        return self._masks
 
     def __iter__(self) -> Iterator[tuple[float, PauliString]]:
         return iter(self.items_sorted())
@@ -389,7 +442,7 @@ class PauliSum:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state
         block, through apply_pauli_terms."""
         terms = [(c, s.x, s.z) for s, c in self._terms.items()]
-        return apply_pauli_terms([(self._constant, 0, 0), *terms], vec, self.n)
+        return apply_pauli_terms(string_array([(self._constant, 0, 0), *terms]), vec, self.n)
 
 
 def _require_real(value, what: str) -> float:

@@ -3,24 +3,27 @@
 The shot-count figure of merit for a partition {M_q} on a state is
 (sum_q sqrt(Var[M_q]))^2; a single-fragment partition gives the lower
 bound Var[H]. Everything here is matrix-free: each fragment is applied once
-to a (2^n, S) block holding all S states, as grouped Pauli strings (one flip
-and one diagonal per x mask), or factor by factor where the Pauli expansion
-would outweigh the state block, and Var[M] = |M psi|^2 - <psi|M psi>^2
-for Hermitian M.
+to a (2^n, S) block of states, column chunk by column chunk under
+STATE_CHUNK_BYTES, as grouped Pauli strings (one flip and one diagonal per x
+mask), or factor by factor where the Pauli expansion would outweigh the state
+block, and Var[M] = |M psi|^2 - <psi|M psi>^2 for Hermitian M.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import inf, prod
+from math import prod
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError, ResourceError
 from .fragments import Fragment, Partition, apply_fragment, pauli_coefficients
-from .pauli import PauliSum, apply_pauli_terms
+from .pauli import PauliSum, apply_pauli_terms, string_array
 
 STATE_QUBIT_CAP = 16
+# Most bytes a chunk of state columns and the three equally large buffers scoring it may hold.
+STATE_CHUNK_BYTES = 32 << 20
 _NEGATIVE_VAR_TOL = 1e-10
 
 
@@ -34,6 +37,8 @@ class StateVector:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
+        if amp is self.amplitudes and amp.flags.writeable:  # freeze a copy, not the caller's array
+            amp = amp.copy()
         if amp.shape != (1 << self.n,):
             raise DimensionError(f"state needs 2^{self.n} amplitudes, got {amp.shape}")
         norm = np.linalg.norm(amp)
@@ -52,6 +57,7 @@ def random_state(n: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amp /= np.linalg.norm(amp)
+    amp.setflags(write=False)
     return StateVector(n, amp, seed=f"haar:{seed}")
 
 
@@ -62,6 +68,7 @@ def basis_state(n: int, index: int) -> StateVector:
         raise DomainError(f"basis index {index} out of range for n={n}")
     amp = np.zeros(1 << n, dtype=complex)
     amp[index] = 1.0
+    amp.setflags(write=False)
     return StateVector(n, amp, seed=f"basis:{index}")
 
 
@@ -70,26 +77,50 @@ def state_block(states) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in states], axis=1)
 
 
-def _variances(m_psi: np.ndarray, bra: np.ndarray) -> np.ndarray:
-    """Var[M] = |M psi|^2 - <psi|M psi>^2 per column for Hermitian M; `bra` is conj(psi)."""
-    mean = np.einsum("ij,ij->j", bra, m_psi)
-    if np.any(np.abs(mean.imag) > 1e-9):
-        raise DataError(f"non-real expectation {mean[np.abs(mean.imag).argmax()]}; not Hermitian?")
-    re, im = m_psi.real, m_psi.imag  # views: |M psi|^2 without a conjugated copy
-    second = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+def column_chunks(n: int, count: int) -> list[slice]:
+    """Slices of the columns of a (2^n, count) state block, each as wide as STATE_CHUNK_BYTES
+    allows for it and three buffers like it; ResourceError if one column does not fit."""
+    width = STATE_CHUNK_BYTES // (4 * np.dtype(complex).itemsize << n)
+    if width < 1:
+        raise ResourceError(f"one {n}-qubit state column and its buffers exceed "
+                            f"{STATE_CHUNK_BYTES >> 20} MiB")
+    return [slice(i, min(i + width, count)) for i in range(0, count, width)]
+
+
+def _moments(m_psi: np.ndarray, rows: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """<psi|M psi> and |M psi|^2 per state, from the (2^n, S) block M psi and the states as rows
+    (S, 2^n). M psi is copied to rows too (into C-contiguous `scratch` if given): each state's
+    sums run over contiguous memory, alike at any chunk width."""
+    m_rows = np.empty_like(rows) if scratch is None else scratch.reshape(rows.shape)
+    np.copyto(m_rows, m_psi.T)
+    return np.vecdot(rows, m_rows), np.vecdot(m_rows, m_rows).real
+
+
+def _variances(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Var[M] = |M psi|^2 - <psi|M psi>^2 for Hermitian M, from _moments."""
+    if (np.abs(mean.imag) > 1e-9).any():
+        raise DataError(f"non-real expectation {mean.flat[np.abs(mean.imag).argmax()]}; "
+                        "not Hermitian?")
     var = second - mean.real**2
-    if np.any(var < -_NEGATIVE_VAR_TOL * (1.0 + second)):
+    if (var < -_NEGATIVE_VAR_TOL * (1.0 + second)).any():
         raise DataError(f"variance {var.min()} below clamp threshold; operator not Hermitian?")
     return np.maximum(var, 0.0)
 
 
-def _bra(states: np.ndarray, n: int) -> np.ndarray:
-    """conj of a (2^n, S) block of normalized states, after checking that it is one."""
+def _chunks(states: np.ndarray, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(columns, view, _rows of the view) per column_chunks slice of a (2^n, S) block, made one
+    chunk at a time; the shape and chunk width are checked before anything is allocated."""
     if states.ndim != 2 or states.shape[0] != 1 << n:
         raise DimensionError(f"state block needs shape (2^{n}, S), got {states.shape}")
-    if np.any(np.abs(np.linalg.norm(states, axis=0) - 1.0) > 1e-10):
+    return ((c, states[:, c], _rows(states[:, c])) for c in column_chunks(n, states.shape[1]))
+
+
+def _rows(chunk: np.ndarray) -> np.ndarray:
+    """The columns of a state chunk as the rows of a C-contiguous copy, checked normalized."""
+    rows = np.ascontiguousarray(chunk.T, complex)
+    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-10):
         raise DataError("every column of a state block must be a normalized state")
-    return states.conj()
+    return rows
 
 
 def fragment_variance(frag: Fragment, psi: StateVector) -> float:
@@ -114,33 +145,42 @@ class VarianceReport:
 
 
 def _apply(frag: Fragment, states: np.ndarray, n: int, *buffers: np.ndarray) -> np.ndarray:
-    """frag @ states through apply_pauli_terms (into `buffers`) on its Pauli expansion, or factor
-    by factor (apply_fragment) where expanding would outweigh the state block: a factor given as
-    a block (masks None) with more entries (4^m) than the block, a term whose block factors
-    expand to more strings than the block's entries (factors given as masks do not count), or a
-    term over EXPANSION_CAP strings. All is decided before any term is expanded."""
-    # A block with more entries than the state block counts as unboundedly many strings, so it is
-    # never projected.
-    strings = (prod(len(f.projection) if 4**f.size <= states.size else inf
-                    for f in t.factors if f.masks is None) for t in frag.terms)
-    if any(count > states.size for count in strings):
-        return apply_fragment(frag, states, n)
-    try:
-        coeffs = pauli_coefficients(frag.terms)
-    except ResourceError:
-        return apply_fragment(frag, states, n)
-    return apply_pauli_terms([(c, x, z) for (x, z), c in coeffs.items()], states, n, *buffers)
+    """frag @ states through apply_pauli_terms (into `buffers`) on frag.strings, set here once
+    for a fragment built from blocks. It is applied factor by factor (apply_fragment) instead
+    where its expansion would outweigh one state column: a factor given as a block (masks None)
+    with more entries (4^m) than 2^n, a term whose block factors expand to more strings than
+    that, or a term over EXPANSION_CAP strings; decided before anything is expanded."""
+    if frag.strings is None:
+        blocks = [[f for f in t.factors if f.masks is None] for t in frag.terms]
+        if any(4**f.size > 1 << n for fs in blocks for f in fs):  # never projected
+            return apply_fragment(frag, states, n)
+        if max((prod(len(f.projection) for f in fs) for fs in blocks), default=0) > 1 << n:
+            return apply_fragment(frag, states, n)
+        try:
+            coeffs = pauli_coefficients(frag.terms)
+        except ResourceError:
+            return apply_fragment(frag, states, n)
+        strings = string_array((c, x, z) for (x, z), c in coeffs.items())
+        object.__setattr__(frag, "strings", strings)
+    return apply_pauli_terms(frag.strings, states, n, *buffers)
 
 
 def partition_costs(p: Partition, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Totals (S,) and per-fragment variances (fragments, S) on a (2^n, S) block of
-    normalized states; each fragment is applied once to all S columns.
+    normalized states; each fragment is applied once to each column chunk.
     Total = (sum_q sqrt(Var[M_q]))^2; the constant contributes nothing."""
-    bra = _bra(states, p.n)
-    buffers = np.empty((2, *states.shape), dtype=complex)  # out and tmp, shared by fragments
-    per = np.array([_variances(_apply(f, states, p.n, *buffers), bra) for f in p.fragments])
-    per = per.reshape(len(p.fragments), states.shape[1])
-    return np.sum(np.sqrt(per), axis=0) ** 2, per
+    chunks = _chunks(states, p.n)
+    mean = np.empty((len(p.fragments), states.shape[1]), dtype=complex)
+    second = np.empty(mean.shape)
+    for cols, chunk, rows in chunks:
+        out, tmp = np.empty((2, *chunk.shape), dtype=complex)  # shared by the fragments
+        for i, f in enumerate(p.fragments):
+            mean[i, cols], second[i, cols] = _moments(_apply(f, chunk, p.n, out, tmp), rows, tmp)
+    per = _variances(mean, second)
+    totals = np.zeros(per.shape[1])
+    for root in np.sqrt(per):  # fragment by fragment: one order of sums at any block width
+        totals += root
+    return totals**2, per
 
 
 def partition_cost(p: Partition, psi: StateVector) -> VarianceReport:
@@ -152,8 +192,11 @@ def partition_cost(p: Partition, psi: StateVector) -> VarianceReport:
 
 def lower_bounds(h: PauliSum, states: np.ndarray) -> np.ndarray:
     """Var[H] per column of a (2^n, S) state block: the single-fragment cost."""
-    bra = _bra(states, h.n)
-    return _variances(h.apply(states), bra)
+    chunks = _chunks(states, h.n)
+    mean, second = np.empty(states.shape[1], dtype=complex), np.empty(states.shape[1])
+    for cols, chunk, rows in chunks:
+        mean[cols], second[cols] = _moments(h.apply(chunk), rows)
+    return _variances(mean, second)
 
 
 def lower_bound(h: PauliSum, psi: StateVector) -> float:

@@ -4,18 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hampart
 from conftest import ILLUSTRATIVE_TEXT
-from hampart import cli, pauli
+from hampart import cli, pauli, variance
 from hampart.cli import main
 from hampart.errors import ResourceError
 from hampart.fragments import Fragment, Partition, pauli_term, save_partition
-from hampart.operators import ElectronicIntegrals, write_fcidump
-from hampart.partitioners import greedy_partition
+from hampart.operators import ElectronicIntegrals, build_bose_hubbard, chain_lattice, write_fcidump
+from hampart.partitioners import greedy_partition, qpn_partition
 from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum, parse_pauli_text
 from hampart.validators import check_reconstruction, validate_partition
 from hampart.variance import lower_bounds, partition_costs, random_state, state_block
@@ -23,6 +25,13 @@ from hampart.variance import lower_bounds, partition_costs, random_state, state_
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def _bose_chain(modes: int):
+    """The d=4, t=1, U=2 chain `build bose-hubbard --modes <modes> --d 4` writes, and its
+    lattice."""
+    lattice = chain_lattice(modes)
+    return build_bose_hubbard(lattice, 1.0, 2.0, 4), lattice
 
 
 @pytest.fixture()
@@ -311,6 +320,53 @@ class TestEvaluate:
                  "--states", 4, "--seed", 9, "-o", tmp_path / out])
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    def test_chunked_states_give_one_block_bytes(self, b3d4, tmp_path, monkeypatch):
+        parts = []
+        for method in ("qpn", "coloring", "qwc-si"):
+            parts.append(tmp_path / f"{method}.json")
+            run(["partition", f"{b3d4}.pauli", "--method", method, "-o", parts[-1]])
+        outputs = []
+        for width in (None, 2, 1):  # one block, then chunks of two columns and of one
+            if width:
+                monkeypatch.setattr(variance, "STATE_CHUNK_BYTES", width * 4 * 16 << 6)
+            out = tmp_path / f"rep{width}"
+            assert run(["evaluate", *parts, "--hamiltonian", f"{b3d4}.pauli",
+                        "--states", 5, "--seed", 9, "-o", out]) == 0
+            assert run(["sweep-k", f"{b3d4}.pauli", "--method", "greedy", "--states", 5,
+                        "-o", f"{out}-sweep.csv"]) == 0
+            outputs.append([Path(f"{out}{suffix}").read_bytes()
+                            for suffix in (".csv", ".json", "-sweep.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_state_column_over_chunk_cap_exit_code(self, b3d4, tmp_path, monkeypatch, capsys):
+        part = tmp_path / "qpn.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        monkeypatch.setattr(variance, "STATE_CHUNK_BYTES", 4 * 16 << 5)  # one 5-qubit column
+        assert run(["evaluate", part, "--hamiltonian", f"{b3d4}.pauli",
+                    "--states", 2, "-o", tmp_path / "rep"]) == 4
+        assert run(["sweep-k", f"{b3d4}.pauli", "--method", "greedy", "--states", 2,
+                    "-o", tmp_path / "sweep.csv"]) == 4
+        assert "exceed" in capsys.readouterr().err
+        assert not (tmp_path / "rep.csv").exists() and not (tmp_path / "sweep.csv").exists()
+
+    def test_sixteen_qubit_states_are_held_one_chunk_at_a_time(self, tmp_path):
+        # 32 states of 16 qubits take 32 MiB as one block; scored chunk by chunk, the run's
+        # traced peak stays under the chunk cap plus the arrays of one partition pass.
+        stem = tmp_path / "b8"
+        assert run(["build", "bose-hubbard", "--modes", 8, "--d", 4, "--t", 1, "--U", 2,
+                    "-o", stem]) == 0
+        part = tmp_path / "qpn.json"
+        save_partition(part, qpn_partition(*_bose_chain(8)))
+        tracemalloc.start()
+        try:
+            assert run(["evaluate", part, "--hamiltonian", f"{stem}.pauli", "--states", 32,
+                        "-o", tmp_path / "rep"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < variance.STATE_CHUNK_BYTES + (8 << 20)
+        assert len((tmp_path / "rep.csv").read_text().splitlines()) == 33
 
     def test_mismatched_hamiltonian_rejected(self, b3d4, tmp_path):
         part = tmp_path / "qpn.json"

@@ -71,6 +71,28 @@ class TestConstruction:
         with pytest.raises(DataError):
             pauli_term(1.0, PauliString.identity(3))
 
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None)
+    @given(letters=st.text("IXYZ", min_size=1, max_size=8).filter(lambda s: s.strip("I")),
+           coeff=st.floats(allow_nan=False, allow_infinity=False, width=64)
+           | st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    def test_pauli_term_bytes_equal_generic_construction(self, letters, coeff):
+        s = PauliString.from_letters(letters)
+        support = s.support()
+        want = TensorProductTerm(
+            [TensorFactor(support[:1], coeff * pauli_matrix(s.letter(support[0])))]
+            + [TensorFactor((q,), pauli_matrix(s.letter(q))) for q in support[1:]])
+        got = pauli_term(coeff, s)
+        assert [f.qubits for f in got.factors] == [f.qubits for f in want.factors]
+        for a, b in zip(got.factors, want.factors):
+            assert a.block.tobytes() == b.block.tobytes() and not a.block.flags.writeable
+            assert (a.masks, a.size) == (b.masks, b.size)
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), 1.0 + 0.5j, 1.0 + 0j])
+    def test_pauli_term_rejects_complex_or_non_finite(self, coeff):
+        with pytest.raises(DataError):
+            pauli_term(coeff, PauliString.from_letters("XZ"))
+
 
 class TestPauliBornFactors:
     """Factors built from Pauli strings realize the bytes of the dense construction."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ILLUSTRATIVE_FC_GROUPS, vib_couplings, VIB_OMEGA
+from conftest import ILLUSTRATIVE_FC_GROUPS, pauli_sums, random_integrals, vib_couplings, VIB_OMEGA
 from hampart import partitioners
 from hampart.encodings import (
     encode_boson_operator,
@@ -23,6 +23,7 @@ from hampart.fragments import (
     TensorProductTerm,
     fragment_matrix,
     partition_to_json,
+    pauli_coefficients,
     pauli_sum_from_fragment,
     pauli_term,
 )
@@ -35,6 +36,7 @@ from hampart.operators import (
     build_vibrational,
     chain_lattice,
     cubic_lattice,
+    fermion_from_integrals,
     hexagonal_lattice,
     square_lattice,
     tetrahedral_lattice,
@@ -376,6 +378,40 @@ class TestPlacementMatchesReferenceLoops:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def assert_strings_are_the_expansion(part: Partition):
+    """Every fragment carries pauli_coefficients of its terms: same keys in the same order,
+    bitwise-equal coefficients (signed zeros included)."""
+    for frag in part.fragments:
+        coeffs = pauli_coefficients(frag.terms)
+        got = frag.strings
+        assert list(zip(got["x"].tolist(), got["z"].tolist())) == list(coeffs), frag.label
+        want = np.array(list(coeffs.values()), dtype=complex)
+        assert got["c"].tobytes() == want.tobytes(), frag.label
+        assert not got.flags.writeable
+
+
+def string_built_partitions(h: PauliSum) -> list[Partition]:
+    parts = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
+    parts += [greedy_partition(h, k) for k in range(1, h.n + 1)]
+    return parts + [blocking_partition(h, k) for k in (1, 2, 3) if k <= h.n]
+
+
+class TestFragmentStrings:
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_strings_are_the_expansion(self, h):
+        for part in string_built_partitions(h):
+            assert_strings_are_the_expansion(part)
+
+    def test_electronic_instance(self):
+        ints = random_integrals(4, np.random.default_rng([3, 4]))
+        h = jordan_wigner(fermion_from_integrals(ints))
+        assert (h.n, len(h)) == (8, 360)
+        for part in string_built_partitions(h):
+            assert_strings_are_the_expansion(part)
 
 
 class TestReorderIndices:

@@ -6,10 +6,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import dense_from_letters, dense_pauli_sum, pauli_sums
+from hampart.encodings import jordan_wigner
 from hampart.errors import DataError, DimensionError, ParseError, ResourceError
+from hampart.operators import FermionOperator
 from hampart.pauli import (
     PauliString,
     PauliSum,
+    _group_diagonal,
     apply_pauli_terms,
     commutes,
     format_pauli_text,
@@ -18,6 +21,7 @@ from hampart.pauli import (
     pauli_masks,
     pauli_matrix,
     pauli_project,
+    string_array,
     string_to_dense,
     weight,
 )
@@ -158,6 +162,18 @@ class TestPauliSum:
                             key=lambda cs: (-abs(cs[0]), cs[1].letters))
         assert h.items_sorted() == by_letters
 
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_cached_sort_equals_a_fresh_sort(self, h):
+        first = h.items_sorted()
+        first.append("caller's edit")  # callers get their own list
+        fresh = PauliSum(h.n, [(c, s) for s, c in h.terms.items()], h.constant).items_sorted()
+        assert h.items_sorted() == fresh
+        x, z = h.sorted_masks()
+        assert x.tolist() == [s.x for _, s in fresh] and z.tolist() == [s.z for _, s in fresh]
+        assert h.sorted_masks()[0] is x and not x.flags.writeable
+
     def test_simplify_idempotent_and_matrix_preserving(self):
         h = PauliSum(2, [(0.25, ps("XZ")), (0.75, ps("XZ")), (1.5, ps("YI"))], 0.5)
         s1 = h.simplified()
@@ -235,13 +251,81 @@ class TestToMatrix:
     def test_apply_into_reused_buffers(self):
         # Buffers that held an earlier result give the bytes of fresh ones.
         rng = np.random.default_rng(9)
-        terms = [(complex(rng.standard_normal()), int(x), int(z))
-                 for x, z in rng.integers(0, 16, (12, 2))]
+        terms = string_array([(complex(rng.standard_normal()), int(x), int(z))
+                              for x, z in rng.integers(0, 16, (12, 2))])
         vec = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         out, tmp = (rng.standard_normal((16, 3)) + 0j for _ in range(2))
         got = apply_pauli_terms(terms, vec, 4, out, tmp)
         assert np.shares_memory(got, out)
         assert got.tobytes() == apply_pauli_terms(terms, vec, 4).tobytes()
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex)
+
+
+def reference_group_diagonal(x, members, n, state_axes):
+    """The loop form: Walsh-Hadamard transform over every qubit any z mask of the group touches,
+    each member placed by a per-qubit loop."""
+    union = 0
+    for _, z in members:
+        union |= z
+    qubits = [q for q in range(n) if union >> q & 1]
+    d = np.zeros(1 << len(qubits), dtype=complex)
+    for c, z in members:
+        d[sum(1 << b for b, q in enumerate(reversed(qubits)) if z >> q & 1)] += (
+            c * (1, -1j, -1, 1j)[(x & z).bit_count() & 3])
+    for _ in qubits:
+        d = (d.reshape(2, -1).T @ _H).ravel()
+    return d.reshape([2 if union >> q & 1 else 1 for q in range(n)] + [1] * state_axes)
+
+
+def flip_groups(h):
+    """x mask -> [(c, z)] of a PauliSum, in term order."""
+    groups = {}
+    for s, c in h.terms.items():
+        groups.setdefault(s.x, []).append((c, s.z))
+    return groups
+
+
+class TestGroupDiagonal:
+    """The shared-bit factorization against the full transform, on random sums and on
+    Jordan-Wigner groups whose strings share a Z chain across 16 qubits."""
+
+    @staticmethod
+    def assert_matches_reference(x, members, n, state_axes):
+        v = np.array([c * (1, -1j, -1, 1j)[(x & z).bit_count() & 3] for c, z in members])
+        got = _group_diagonal(v, [z for _, z in members], n, state_axes)
+        want = reference_group_diagonal(x, members, n, state_axes)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(h=pauli_sums(max_qubits=8), state_axes=st.sampled_from([0, 1]))
+    def test_random_sums(self, h, state_axes):
+        for x, members in flip_groups(h).items():
+            self.assert_matches_reference(x, members, h.n, state_axes)
+
+    def test_jordan_wigner_groups_sharing_a_z_chain(self):
+        # Hops across the 16-mode register, dressed with densities inside and outside the chain:
+        # each x group holds strings that agree on most of a long Z chain.
+        rng = np.random.default_rng(16)
+        terms = []
+        for i, j in ((0, 15), (1, 14), (2, 15), (0, 13)):
+            for k in (None, 5, 9, (i + j) // 2):
+                dens = () if k is None else ((k, True), (k, False))
+                c = float(rng.normal())
+                terms += [(c, ((i, True), *dens, (j, False))), (c, ((j, True), *dens, (i, False)))]
+        h = jordan_wigner(FermionOperator(16, tuple(terms)))
+        groups = flip_groups(h)
+        spreads = []
+        for x, members in groups.items():
+            union = common = members[0][1]
+            for _, z in members:
+                union, common = union | z, common & z
+            spreads.append((union ^ common).bit_count() < union.bit_count())
+            self.assert_matches_reference(x, members, h.n, 1)
+        assert len(groups) >= 4 and sum(spreads) >= 4  # the shared bits were factored out
 
 
 class TestPauliMasks:

@@ -1,5 +1,6 @@
 """Variance engine: exact costs, lower bounds, and the rotated-basis result."""
 
+import json
 import tracemalloc
 from math import prod
 
@@ -9,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian, random_integrals
-from hampart import pauli
+from hampart import pauli, variance
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError, DomainError, ResourceError
 from hampart.fragments import (
@@ -20,6 +21,8 @@ from hampart.fragments import (
     TensorProductTerm,
     apply_fragment,
     fragment_matrix,
+    partition_from_json,
+    partition_to_json,
     pauli_coefficients,
 )
 from hampart.operators import (
@@ -29,13 +32,19 @@ from hampart.operators import (
     chain_lattice,
     fermion_from_integrals,
 )
-from hampart.partitioners import blocking_partition, greedy_partition, sorted_insertion
+from hampart.partitioners import (
+    blocking_partition,
+    greedy_partition,
+    qpn_partition,
+    sorted_insertion,
+)
 from hampart.pauli import (
     PauliString,
     PauliSum,
     apply_pauli_terms,
     parse_pauli_text,
     pauli_masks,
+    string_array,
     string_to_dense,
 )
 from hampart.validators import diagonalize_fragment
@@ -117,6 +126,19 @@ class TestRandomState:
     def test_norm_validation(self):
         with pytest.raises(DataError):
             StateVector(1, np.array([1.0, 1.0], dtype=complex))
+
+    def test_caller_array_stays_writeable(self):
+        a = np.array([1.0, 0.0], dtype=complex)
+        psi = StateVector(1, a)
+        a[1] = 0.5  # the caller's array is still theirs
+        assert psi.amplitudes.tolist() == [1.0, 0.0] and not psi.amplitudes.flags.writeable
+
+    def test_read_only_input_is_kept(self):
+        a = np.array([0.0, 1.0], dtype=complex)
+        a.setflags(write=False)
+        assert StateVector(1, a).amplitudes is a
+        for psi in (random_state(3, 1), basis_state(3, 5)):
+            assert not psi.amplitudes.flags.writeable
 
 
 class TestFragmentVariance:
@@ -284,6 +306,72 @@ class TestBatchedEngine:
         assert per.shape == (0, 4) and np.array_equal(totals, np.zeros(4))
 
 
+class TestChunkedScoring:
+    """Column chunks under STATE_CHUNK_BYTES give the bits of one whole-block pass."""
+
+    @staticmethod
+    def chunk_columns(monkeypatch, n, width):
+        """Make column_chunks cut (2^n, S) blocks into chunks of `width` columns."""
+        monkeypatch.setattr(variance, "STATE_CHUNK_BYTES", width * 4 * 16 << n)
+        return [c.stop - c.start for c in variance.column_chunks(n, 7)]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_chunks_equal_whole_block(self, monkeypatch, width):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(3, np.random.default_rng(8))))
+        block = state_block([random_state(h.n, 30 + i) for i in range(7)])
+        parts = [sorted_insertion(h, "full"), greedy_partition(h, 2), blocking_partition(h, 3)]
+        whole = [partition_costs(part, block) for part in parts], lower_bounds(h, block)
+        assert self.chunk_columns(monkeypatch, h.n, width) == [width] * (7 // width) + (
+            [7 % width] if 7 % width else [])
+        chunked = [partition_costs(part, block) for part in parts], lower_bounds(h, block)
+        for (t0, p0), (t1, p1) in zip(whole[0], chunked[0]):
+            assert t0.tobytes() == t1.tobytes() and p0.tobytes() == p1.tobytes()
+        assert whole[1].tobytes() == chunked[1].tobytes()
+
+    def test_column_over_cap_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(variance, "STATE_CHUNK_BYTES", 4 * 16 << 11)
+        assert variance.column_chunks(11, 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        h = PauliSum(12, [(1.0, PauliString.from_letters("Z" * 12))])
+        part = sorted_insertion(h, "full")
+        block = state_block([random_state(12, 0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                lower_bounds(h, block)
+            with pytest.raises(ResourceError):
+                partition_costs(part, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 12  # less than one 12-qubit column
+
+    def test_block_built_fragments_keep_their_expansion(self):
+        part = qpn_partition(build_bose_hubbard(chain_lattice(3), 1.0, 2.0, 4), chain_lattice(3))
+        assert all(frag.strings is None for frag in part.fragments)
+        block = state_block([random_state(part.n, 5)])
+        first = partition_costs(part, block)
+        for frag in part.fragments:
+            coeffs = pauli_coefficients(frag.terms)
+            assert list(zip(frag.strings["x"].tolist(), frag.strings["z"].tolist())) == list(coeffs)
+            assert frag.strings["c"].tobytes() == np.array(list(coeffs.values())).tobytes()
+        again = partition_costs(part, block)
+        assert first[1].tobytes() == again[1].tobytes()
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None)
+    @given(h=pauli_sums(max_qubits=8), k=st.integers(1, 3), state_seed=st.integers(0, 2**32 - 1))
+    def test_strings_score_like_the_json_round_trip(self, h, k, state_seed):
+        # The partitioners' strings against the fragments' own expansion after a JSON round trip
+        # (blocks only, no strings).
+        block = state_block([random_state(h.n, state_seed + i) for i in range(3)])
+        for part in (sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise"),
+                     greedy_partition(h, min(k, h.n)), blocking_partition(h, min(k, h.n))):
+            loaded = partition_from_json(json.dumps(partition_to_json(part)))
+            assert all(frag.strings is None for frag in loaded.fragments)
+            for got, want in zip(partition_costs(part, block), partition_costs(loaded, block)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 @st.composite
 def y_heavy_sums(draw):
     """Random real Pauli sums on 2-8 qubits, half of whose letters are Y, with a constant."""
@@ -306,7 +394,7 @@ class TestGroupedPauliEngine:
         # Hermitian sums.
         rng = np.random.default_rng(state_seed)
         phases = np.exp(2j * np.pi * rng.random(len(h)))
-        terms = [(c * w, s.x, s.z) for (s, c), w in zip(h.terms.items(), phases)]
+        terms = string_array([(c * w, s.x, s.z) for (s, c), w in zip(h.terms.items(), phases)])
         dense = sum((c * string_to_dense(s) * w for (s, c), w in zip(h.terms.items(), phases)),
                     np.zeros((1 << h.n, 1 << h.n)))
         for got, want in ((apply_pauli_terms(terms, block, h.n), dense @ block),
