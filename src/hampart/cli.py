@@ -28,7 +28,7 @@ from .errors import (
     ResourceError,
     read_text,
 )
-from .fragments import Partition, load_partition, partition_to_json
+from .fragments import Partition, check_realized_bytes, load_partition, partition_to_json
 from .operators import (
     Lattice,
     build_bose_hubbard,
@@ -270,6 +270,7 @@ def cmd_partition(args) -> int:
     h, meta, digest = _load_hamiltonian(args.hamiltonian)
     part = run_method(args.method, h, meta, args.k)
     part = Partition(part.n, part.fragments, part.constant, part.source, digest)
+    check_realized_bytes(part)
     report = validate_partition(part, h, k=args.k)
     data = partition_to_json(part)
     data["validation"] = report.to_dict()

@@ -9,63 +9,134 @@ computational-basis rows of the embedded block are exactly zero.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import DataError, DimensionError, DomainError
 from .operators import BosonOperator, FermionOperator, boson_matrices
-from .pauli import PauliString, PauliSum, pauli_masks, tensor_expansion
+from .pauli import (SIMPLIFY_TOL, PauliString, PauliSum, mask_ints, mask_words, pauli_masks,
+                    tensor_expansion)
 from .pauli import pauli_project  # noqa: F401  (also a public name of this module)
 
 _IMAG_TOL = 1e-10
 _COEFF_TOL = 1e-12
+_JW_CHUNK = 128  # fermion terms expanded at once: bounds the transient arrays
 # A ladder op's 2x2 factor on one qubit: Z below its mode; a+ = |1><0| or a = |0><1| on it.
-_JW_BLOCKS = {"Z": np.diag([1.0, -1.0]), True: np.eye(2, k=-1), False: np.eye(2, k=1)}
+_JW_BLOCKS = {"Z": np.diag([1.0, -1.0]), "+": np.eye(2, k=-1), "-": np.eye(2, k=1)}
 
 
-def _pauli_sum(products, n: int, what: str) -> PauliSum:
-    """Real PauliSum of the tensor_expansion of each (coeff, factors) product, summed in order."""
-    acc: defaultdict[tuple[int, int], complex] = defaultdict(complex)
-    for coeff, factors in products:
-        for c, x, z in tensor_expansion(coeff, factors, _COEFF_TOL):
-            acc[(x, z)] += c
-    terms, constant = [], 0.0
-    for (x, z), coeff in acc.items():
-        string = PauliString(n, x, z)
-        if abs(coeff.imag) > _IMAG_TOL * max(1.0, abs(coeff)):
-            raise DataError(f"{what} produced non-Hermitian content: {coeff} * {string.letters}")
-        if string.is_identity:
-            constant += coeff.real
-        else:
-            terms.append((coeff.real, string))
-    return PauliSum(n, terms, constant)
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's id among the distinct rows of a 2-D key array (mask words), ids numbered by
+    first occurrence, and the row of each id's first occurrence. Rows are grouped by one stable
+    lexsort over the words, so a run's first row is its first occurrence."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ranked = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    firsts = np.zeros(len(keys), bool)
+    firsts[order[new]] = True
+    ids = np.empty(len(keys), np.intp)
+    ids[order] = (np.cumsum(firsts) - 1)[order[new]][np.cumsum(new) - 1]
+    return ids, np.flatnonzero(firsts)
 
 
-def _ladder_factors(ops, cache: dict) -> list:
-    """A ladder product qubit by qubit: one fixed Z mask on the qubits that are not modes of the
-    term, then on each mode qubit the Pauli masks of its ordered product of 2x2 factors."""
-    modes = sorted({m for m, _ in ops})
-    below = 0  # parity of the Z strings of all ops
-    for m, _ in ops:
-        below ^= (1 << m) - 1
-    factors = [[(1.0, 0, below & ~sum(1 << m for m in modes))]] if ops else []
-    for q in modes:
-        pattern = tuple("Z" if m > q else dagger for m, dagger in ops if m >= q)
-        if (q, pattern) not in cache:
-            block = reduce(np.matmul, [_JW_BLOCKS[p] for p in pattern])
-            cache[q, pattern] = pauli_masks(block, (q,))
-        factors.append(cache[q, pattern])
-    return factors
+def _pauli_sum(chunks, n: int, what: str) -> PauliSum:
+    """Real PauliSum of weighted strings arriving in generation order as chunks of coefficients
+    and keys (x then z mask words, mask_words): each string's coefficients are added onto zero
+    in that order (np.add.at), and strings keep their first-seen order (_first_seen)."""
+    parts = []
+    for c, keys in chunks:
+        ids, firsts = _first_seen(keys)
+        parts.append((c, ids, keys[firsts]))
+    keys = np.concatenate([k for *_, k in parts])
+    ids, firsts = _first_seen(keys)
+    acc, start = np.zeros(len(firsts), complex), 0
+    for c, local, k in parts:
+        np.add.at(acc, ids[start:start + len(k)][local], c)
+        start += len(k)
+    keys = keys[firsts]
+    if (bad := np.abs(acc.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(acc))).any():
+        i = int(bad.argmax())
+        string = PauliString(n, *(mask_ints(w)[0] for w in np.hsplit(keys[i:i + 1], 2)))
+        raise DataError(f"{what} produced non-Hermitian content: {acc[i].item()} * "
+                        f"{string.letters}")
+    keep = (np.abs(acc.real) > SIMPLIFY_TOL) | ~keys.any(axis=1)  # what PauliSum keeps
+    strings = map(PauliString, repeat(n), *map(mask_ints, np.hsplit(keys[keep], 2)))
+    return PauliSum(n, zip(acc.real[keep].tolist(), strings))
+
+
+def _jw_letters(pattern: tuple, cache: tuple[dict, dict]) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank of a pattern (each op's rank among its term's distinct modes, times 2, plus its
+    dagger), the pauli_masks letters of the rank's ordered product of ladder and Z blocks, that
+    product cached: (L, 2) coefficients and codes x + 2z, 4 where absent. Such a product is
+    +-|i><j| or zero, so it has two letters at most; a rank past the distinct modes is I."""
+    patterns, products = cache
+    if pattern not in patterns:
+        shape = (len(pattern), 2)
+        c, code = patterns[pattern] = np.zeros(shape, complex), np.full(shape, 4)
+        for j in range(len(pattern)):
+            blocks = tuple("Z" if r // 2 > j else "-+"[r % 2] for r in pattern if r // 2 >= j)
+            if blocks not in products:
+                products[blocks] = pauli_masks(reduce(np.matmul, map(_JW_BLOCKS.get, blocks)), (0,))
+            for k, (c[j, k], x, z) in enumerate(products[blocks]):
+                code[j, k] = x + 2 * z
+    return patterns[pattern]
+
+
+def _jw_expand(coeff, ops, words: int, cache: tuple[dict, dict]):
+    """tensor_expansion of ladder products of one length (ops: (T, L, 2) modes and daggers),
+    broadcast over terms and letter combinations, rank 0 slowest: complex(coeff) * 1.0 on the
+    fixed Z mask, then each rank's coefficient from left to right, dropping |c| <= 1e-12 after
+    each factor (none with no ops). Returns c, keys and term rows of the kept strings."""
+    (terms, length), modes = ops.shape[:2], ops[..., 0]
+    first = ~np.tril(modes[..., None] == modes[:, None], -1).any(axis=2)  # first op on its mode
+    ranks = ((modes[:, None] < modes[..., None]) & first[:, None]).sum(axis=2)
+    pid, firsts = _first_seen(patterns := 2 * ranks + ops[..., 1])
+    tables = zip(*(_jw_letters(tuple(p), cache) for p in patterns[firsts].tolist()))
+    coeffs, codes = (np.stack(table)[pid] for table in tables)
+    word = np.arange(words)
+    bit = (word == modes[..., None] >> 6) << (modes[..., None] & 63).astype(np.uint64)
+    below = np.where(word < modes[..., None] >> 6, ~np.uint64(0), bit - (bit != 0))
+    rank_bits = np.zeros_like(bit)
+    rank_bits[np.arange(terms)[:, None], ranks] = bit
+    r = int(first.sum(axis=1).max(initial=0))  # ranks past every term's distinct modes are I
+    c = np.repeat(coeff[:, None] * (1.0 + 0j), 2 ** r, axis=1)
+    keep = np.abs(c) > _COEFF_TOL if length else np.ones(c.shape, bool)
+    keys = np.zeros((terms, 2 ** r, 2 * words), np.uint64)
+    keys[..., words:] = (np.bitwise_xor.reduce(below, 1) & ~np.bitwise_or.reduce(bit, 1))[:, None]
+    for j, k in enumerate(np.indices((2,) * r).reshape(r, 2 ** r)):
+        c *= coeffs[:, j, k]
+        code = codes[:, j, k, None].astype(np.uint64)
+        keep &= (code[..., 0] < 4) & (np.abs(c) > _COEFF_TOL)
+        keys[..., :words] |= rank_bits[:, j, None] * (code & 1)
+        keys[..., words:] |= rank_bits[:, j, None] * (code >> 1)
+    return c[keep], keys[keep], np.nonzero(keep)[0]
 
 
 def jordan_wigner(op: FermionOperator) -> PauliSum:
-    """Qubit image of a Hermitian fermionic operator; one qubit per mode."""
-    cache: dict = {}
-    products = ((coeff, _ladder_factors(ops, cache)) for coeff, ops in op.terms)
-    return _pauli_sum(products, op.modes, "jordan_wigner")
+    """Qubit image of a Hermitian fermionic operator; one qubit per mode. _JW_CHUNK terms at a
+    time, the terms of each length are expanded together (_jw_expand) and their strings put in
+    term order for _pauli_sum."""
+    words, cache = max(1, -(-op.modes // 64)), ({}, {(): [(1.0, 0, 0)]})  # (): no op there
+
+    def chunks():
+        for start in range(0, max(1, len(op.terms)), _JW_CHUNK):
+            terms = op.terms[start:start + _JW_CHUNK]
+            parts = [(np.zeros(0, complex), np.zeros((0, 2 * words), np.uint64), np.zeros(0, int))]
+            for length in sorted({len(ops) for _, ops in terms}):
+                at = [i for i, (_, ops) in enumerate(terms) if len(ops) == length]
+                flat = chain.from_iterable(chain.from_iterable(terms[i][1] for i in at))
+                ops = np.fromiter(flat, np.int64, 2 * length * len(at)).reshape(len(at), length, 2)
+                c, keys, rows = _jw_expand(np.array([terms[i][0] for i in at]), ops, words, cache)
+                parts.append((c, keys, np.array(at, int)[rows]))
+            c, keys, term = (np.concatenate(part) for part in zip(*parts))
+            order = np.argsort(term, kind="stable")
+            yield c[order], keys[order]
+
+    return _pauli_sum(chunks(), op.modes, "jordan_wigner")
 
 
 @dataclass(frozen=True)
@@ -110,13 +181,20 @@ def _gray_masks(A: np.ndarray, gm: GrayMap, qubits):
     return [t for t in pauli_masks(embed_matrix(A, gm), qubits) if abs(t[0]) > _COEFF_TOL]
 
 
+def _expanded(products, n: int) -> list:
+    """One _pauli_sum chunk of the tensor_expansion strings of (coeff, factors) products."""
+    strings = chain.from_iterable(tensor_expansion(*product, _COEFF_TOL) for product in products)
+    c, x, z = list(zip(*strings)) or ((), (), ())
+    return [(np.array(c, complex), np.hstack([mask_words(x, n), mask_words(z, n)]))]
+
+
 def encode_boson_block(A: np.ndarray, gm: GrayMap) -> PauliSum:
     """Hermitian d x d mode matrix -> PauliSum on k_mode qubits."""
     A = np.asarray(A, dtype=complex)
     if np.max(np.abs(A - A.conj().T)) > 1e-10:
         raise DomainError("block is not Hermitian")
     products = [(1.0, [_gray_masks(A, gm, range(gm.k_mode))])]
-    return _pauli_sum(products, gm.k_mode, "encode_boson_block")
+    return _pauli_sum(_expanded(products, gm.k_mode), gm.k_mode, "encode_boson_block")
 
 
 @dataclass(frozen=True)
@@ -151,5 +229,6 @@ def encode_boson_operator(op: BosonOperator) -> EncodedOperator:
         for mode, symbol in factors:
             blocks[mode] = blocks[mode] @ mats[symbol] if mode in blocks else mats[symbol]
         products.append((coeff, [_gray_masks(blocks[m], gm, layout[m]) for m in sorted(blocks)]))
-    pauli = _pauli_sum(products, op.modes * gm.k_mode, "encode_boson_operator")
+    n = op.modes * gm.k_mode
+    pauli = _pauli_sum(_expanded(products, n), n, "encode_boson_operator")
     return EncodedOperator(pauli, layout, gm)

@@ -23,12 +23,14 @@ import numpy as np
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
-from .pauli import PauliString, PauliSum, pauli_masks, pauli_matrix, string_array, tensor_expansion
+from .pauli import (STRING_DTYPE, PauliString, PauliSum, pauli_masks, pauli_matrix, string_array,
+                    tensor_expansion)
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
 EXPANSION_CAP = 1 << 20
 _UNIT_BLOCKS = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
+_LETTER_MATS = np.stack([pauli_matrix(letter) for letter in "IXZY"])  # by x + 2z
 
 
 class TensorFactor:
@@ -155,6 +157,22 @@ class Partition:
         return max((f.max_factor_size() for f in self.fragments), default=0)
 
 
+# Most bytes of dense blocks (16 * 4^m an m-qubit factor) a partition's string-built factors may
+# realize for certification and JSON. CLI `partition` peaks near 11 times that: el8 greedy k=6
+# holds 24 MiB of blocks and peaks at 338 MiB, so this cap keeps the peak near 430 MiB.
+REALIZED_BYTES_CAP = 32 << 20
+
+
+def check_realized_bytes(p: Partition):
+    """Refuse (ResourceError) a partition whose string-built factors would realize more than
+    REALIZED_BYTES_CAP bytes of dense blocks in total, before any is built."""
+    size = sum(16 << 2 * f.size for frag in p.fragments for term in frag.terms
+               for f in term.factors if f.masks is not None)
+    if size > REALIZED_BYTES_CAP:
+        raise ResourceError(f"partition would realize {size} bytes of dense blocks, "
+                            f"cap {REALIZED_BYTES_CAP}")
+
+
 def pauli_factor(members, qubits) -> TensorFactor:
     """Factor on `qubits` holding the weighted strings (c, s) of `members`, cut to `qubits`."""
     mask = sum(1 << q for q in qubits)
@@ -195,8 +213,28 @@ def held_strings(items) -> np.ndarray:
     return string_array((c, s.x, s.z) for c, s in items)
 
 
-def pauli_group_fragment(group: list[tuple[float, PauliString]], label: str) -> Fragment:
-    return Fragment(tuple(pauli_term(c, s) for c, s in group), label, held_strings(group))
+def pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -> list[Fragment]:
+    """One fragment `prefix-g` of pauli_terms per group id g of h's items_sorted, members in
+    order. The coefficient-carrying 2x2 factors are one broadcast (N, 2, 2) product and the
+    fragments' strings slices of one string_array."""
+    order = np.argsort(gid, kind="stable")
+    items = h.items_sorted()
+    strings = np.empty(len(order), STRING_DTYPE)
+    strings["c"] = [items[i][0] for i in order.tolist()]
+    strings["x"], strings["z"] = (mask[order] for mask in h.sorted_masks())
+    strings.setflags(write=False)
+    q = np.arange(max(h.n, 1), dtype=np.uint64)  # a column even for the empty 0-qubit sum
+    codes = (strings["x"][:, None] >> q & 1) + 2 * (strings["z"][:, None] >> q & 1)
+    low = (codes != 0).argmax(axis=1)  # each string's first qubit and its letter carry c
+    blocks = strings["c"].real[:, None, None] * _LETTER_MATS[codes[np.arange(len(low)), low]]
+    blocks.setflags(write=False)
+    terms = [_built(TensorProductTerm, (
+        _built(TensorFactor, (first,), block, None, None),
+        *(unit_factor(qubit, "IXZY"[k]) for qubit, k in enumerate(row) if k and qubit > first)))
+        for first, block, row in zip(low.tolist(), blocks, codes.tolist())]
+    bounds = np.searchsorted(gid[order], np.arange(gid.max(initial=-1) + 2)).tolist()
+    return [Fragment(tuple(terms[a:b]), f"{prefix}-{g}", strings[a:b])
+            for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, HampartError, ParseError, read_text
-from .pauli import _require_real
+from .pauli import ASCII_FLOAT, _require_real
 
 LATTICE_KINDS = ("chain", "square", "hexagonal", "triangular", "cubic", "tetrahedral", "custom")
 
@@ -404,7 +404,7 @@ class ElectronicIntegrals:
                 self.g[(c, e, a, b)] = value
 
 
-_NORB_RE = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
+_NORB_RE = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE | re.ASCII)
 
 
 def read_fcidump(path) -> ElectronicIntegrals:
@@ -430,13 +430,13 @@ def read_fcidump(path) -> ElectronicIntegrals:
         fields = stripped.split()
         if len(fields) != 5:
             raise ParseError(f"expected `value i j k l`, got {stripped!r}", lineno)
-        try:
-            value = float(fields[0])
-            i, j, k, l = (int(tok) for tok in fields[1:])
-        except ValueError:
-            raise ParseError(f"bad numeric field in {stripped!r}", lineno) from None
+        # ASCII_FLOAT value, indices of ASCII digits alone (float() and int() take more).
+        if not ASCII_FLOAT.fullmatch(fields[0]) or not all(t.isascii() and t.isdigit()
+                                                          for t in fields[1:]):
+            raise ParseError(f"bad numeric field in {stripped!r}", lineno)
+        value, (i, j, k, l) = float(fields[0]), map(int, fields[1:])
         for idx in (i, j, k, l):
-            if idx < 0 or idx > ints.norb:
+            if idx > ints.norb:
                 raise DataError(f"line {lineno}: orbital index {idx} out of range")
         if i == 0 and j == 0 and k == 0 and l == 0:
             ints.core += value

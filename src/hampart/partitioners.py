@@ -21,7 +21,7 @@ from .fragments import (
     TensorProductTerm,
     held_strings,
     pauli_factor,
-    pauli_group_fragment,
+    pauli_group_fragments,
     pauli_term,
     unit_factor,
 )
@@ -40,35 +40,54 @@ from .pauli import PauliString, PauliSum
 # SortedInsertion baselines
 
 
-def sorted_insertion_groups(h: PauliSum, kind: str) -> list[list[tuple[float, PauliString]]]:
-    """Greedy grouping: descending |c|, first group whose members all commute. Each term
-    is tested against every placed term at once and joins the first group with no conflict."""
+def _insertion_groups(h: PauliSum, kind: str) -> np.ndarray:
+    """Group id of each term of items_sorted: descending |c|, each term joins the first group
+    with no member it conflicts with. `full` keeps per group a bitset of the terms that
+    anticommute with a member (ceil(N/64) words, a row added when a group opens); a term's own
+    row is the XOR of bit-sliced z columns over its x bits and x columns over its z bits.
+    `qubitwise` keeps per group the OR of its members' x, z and support: a conflict is an
+    overlap with a differing letter."""
     if kind not in ("full", "qubitwise"):
         raise DomainError(f"unknown commutation kind {kind!r}")
     xs, zs = h.sorted_masks()
-    items = h.items_sorted()
-    gid = np.empty(len(items), dtype=np.intp)
-    n_groups = 0
-    for i in range(len(items)):
-        px, pz, x, z = xs[:i], zs[:i], xs[i], zs[i]
-        if kind == "full":  # odd symplectic product
-            conflict = np.bitwise_count((px & z) ^ (pz & x)) & 1
-        else:  # overlapping support with a differing letter
-            conflict = (px | pz) & (x | z) & ((px ^ x) | (pz ^ z))
-        # Slot n_groups (a new group) never has a conflict.
-        blocked = np.bincount(gid[:i][conflict != 0], minlength=n_groups + 1)
-        gid[i] = g = int(np.argmin(blocked))
-        n_groups = max(n_groups, g + 1)
-    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(n_groups)]
-    for item, g in zip(items, gid):
+    size, q = len(xs), np.arange(h.n, dtype=np.uint64)
+    if kind == "full":
+        letters = np.hstack([xs[:, None] >> q & 1, zs[:, None] >> q & 1]) != 0
+        columns = np.zeros((2 * h.n, -(-size // 64) * 8), np.uint8)  # z columns, then x columns
+        columns[:, :-(-size // 8)] = np.packbits(np.roll(letters, h.n, 1).T, 1, bitorder="little")
+        columns = columns.view("<u8")
+        row = lambda i: np.bitwise_xor.reduce(columns[letters[i]], axis=0)
+        hits = lambda rows, i: rows[:, i >> 6] & np.uint64(1 << (i & 63))
+    else:
+        row = lambda i: (xs[i], zs[i], xs[i] | zs[i])
+        hits = lambda rows, i: (rows[:, 2] & (xs[i] | zs[i])
+                                & ((rows[:, 0] ^ xs[i]) | (rows[:, 1] ^ zs[i])))
+    gid, count = np.empty(size, np.intp), 0
+    groups = np.zeros((1, columns.shape[1] if kind == "full" else 3), np.uint64)
+    for i in range(size):
+        bad = hits(groups[:count], i)
+        g = int(bad.argmin()) if count else 0
+        if not count or bad[g]:
+            g, count = count, count + 1
+            if count > len(groups):
+                groups = np.concatenate([groups, np.zeros_like(groups)])
+        groups[g] |= row(i)
+        gid[i] = g
+    return gid
+
+
+def sorted_insertion_groups(h: PauliSum, kind: str) -> list[list[tuple[float, PauliString]]]:
+    """Greedy grouping: descending |c|, first group whose members all commute."""
+    gid = _insertion_groups(h, kind)
+    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(gid.max(initial=-1) + 1)]
+    for item, g in zip(h.items_sorted(), gid.tolist()):
         groups[g].append(item)
     return groups
 
 
 def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
     label = "fc-si" if kind == "full" else "qwc-si"
-    groups = sorted_insertion_groups(h, kind)
-    fragments = [pauli_group_fragment(g, f"{label}-{i}") for i, g in enumerate(groups)]
+    fragments = pauli_group_fragments(h, _insertion_groups(h, kind), label)
     return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
 
 
@@ -166,7 +185,8 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
         else:
             residual.append((coeff, string))
     # Grouped first: a sum past 64 qubits is refused before any window's strings are packed.
-    residual_groups = sorted_insertion_groups(PauliSum(n, residual), "full")
+    rest = PauliSum(n, residual)
+    residual_groups = _insertion_groups(rest, "full")
     fragments = []
     for o in range(k):
         windows = sorted(key for key in assigned if key[0] == o)
@@ -179,8 +199,7 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
             terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
         held = [item for key in windows for item in assigned[key]]
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}", held_strings(held)))
-    for i, group in enumerate(residual_groups):
-        fragments.append(pauli_group_fragment(group, f"blocking-residual-{i}"))
+    fragments += pauli_group_fragments(rest, residual_groups, "blocking-residual")
     return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
 
 

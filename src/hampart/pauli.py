@@ -10,6 +10,8 @@ significant bit of a computational-basis index.
 
 from __future__ import annotations
 
+import math
+import re
 from functools import cache, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator
@@ -19,6 +21,8 @@ import numpy as np
 from .errors import DataError, DimensionError, DomainError, ParseError, ResourceError
 
 SIMPLIFY_TOL = 1e-12
+# A number in text input: ASCII digits only, no `_` (float() and int() also take both).
+ASCII_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 # Qubit cap for dense matrix realization.
 DENSE_QUBIT_CAP = 12
@@ -265,6 +269,19 @@ def string_array(terms) -> np.ndarray:
     return out
 
 
+def mask_words(masks, n: int) -> np.ndarray:
+    """Python-int qubit masks as an (N, max(1, ceil(n / 64))) uint64 array; word w holds qubits
+    64w to 64w + 63, so masks past 64 qubits keep every bit."""
+    masks = np.array(masks, dtype=object).reshape(-1, 1)
+    return (masks >> np.arange(0, max(64, n), 64, dtype=object) & (1 << 64) - 1).astype(np.uint64)
+
+
+def mask_ints(words: np.ndarray) -> list[int]:
+    """Inverse of mask_words: one Python int per row of uint64 words."""
+    shifts = np.arange(0, 64 * words.shape[1], 64, dtype=object)
+    return (words.astype(object) << shifts).sum(axis=1, initial=0).tolist()
+
+
 # (-i)^k for k = |x & z| mod 4, and the unnormalized one-qubit Walsh-Hadamard map.
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -377,14 +394,23 @@ class PauliSum:
 
     def items_sorted(self) -> list[tuple[float, PauliString]]:
         """Terms in descending |coefficient|; ties broken by letter sequence (I < X < Y < Z,
-        qubit 0 first), as the base-4 number with digit 2z + (x ^ z) per qubit, qubit 0 on top.
-        Sorted once per instance."""
-        def digits(mask: int) -> int:  # bit q of mask -> base-4 digit n-1-q
-            return int(format(mask, f"0{self.n}b")[::-1], 4)
+        qubit 0 first). One np.lexsort over -|c| and letter-key words: each word is the base-4
+        number with digit 2z + (x ^ z) per qubit over 32 qubits, qubit 0 on top. Sorted once
+        per instance."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(
-                ((c, s) for s, c in self._terms.items()),
-                key=lambda cs: (-abs(cs[0]), 2 * digits(cs[1].z) + digits(cs[1].x ^ cs[1].z))))
+            strings, coeffs = list(self._terms), list(self._terms.values())
+            x, z = (mask_words([getattr(s, m) for s in strings], self.n) for m in "xz")
+            bits = [np.unpackbits(w.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+                    for w in (z, x ^ z)]  # per qubit: the high and low bit of its digit
+            digits = np.zeros((len(strings), -(-self.n // 32) * 32, 2), np.uint8)
+            digits[:, :self.n] = np.stack(bits, axis=2)[:, :self.n]
+            words = digits.reshape(len(digits), digits.shape[1] // 32, 64)  # 32 qubits a word
+            keys = np.packbits(words, axis=2).view(">u8")[..., 0]
+            order = np.lexsort((*keys.T[::-1], -np.abs(np.array(coeffs, float))))
+            self._sorted = tuple((coeffs[i], strings[i]) for i in order.tolist())
+            self._masks = x[order, 0], z[order, 0]  # contiguous: placement scans them per term
+            for mask in self._masks:
+                mask.setflags(write=False)
         return list(self._sorted)
 
     def sorted_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,12 +418,7 @@ class PauliSum:
         a sum on more than 64 qubits is refused before any array is built."""
         if self.n > 64:
             raise ResourceError(f"uint64 masks hold at most 64 qubits, got {self.n}")
-        if self._masks is None:  # contiguous: placement scans them once per term
-            items = self.items_sorted()
-            self._masks = tuple(np.array([getattr(s, m) for _, s in items], np.uint64)
-                                for m in "xz")
-            for mask in self._masks:
-                mask.setflags(write=False)
+        self.items_sorted()
         return self._masks
 
     def __iter__(self) -> Iterator[tuple[float, PauliString]]:
@@ -451,7 +472,7 @@ def _require_real(value, what: str) -> float:
             raise DataError(f"{what} must be real, got {value}")
         value = value.real
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"{what} must be finite, got {value}")
     return value
 
@@ -461,39 +482,47 @@ def parse_pauli_text(text: str, n: int | None = None) -> PauliSum:
 
     Each line is `<coefficient> <letter><qubit> ...` (e.g. `0.5 X0 Z3`);
     a line with only a coefficient is the identity term; `#` starts a comment.
+    Numbers take ASCII digits only (ASCII_FLOAT; a qubit is digits alone). One pass per
+    line builds the x/z masks.
     """
-    parsed: list[tuple[float, list[tuple[int, str]]]] = []
-    max_q = -1
+    parsed: list[tuple[float, int, int]] = []
+    max_q, twice = -1, None  # a qubit given two letters is reported after the range check
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         try:
             coeff = float(fields[0])
         except ValueError:
             raise ParseError(f"bad coefficient {fields[0]!r}", lineno) from None
-        if not np.isfinite(coeff):
+        if not math.isfinite(coeff):
             raise ParseError(f"non-finite coefficient {fields[0]!r}", lineno)
-        ops = []
+        if not ASCII_FLOAT.fullmatch(fields[0]):
+            raise ParseError(f"bad coefficient {fields[0]!r}", lineno)
+        x = z = 0
         for tok in fields[1:]:
             if len(tok) < 2 or tok[0] not in "IXYZ":
                 raise ParseError(f"bad factor {tok!r}", lineno)
-            try:
-                q = int(tok[1:])
-            except ValueError:
-                raise ParseError(f"bad qubit index in {tok!r}", lineno) from None
-            if q < 0:
-                raise ParseError(f"negative qubit index in {tok!r}", lineno)
-            if tok[0] != "I":
-                ops.append((q, tok[0]))
+            digits = tok[1:]
+            if not (digits.isascii() and digits.isdigit()):
+                negative = digits[0] == "-" and digits[1:].isascii() and digits[1:].isdigit()
+                what = "negative" if negative and int(digits) else "bad"
+                raise ParseError(f"{what} qubit index in {tok!r}", lineno)
+            q = int(digits)
+            xb, zb = _LETTER_TO_BITS[tok[0]]
+            if xb | zb:
+                if (x | z) >> q & 1 and twice is None:
+                    twice = q
+                x, z = x | xb << q, z | zb << q
             max_q = max(max_q, q)
-        parsed.append((coeff, ops))
+        parsed.append((coeff, x, z))
     if n is None:
         n = max_q + 1 if max_q >= 0 else 0
     elif max_q >= n:
         raise DataError(f"qubit index {max_q} out of range for n={n}")
-    return PauliSum(n, [(c, PauliString.from_ops(ops, n)) for c, ops in parsed])
+    if twice is not None:
+        raise DataError(f"qubit {twice} assigned twice")
+    return PauliSum(n, [(c, PauliString(n, x, z)) for c, x, z in parsed])
 
 
 def format_pauli_text(h: PauliSum) -> str:

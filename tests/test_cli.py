@@ -1,5 +1,7 @@
 """Command-line driver: workflows, determinism, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 import hampart
 from conftest import ILLUSTRATIVE_TEXT
-from hampart import cli, pauli, variance
+from hampart import cli, fragments, pauli, variance
 from hampart.cli import main
 from hampart.errors import ResourceError
 from hampart.fragments import Fragment, Partition, pauli_term, save_partition
@@ -110,6 +112,32 @@ class TestBuild:
     def test_non_finite_parameter_exit_code(self, tmp_path, argv):
         assert run(["build", *argv, "-o", tmp_path / "h"]) == 2
         assert not (tmp_path / "h.pauli").exists()
+
+    @pytest.mark.parametrize("record", [" 0.5 1_0 1 0 0", " 1_0.5 1 1 0 0", " 0.5 \u0661 1 0 0",
+                                        " \u0660.5 1 1 0 0", " 0.5 +1 1 0 0"],
+                             ids=["index-underscore", "value-underscore", "index-arabic-digit",
+                                  "value-arabic-digit", "index-sign"])
+    def test_lenient_fcidump_number_exit_code(self, tmp_path, h2_fcidump, capsys, record):
+        # Indices are ASCII digits and values pauli.ASCII_FLOAT; int() and float() take more.
+        h2_fcidump.write_text(h2_fcidump.read_text() + record + "\n")
+        assert run(["build", "electronic", "--fcidump", h2_fcidump, "-o", tmp_path / "h2"]) == 2
+        assert "bad numeric field" in capsys.readouterr().err
+        assert not (tmp_path / "h2.pauli").exists()
+
+    @pytest.mark.parametrize("norb, sha256", [
+        (4, "fe1379ede39470ce602e0b264d2ceb15f346ee37b6f797b39cfd202d00bf04a0"),
+        (5, "bb95da4880d1c3b8ca888f6c535b188aa2001f17f2bd84bc580555fd3420e79b"),
+    ])
+    def test_benchmark_electronic_inputs_build_pinned_bytes(self, tmp_path, norb, sha256):
+        # The perfbench generator's seed-3 FCIDUMPs (the certify and score inputs).
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        inputs.write_electronic(tmp_path / "el.fcidump", norb, 3)
+        assert run(["build", "electronic", "--fcidump", tmp_path / "el.fcidump",
+                    "-o", tmp_path / "el"]) == 0
+        assert hashlib.sha256((tmp_path / "el.pauli").read_bytes()).hexdigest() == sha256
 
     def test_non_finite_fcidump_record_exit_code(self, tmp_path, h2_fcidump):
         h2_fcidump.write_text(h2_fcidump.read_text() + " nan 1 2 0 0\n")
@@ -244,6 +272,33 @@ class TestPartition:
         assert run(["partition", xz13, "--method", "greedy", "--k", DENSE_QUBIT_CAP + 1,
                     "-o", out]) == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0.5 X1_0 Z0\n", "1_0.5 X0\n", "\u0661.5 X0\n",
+                                      "0.5 X\u0661\n"],
+                             ids=["qubit-underscore", "coefficient-underscore",
+                                  "coefficient-arabic-digit", "qubit-arabic-digit"])
+    def test_lenient_pauli_number_exit_code(self, tmp_path, text):
+        # int() reads X1_0 as qubit 10 and float() 1_0.5 as 10.5; the file format does not.
+        (tmp_path / "h.pauli").write_text("1.0 Z0\n" + text)
+        out = tmp_path / "x.json"
+        assert run(["partition", tmp_path / "h.pauli", "--method", "fc-si", "-o", out]) == 2
+        assert not out.exists()
+
+    def test_realized_block_bytes_over_cap_exit_code(self, tmp_path, monkeypatch):
+        # Greedy k = 8 on 8 qubits holds one 8-qubit block: 16 * 4^8 = 1 MiB once realized.
+        (tmp_path / "xz8.pauli").write_text("1.0 " + " ".join(f"X{q}" for q in range(8))
+                                            + "\n0.5 " + " ".join(f"Z{q}" for q in range(8)))
+        monkeypatch.setattr(fragments, "REALIZED_BYTES_CAP", 1 << 19)
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code = run(["partition", tmp_path / "xz8.pauli", "--method", "greedy", "--k", 8,
+                        "-o", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and not out.exists()
+        assert peak < 1 << 18
 
     def test_greedy_needs_k(self, b3d4, tmp_path):
         assert run(["partition", f"{b3d4}.pauli", "--method", "greedy",

@@ -1,11 +1,15 @@
 """Jordan-Wigner and Gray-code encodings against explicit matrix oracles."""
 
+from collections import defaultdict
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import dense_fermion, jw_ladder, kron_all
+from hampart import encodings
 from hampart.encodings import (
     EncodedOperator,
     embed_matrix,
@@ -26,7 +30,8 @@ from hampart.operators import (
     build_fermi_hubbard,
     chain_lattice,
 )
-from hampart.pauli import PauliString, PauliSum, multiply, string_to_dense
+from hampart.pauli import (PauliString, PauliSum, multiply, pauli_masks, string_to_dense,
+                           tensor_expansion)
 
 
 def ladder_paulis(mode: int, modes: int, dagger: bool) -> dict:
@@ -323,7 +328,7 @@ def _realify(acc: dict[PauliString, complex], n: int, what: str) -> PauliSum:
     return PauliSum(n, terms, constant)
 
 
-def reference_jordan_wigner(op: FermionOperator) -> PauliSum:
+def string_product_jordan_wigner(op: FermionOperator) -> PauliSum:
     """Qubit image of a Hermitian fermionic operator; one qubit per mode."""
     n = op.modes
     acc: dict[PauliString, complex] = {}
@@ -420,7 +425,7 @@ class TestEncodersMatchReferenceProducts:
     @settings(max_examples=300, deadline=None)
     @given(op=fermion_operators())
     def test_jordan_wigner_equals_string_products(self, op):
-        h, oracle = jordan_wigner(op), reference_jordan_wigner(op)
+        h, oracle = jordan_wigner(op), string_product_jordan_wigner(op)
         assert h.terms == oracle.terms
         assert h.constant == oracle.constant
 
@@ -445,3 +450,101 @@ class TestEncodersMatchReferenceProducts:
         block = block + block.conj().T
         h, oracle = encode_boson_block(block, gm), reference_encode_boson_block(block, gm)
         assert h.terms == oracle.terms and h.constant == oracle.constant
+
+
+# ---------------------------------------------------------------------------
+# The per-term Jordan-Wigner loop: one ladder product at a time, through tensor_expansion and a
+# dict of +=. The library expands arrays of terms at once and must give the same bytes, in the
+# same first-seen order.
+
+_JW_BLOCKS = {"Z": np.diag([1.0, -1.0]), True: np.eye(2, k=-1), False: np.eye(2, k=1)}
+
+
+def _ladder_factors(ops, cache: dict) -> list:
+    """A ladder product qubit by qubit: one fixed Z mask on the qubits that are not modes of the
+    term, then on each mode qubit the Pauli masks of its ordered product of 2x2 factors."""
+    modes = sorted({m for m, _ in ops})
+    below = 0  # parity of the Z strings of all ops
+    for m, _ in ops:
+        below ^= (1 << m) - 1
+    factors = [[(1.0, 0, below & ~sum(1 << m for m in modes))]] if ops else []
+    for q in modes:
+        pattern = tuple("Z" if m > q else dagger for m, dagger in ops if m >= q)
+        if (q, pattern) not in cache:
+            block = reduce(np.matmul, [_JW_BLOCKS[p] for p in pattern])
+            cache[q, pattern] = pauli_masks(block, (q,))
+        factors.append(cache[q, pattern])
+    return factors
+
+
+def reference_jordan_wigner(op: FermionOperator) -> PauliSum:
+    """Qubit image of a Hermitian fermionic operator, one term at a time."""
+    cache: dict = {}
+    acc: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    for coeff, ops in op.terms:
+        for c, x, z in tensor_expansion(coeff, _ladder_factors(ops, cache), _COEFF_TOL):
+            acc[(x, z)] += c
+    return _realify({PauliString(op.modes, x, z): c for (x, z), c in acc.items()}, op.modes,
+                    "jordan_wigner")
+
+
+def same_bytes(got: PauliSum, want: PauliSum) -> bool:
+    """Equal strings in the same dict order, and bitwise equal coefficients and constant."""
+    return (list(got.terms) == list(want.terms)
+            and np.array(list(got.terms.values())).tobytes()
+            == np.array(list(want.terms.values())).tobytes()
+            and np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes())
+
+
+@st.composite
+def wide_fermion_operators(draw):
+    """Hermitian operators on 1, 31, 33, 64, 65 or 70 modes whose ops fall on a few modes (ends
+    of the register and of its 64-bit words among them), so modes repeat within a term: a+ a on
+    one mode, a a+ a, identity terms."""
+    modes = draw(st.sampled_from([1, 31, 33, 64, 65, 70]))
+    edges = [m for m in (0, 31, 32, 63, 64, modes - 1) if m < modes]
+    pool = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, modes - 1)),
+                         min_size=1, max_size=4))
+    ladder = st.tuples(st.sampled_from(pool), st.booleans())
+    terms = []
+    for coeff, ops in draw(st.lists(st.tuples(COEFFS, st.lists(ladder, max_size=5)),
+                                    min_size=1, max_size=8)):
+        terms.append((coeff, tuple(ops)))
+        terms.append((coeff, tuple((m, not dagger) for m, dagger in reversed(ops))))
+    return FermionOperator(modes, tuple(terms))
+
+
+class TestJordanWignerMatchesPerTermLoop:
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(op=st.one_of(fermion_operators(), wide_fermion_operators()))
+    def test_bytes_equal_per_term_loop(self, op):
+        assert same_bytes(jordan_wigner(op), reference_jordan_wigner(op))
+
+    @pytest.mark.parametrize("sites", [40, 70])
+    def test_hubbard_chains_past_32_and_64_qubits(self, sites):
+        # Masks are grouped word by word: 40 qubits once lost strings to a 32-bit packed key.
+        op = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
+        h = jordan_wigner(op)
+        assert same_bytes(h, reference_jordan_wigner(op))
+        assert len(h) == {40: 157, 70: 277}[sites]
+
+    def test_term_chunks_change_nothing(self, monkeypatch):
+        hops = [(0.1 * (i + 1), i % 6, (i * 5) % 6) for i in range(40)]
+        op = FermionOperator(6, tuple((c, ((i, True), (j, False))) for c, p, q in hops
+                                      for i, j in ((p, q), (q, p))))
+        whole = jordan_wigner(op)
+        monkeypatch.setattr(encodings, "_JW_CHUNK", 3)
+        assert same_bytes(jordan_wigner(op), whole)
+        assert same_bytes(whole, reference_jordan_wigner(op))
+
+    def test_long_products_on_few_modes(self):
+        # Only the distinct modes are expanded: 30 ops on one mode give 2 strings, not 2^30.
+        number = ((1, True), (1, False))
+        pair = ((0, True), (2, False), (2, True), (0, False))
+        op = FermionOperator(3, ((1.0, number * 15), (0.5, pair * 3), (0.25, number)))
+        assert same_bytes(jordan_wigner(op), reference_jordan_wigner(op))
+
+    def test_empty_operator(self):
+        h = jordan_wigner(FermionOperator(3, ()))
+        assert h.n == 3 and len(h) == 0 and h.constant == 0.0

@@ -56,6 +56,7 @@ from hampart.partitioners import (
     qpn_partition,
     reorder_indices,
     sorted_insertion,
+    sorted_insertion_groups,
 )
 from hampart.pauli import (
     DENSE_QUBIT_CAP,
@@ -244,6 +245,51 @@ def reference_sorted_insertion_groups(h: PauliSum, kind: str):
     return groups
 
 
+def reference_group_ids(h: PauliSum, kind: str) -> np.ndarray:
+    """The group of each term of h.items_sorted() under reference_sorted_insertion_groups."""
+    group = {s: g for g, members in enumerate(reference_sorted_insertion_groups(h, kind))
+             for _, s in members}
+    return np.array([group[s] for _, s in h.items_sorted()], dtype=np.intp)
+
+
+def random_sum(n: int, size: int, seed: int) -> PauliSum:
+    """`size` distinct random strings on n qubits, coefficients spread so few tie."""
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, (1 << n) - 1, (3 * size, 2), dtype=np.uint64, endpoint=True)
+    strings = {PauliString(n, int(x), int(z)) for x, z in masks}
+    strings.discard(PauliString.identity(n))
+    return PauliSum(n, [(float(c), s) for c, s in zip(rng.normal(size=size), sorted(
+        strings, key=lambda s: (s.x, s.z))[:size])])
+
+
+class TestSortedInsertionMatchesReferenceLoop:
+    @pytest.mark.parametrize("size", [0, 1, 2, 63, 64, 65, 127, 128, 129, 192])
+    @pytest.mark.parametrize("kind", ["full", "qubitwise"])
+    def test_groups_around_word_boundaries(self, kind, size):
+        # The full kind keeps one bit per term: sizes straddle the 64-term words.
+        h = random_sum(6, size, seed=size)
+        assert len(h) == size
+        assert sorted_insertion_groups(h, kind) == reference_sorted_insertion_groups(h, kind)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("kind", ["full", "qubitwise"])
+    def test_empty_sum_has_no_fragments(self, kind, n):
+        part = sorted_insertion(PauliSum(n, [], 0.5), kind)
+        assert part.fragments == () and part.constant == 0.5
+
+    @pytest.mark.parametrize("kind", ["full", "qubitwise"])
+    def test_groups_on_64_qubits(self, kind):
+        h = random_sum(64, 150, seed=64)
+        assert sorted_insertion_groups(h, kind) == reference_sorted_insertion_groups(h, kind)
+
+    @pytest.mark.parametrize("kind", ["full", "qubitwise"])
+    def test_fragment_strings_are_slices_of_one_array(self, kind):
+        part = sorted_insertion(random_sum(5, 70, seed=5), kind)
+        base = part.fragments[0].strings.base
+        assert base is not None and not base.flags.writeable and len(part.fragments) > 1
+        assert all(frag.strings.base is base for frag in part.fragments)
+
+
 class _MatchSet:
     """Strings sharing letters everywhere except at most k free qubits."""
 
@@ -349,9 +395,7 @@ class TestPlacementMatchesReferenceLoops:
             assert_same_partition(greedy_partition(h, k), reference_greedy_partition(h, k))
         vectorized = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
         vectorized += [blocking_partition(h, k) for k in (2, 3) if k <= h.n]
-        with mock.patch.object(
-            partitioners, "sorted_insertion_groups", reference_sorted_insertion_groups
-        ):
+        with mock.patch.object(partitioners, "_insertion_groups", reference_group_ids):
             reference = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
             reference += [blocking_partition(h, k) for k in (2, 3) if k <= h.n]
         for got, want in zip(vectorized, reference):

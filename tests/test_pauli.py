@@ -181,6 +181,24 @@ class TestPauliSum:
         assert s1 == s2 == h
         assert np.allclose(h.to_matrix(), s1.to_matrix())
 
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([1, 2, 31, 32, 33, 63, 64, 65, 70]), data=st.data())
+    def test_lexsort_order_equals_python_key(self, n, data):
+        # The key of the per-term sort: -|c|, then the base-4 number with digit 2z + (x ^ z) per
+        # qubit, qubit 0 on top; few distinct |c| so that most terms tie on it.
+        masks = st.integers(0, (1 << n) - 1)
+        terms = data.draw(st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.5, 3e-3]), masks,
+                                             masks), max_size=40))
+        h = PauliSum(n, [(c, PauliString(n, x, z)) for c, x, z in terms])
+
+        def digits(mask: int) -> int:  # bit q of mask -> base-4 digit n-1-q
+            return int(format(mask, f"0{n}b")[::-1], 4)
+
+        want = sorted(((c, s) for s, c in h.terms.items()),
+                      key=lambda cs: (-abs(cs[0]), 2 * digits(cs[1].z) + digits(cs[1].x ^ cs[1].z)))
+        assert h.items_sorted() == want
+
 
 class TestToMatrix:
     def test_z_is_diag(self):
@@ -393,6 +411,30 @@ class TestTextFormat:
             parse_pauli_text("1.0 Q0\n")
         with pytest.raises(ParseError):
             parse_pauli_text("nan X0\n")
+
+    @pytest.mark.parametrize("text, n, error, message", [
+        ("1.0 X0\nbogus X1\n", None, ParseError, "line 2: bad coefficient 'bogus'"),
+        ("1.0 Q0\n", None, ParseError, "line 1: bad factor 'Q0'"),
+        ("1.0 X\n", None, ParseError, "line 1: bad factor 'X'"),
+        ("nan X0\n", None, ParseError, "line 1: non-finite coefficient 'nan'"),
+        ("1e999 Z0\n", None, ParseError, "line 1: non-finite coefficient '1e999'"),
+        ("1.0 Xa\n", None, ParseError, "line 1: bad qubit index in 'Xa'"),
+        ("1.0 X-2\n", None, ParseError, "line 1: negative qubit index in 'X-2'"),
+        ("1.0 X0 X0\n# c\n2.0 Z1\nbad\n", None, ParseError, "line 4: bad coefficient 'bad'"),
+        ("1.0 Z0 I0 Z0\n", None, DataError, "qubit 0 assigned twice"),
+        ("1.0 X0\n2.0 Z0 Z0\n3.0 Y7\n", 4, DataError, "qubit index 7 out of range for n=4"),
+        # Numbers take ASCII digits only: int() and float() also read `_` and other digits.
+        ("0.5 X1_0 Z0\n", None, ParseError, "line 1: bad qubit index in 'X1_0'"),
+        ("1.0\n1_0.5 X0\n", None, ParseError, "line 2: bad coefficient '1_0.5'"),
+        ("\u0661 X0\n", None, ParseError, "line 1: bad coefficient '\u0661'"),
+        ("1.0 X\u0661\n", None, ParseError, "line 1: bad qubit index in 'X\u0661'"),
+        ("1.0 X+1\n", None, ParseError, "line 1: bad qubit index in 'X+1'"),
+        ("1.0 X-0\n", None, ParseError, "line 1: bad qubit index in 'X-0'"),
+    ])
+    def test_errors_keep_class_message_and_line(self, text, n, error, message):
+        with pytest.raises(error) as err:
+            parse_pauli_text(text, n)
+        assert type(err.value) is error and str(err.value) == message
 
     def test_out_of_range_with_explicit_n(self):
         with pytest.raises(DataError):
