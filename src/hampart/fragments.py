@@ -41,8 +41,8 @@ class TensorFactor:
 
     def __init__(self, qubits, block=None, masks=None):
         qubits = tuple(int(q) for q in qubits)
-        if len(set(qubits)) != len(qubits):
-            raise DataError(f"repeated qubit in factor {qubits}")
+        if len(set(qubits)) != len(qubits) or min(qubits, default=0) < 0:
+            raise DataError(f"repeated or negative qubit in factor {qubits}")
         if masks is None:
             block = np.array(block, dtype=complex)
             dim = 1 << len(qubits)
@@ -50,8 +50,8 @@ class TensorFactor:
                 raise DimensionError(
                     f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
                 )
-            if abs(block - block.conj().T).max() > _HERMITIAN_TOL:
-                raise DataError("factor block is not Hermitian")
+            if not np.isfinite(block).all() or abs(block - block.conj().T).max() > _HERMITIAN_TOL:
+                raise DataError("factor block is not finite and Hermitian")
             block.setflags(write=False)
         for name, value in zip(self.__slots__, (qubits, block, masks, None)):
             object.__setattr__(self, name, value)
@@ -323,7 +323,9 @@ FORMAT_TAG = "hampart-partition-v1"
 def _factor_from_json(f: dict) -> TensorFactor:
     """A factor from its JSON form. A one-qubit block bitwise equal to X, Y or Z (signed zeros
     included; its floats packed, no array built) is that letter's shared unit_factor."""
-    qubits = tuple(map(int, f["qubits"]))
+    qubits = tuple(f["qubits"])
+    if not all(type(q) is int for q in qubits):  # no bool, float or string
+        raise DataError(f"factor qubits must be JSON integers, got {qubits}")
     data, dim = f["block"], 1 << len(qubits)
     if dim == 2 and len(data) == 4:
         letter = _UNIT_BLOCKS.get(struct.pack("8d", *data[0], *data[1], *data[2], *data[3]))
@@ -378,10 +380,15 @@ def partition_from_json(data: dict | str) -> Partition:
             terms = [TensorProductTerm(_factor_from_json(f) for f in term["factors"])
                      for term in frag["terms"]]
             fragments.append(Fragment(tuple(terms), frag.get("label", "")))
+        n, constant = data["n"], data["constant"]
+        if type(n) is not int or n < 0:
+            raise DataError(f"n must be a non-negative JSON integer, got {n!r}")
+        if type(constant) not in (int, float) or not np.isfinite(constant):
+            raise DataError(f"constant must be a finite number, got {constant!r}")
         return Partition(
-            n=int(data["n"]),
+            n=n,
             fragments=tuple(fragments),
-            constant=float(data["constant"]),
+            constant=float(constant),
             source=data.get("source", ""),
             hamiltonian_sha256=data.get("hamiltonian_sha256"),
         )

@@ -8,8 +8,8 @@ on its masks; other fragments whose factor supports align get one unitary per
 support, found simultaneously for the support's family of blocks. Every other
 fragment gets a Clifford circuit if the strings of its exact Pauli expansion
 commute: it maps every string to a Z-type string, checked by conjugating each
-string exactly. Either way the certificate is a bound on the max-entry norm of
-U^dag M U - diag(D).
+string exactly and once, by gate layers. Either way the certificate is a bound
+on the max-entry norm of U^dag M U - diag(D).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fragments import (
     pauli_coefficients,
     term_matrix,
 )
-from .pauli import PauliSum, _basis_mask
+from .pauli import PauliSum, apply_pauli_terms, string_array
 from .variance import StateVector
 
 COMMUTATION_QUBIT_CAP = 10
@@ -251,52 +251,57 @@ _GATE_OPS = {
 _LETTER_BASES = {(1, 0): _GATE_OPS["h"], (1, 1): _GATE_OPS["s"] @ _GATE_OPS["h"], (0, 1): np.eye(2)}
 
 
-def _conjugate(gate: tuple[str, tuple[int, ...]], x: int, z: int) -> tuple[int, int, int]:
-    """g P g^dag = (-1)^flip P' for a Hermitian Pauli string P = (x, z) (Y is x = z = 1):
-    the masks of P' and flip, by the rules of Aaronson & Gottesman (quant-ph/0406196)."""
-    name, a, b = gate[0], gate[1][0], gate[1][-1]
-    xa, za = (x >> a) & 1, (z >> a) & 1
-    if name == "h":
-        swap = (xa ^ za) << a
-        return x ^ swap, z ^ swap, xa & za
-    if name == "s":
-        return x, z ^ (xa << a), xa & za
-    xb, zb = (x >> b) & 1, (z >> b) & 1
-    if name == "cx":
-        return x ^ (xa << b), z ^ (zb << a), xa & zb & (xb ^ za ^ 1)
-    return x, z ^ (xb << a) ^ (xa << b), xa & xb & (za ^ zb)  # cz
+def _conjugate(layers, x: int, z: int, e: int) -> tuple[int, int, int]:
+    """g P g^dag = i^e' X^x' Z^z' for P = i^e X^x Z^z (a Hermitian string has e = |x&z|) through
+    layers (name, q, mask) of commuting gates, in order: CNOTs from q to each qubit of mask, S or
+    H on each qubit of mask, or CZs between q and each (Aaronson & Gottesman, quant-ph/0406196)."""
+    for name, q, mask in layers:
+        if name == "cx":
+            x ^= mask * (x >> q & 1)
+            z ^= ((z & mask).bit_count() & 1) << q
+        elif name == "s":
+            e += (x & mask).bit_count()
+            z ^= x & mask
+        elif name == "h":
+            e += 2 * (x & z & mask).bit_count()
+            x, z = x ^ (x ^ z) & mask, z ^ (x ^ z) & mask
+        else:  # cz
+            e += 2 * (x >> q & 1) * (x & mask).bit_count()
+            z ^= mask * (x >> q & 1) ^ ((x & mask).bit_count() & 1) << q
+    return x, z, e
 
 
-def _clifford_circuit(strings) -> list[tuple[str, tuple[int, ...]]]:
-    """Gates (H, S, CNOT, CZ) that map every string of a commuting set to a Z-type string.
+def _clifford_circuit(strings: list[tuple[int, int, int]]) -> list[tuple[str, tuple[int, ...]]]:
+    """Gates (H, S, CNOT, CZ) that map commuting strings (x, z, e) to Z-type ones, in place.
 
-    Symplectic Gaussian elimination: each string, pushed through the gates so
-    far, is Z-type on the pivot qubits of the strings before it, else it would
-    anticommute with one of them. Unless it is a product of those, it has a
-    letter on a fresh qubit q; CNOTs from q clear its other X parts, S turns Y
-    on q into X, CZs clear its other Z parts off the pivots, and H makes X_q a
-    Z_q. Later gates act on fresh qubits only, so it stays Z-type.
+    Symplectic Gaussian elimination: each string, through the gates so far, is Z-type on the
+    pivot qubits of the strings before it, else it would anticommute with one of them. Unless
+    it is a product of those, it has a letter on a fresh qubit q; CNOTs from q clear its other
+    X parts, S turns Y on q into X, CZs clear its other Z parts off the pivots, and H makes X_q
+    a Z_q. Later gates act on fresh qubits only, so its layers conjugate the strings from it on.
     """
     gates: list[tuple[str, tuple[int, ...]]] = []
     pivots = 0
-    for x, z in strings:
-        for gate in gates:
-            x, z, _ = _conjugate(gate, x, z)
+    for i in range(len(strings)):
+        x, z, _ = strings[i]
         if x & pivots:
             raise ConstraintError("fragment is not tensor-wise and its Pauli strings anticommute")
         free = (x | z) & ~pivots
         if not free:
             continue
         q = ((x or free) & -(x or free)).bit_length() - 1
+        bit = 1 << q
         if x:
-            new = [("cx", (q, r)) for r in range(x.bit_length()) if r != q and (x >> r) & 1]
+            layers = [("cx", q, x ^ bit)]
             if (x & z).bit_count() & 1:  # each CNOT adds its target's Z bit to q: Y left on q
-                new.append(("s", (q,)))
+                layers.append(("s", q, bit))
         else:
-            new = [("h", (q,))]
-        new += [("cz", (q, r)) for r in range(z.bit_length()) if (free & z & ~(1 << q)) >> r & 1]
-        gates += new + [("h", (q,))]
-        pivots |= 1 << q
+            layers = [("h", q, bit)]
+        layers += [("cz", q, free & z & ~bit), ("h", q, bit)]
+        gates += [(name, (q,) if r == q else (q, r))
+                  for name, _, mask in layers for r in range(mask.bit_length()) if mask >> r & 1]
+        strings[i:] = [_conjugate(layers, *s) for s in strings[i:]]
+        pivots |= bit
     return gates
 
 
@@ -341,10 +346,9 @@ class FragmentDiagonalization:
         return float(np.sum(self.diagonal * np.abs(rotated) ** 2))
 
 
-def _qubit_letters(coeffs, n: int) -> list[tuple[int, int, int]] | None:
-    """Each qubit's letter (q, x bit, z bit), taken from the strings in descending |c|. A string
-    that holds another letter on a qubit is left to the residual when |c| <= 2 * _DIAG_TOL, and
-    otherwise no per-qubit basis can certify the strings (None)."""
+def _qubit_letters(coeffs) -> tuple[int, int] | None:
+    """Each qubit's letter as masks (x, z), from the strings in descending |c|. A string with
+    another letter on a qubit goes to the residual if |c| <= 2 * _DIAG_TOL, else it gives None."""
     xs = zs = 0
     for (x, z), c in sorted(coeffs.items(), key=lambda sc: -abs(sc[1])):
         if (x ^ xs | z ^ zs) & (x | z) & (xs | zs):
@@ -352,32 +356,23 @@ def _qubit_letters(coeffs, n: int) -> list[tuple[int, int, int]] | None:
                 return None
             continue
         xs, zs = xs | x, zs | z
-    return [(q, xs >> q & 1, zs >> q & 1) for q in range(n)]
+    return xs, zs
 
 
-def _conjugated(coeffs, gates, n: int, kind: str, ops) -> FragmentDiagonalization:
-    """The basis of `gates` for Pauli strings {(x, z): c}, each conjugated exactly: strings left
-    with an X or Y letter are its residual, the Z-type rest its diagonal."""
+def _conjugated(coeffs, images, gates: int, n: int, kind: str, ops) -> FragmentDiagonalization:
+    """The basis of `gates` gates for strings {(x, z): c} whose images, in order, are i^e X^x Z^z
+    for (x, z, e) in `images`: those with X or Y letters are its residual, the rest its diagonal."""
     diagonal_terms = []
     off = 0.0
-    for (x, z), c in coeffs.items():
-        flips = 0
-        for gate in gates:
-            x, z, flip = _conjugate(gate, x, z)
-            flips ^= flip
+    for (x, z, e), c in zip(images, coeffs.values()):
         off += abs(c) if x else abs(c.imag)
         if not x:
-            diagonal_terms.append((-c.real if flips else c.real, _basis_mask(z, n)))
+            diagonal_terms.append((-c.real if e & 2 else c.real, 0, z))
     # Rounding: a dense U^dag M U through the gates loses about an ulp of the
     # scale sum |c_s| per gate on each side, and one per string summed into M.
-    rounding = (2 * len(gates) + len(coeffs)) * _EPS * sum(abs(c) for c in coeffs.values())
-
-    def diagonal() -> np.ndarray:
-        idx = np.arange(1 << n, dtype=np.uint64)
-        parities = ((c, np.bitwise_count(idx & np.uint64(mask)) & 1) for c, mask in diagonal_terms)
-        return sum((np.where(odd, -c, c) for c, odd in parities), np.zeros(1 << n))
-
-    return FragmentDiagonalization(ops, kind, off + rounding, diagonal)
+    rounding = (2 * gates + len(coeffs)) * _EPS * sum(abs(c) for c in coeffs.values())
+    return FragmentDiagonalization(ops, kind, off + rounding, lambda: apply_pauli_terms(
+        string_array(diagonal_terms), np.ones(1 << n), n).real)
 
 
 def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
@@ -398,14 +393,19 @@ def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
             lambda: _tensor_wise_diagonal(rotated, n),
         )
     coeffs = {s: c for s, c in pauli_coefficients(frag.terms, blocks=True).items() if c != 0}
-    if letters and (shared := _qubit_letters(coeffs, n)) is not None:
-        gates = [(name, (q,)) for q, x, z in shared if x for name in ("s", "h")[1 - z:]]
-        ops = tuple(((q,), _LETTER_BASES[x, z]) for q, x, z in shared if x | z)
-        if (basis := _conjugated(coeffs, gates, n, "tensor-wise", ops)).residual <= _DIAG_TOL:
+    strings = [(x, z, (x & z).bit_count()) for x, z in coeffs]
+    if letters and (shared := _qubit_letters(coeffs)) is not None:
+        xs, zs = shared  # S on the Y qubits, then H on the X and Y qubits
+        images = [_conjugate((("s", 0, xs & zs), ("h", 0, xs)), *s) for s in strings]
+        ops = tuple(((q,), _LETTER_BASES[xs >> q & 1, zs >> q & 1])
+                    for q in range(n) if (xs | zs) >> q & 1)
+        gates = xs.bit_count() + (xs & zs).bit_count()
+        basis = _conjugated(coeffs, images, gates, n, "tensor-wise", ops)
+        if basis.residual <= _DIAG_TOL:
             return basis
-    gates = _clifford_circuit(coeffs)
+    gates = _clifford_circuit(strings)
     ops = tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
-    return _conjugated(coeffs, gates, n, "clifford", ops)
+    return _conjugated(coeffs, strings, len(gates), n, "clifford", ops)
 
 
 def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:

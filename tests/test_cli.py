@@ -646,14 +646,43 @@ class TestVerify:
         extra = ["-o", tmp_path / "rep"] if command == "evaluate" else []
         assert run([command, part, "--hamiltonian", f"{b3d4}.pauli", *extra]) == 2
 
+    # Numbers a partition file must refuse, by test id: (method, field, new value from the old).
+    # The qpn file's first factor is on qubits [0, 1] with a 4 x 4 block, the fc-si file's is a
+    # letter on qubit 4; qubits are changed at index -1. A float or bool qubit would truncate
+    # to a valid qubit through int(), and NaN compares false in a Hermitian test by >.
+    MALFORMED_NUMBERS = {
+        "qubit-negative": ("qpn", "qubit", lambda q: -1),
+        "qubit-float": ("qpn", "qubit", lambda q: q + 0.5),
+        "qubit-bool": ("qpn", "qubit", lambda q: True),
+        "letter-qubit-negative": ("fc-si", "qubit", lambda q: -1),
+        "letter-qubit-float": ("fc-si", "qubit", lambda q: q + 0.5),
+        "n-bool": ("qpn", "n", lambda n: True),
+        "n-float": ("qpn", "n", float),
+        "n-negative": ("qpn", "n", lambda n: -1),
+        "block-entry-nan": ("qpn", "block", lambda v: [float("nan"), 0.0]),
+        "block-entry-inf": ("qpn", "block", lambda v: [float("inf"), 0.0]),
+        "letter-block-entry-nan": ("fc-si", "block", lambda v: [float("nan"), 0.0]),
+        "constant-nan-text": ("qpn", "constant", lambda c: "nan"),
+        "constant-nan": ("qpn", "constant", lambda c: float("nan")),
+        "constant-inf": ("qpn", "constant", lambda c: float("inf")),
+        "constant-bool": ("qpn", "constant", lambda c: True),
+    }
+
     @pytest.mark.parametrize("command", ["verify", "evaluate"])
-    @pytest.mark.parametrize("field", ["block-entry", "qubit", "n", "constant"])
+    @pytest.mark.parametrize("field", ["block-entry", "qubit", "n", "constant", *MALFORMED_NUMBERS])
     def test_mistyped_partition_field_exit_code(self, b3d4, tmp_path, command, field):
-        part = tmp_path / "qpn.json"
-        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        method, place, change = self.MALFORMED_NUMBERS.get(field, ("qpn", None, None))
+        part = tmp_path / "part.json"
+        run(["partition", f"{b3d4}.pauli", "--method", method, "-o", part])
         data = json.loads(part.read_text())
         factor = data["fragments"][0]["terms"][0]["factors"][0]
-        if field == "block-entry":
+        if place == "qubit":
+            factor["qubits"][-1] = change(factor["qubits"][-1])
+        elif place == "block":
+            factor["block"][0] = change(factor["block"][0])
+        elif place:
+            data[place] = change(data[place])
+        elif field == "block-entry":
             factor["block"][0] = [1.0]
         elif field == "qubit":
             factor["qubits"][0] = "a"

@@ -49,6 +49,16 @@ class TestConstruction:
             TensorFactor((0, 1), np.eye(2))  # wrong block size
         with pytest.raises(DataError):
             TensorFactor((0, 0), np.eye(4))  # repeated qubit
+        with pytest.raises(DataError):
+            TensorFactor((-1,), np.eye(2))  # negative qubit
+        with pytest.raises(DataError):
+            TensorFactor((1, -2), np.eye(4))
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+            for where in ((0, 0), (0, 1)):
+                block = np.eye(2, dtype=complex)
+                block[where] = bad
+                with pytest.raises(DataError):
+                    TensorFactor((0,), block)  # not finite
 
     def test_term_disjointness(self):
         f1 = TensorFactor((0, 1), np.eye(4))

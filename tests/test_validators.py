@@ -42,8 +42,14 @@ from hampart.partitioners import (
     qpn_partition,
     sorted_insertion,
 )
-from hampart.pauli import PauliString, PauliSum
+from hampart.pauli import PauliString, PauliSum, _basis_mask
 from hampart.validators import (
+    _DIAG_TOL,
+    _EPS,
+    _GATE_OPS,
+    _LETTER_BASES,
+    FragmentDiagonalization,
+    _clifford_circuit,
     _restrict_term,
     _sorted_block,
     check_commutation,
@@ -529,3 +535,178 @@ class TestValidatePartition:
         ):
             report = validate_partition(part, hb)
             assert report.ok, part.source
+
+
+# ---------------------------------------------------------------------------
+# The per-gate rule that the layer-wise conjugation replaced, kept as the reference: one call
+# per (string, gate), with the circuit search replaying every earlier gate on each string.
+
+def reference_conjugate(gate: tuple[str, tuple[int, ...]], x: int, z: int) -> tuple[int, int, int]:
+    """g P g^dag = (-1)^flip P' for a Hermitian Pauli string P = (x, z) (Y is x = z = 1):
+    the masks of P' and flip, by the rules of Aaronson & Gottesman (quant-ph/0406196)."""
+    name, a, b = gate[0], gate[1][0], gate[1][-1]
+    xa, za = (x >> a) & 1, (z >> a) & 1
+    if name == "h":
+        swap = (xa ^ za) << a
+        return x ^ swap, z ^ swap, xa & za
+    if name == "s":
+        return x, z ^ (xa << a), xa & za
+    xb, zb = (x >> b) & 1, (z >> b) & 1
+    if name == "cx":
+        return x ^ (xa << b), z ^ (zb << a), xa & zb & (xb ^ za ^ 1)
+    return x, z ^ (xb << a) ^ (xa << b), xa & xb & (za ^ zb)  # cz
+
+
+def reference_clifford_circuit(strings) -> list[tuple[str, tuple[int, ...]]]:
+    """Gates (H, S, CNOT, CZ) that map every string of a commuting set to a Z-type string.
+
+    Symplectic Gaussian elimination: each string, pushed through the gates so
+    far, is Z-type on the pivot qubits of the strings before it, else it would
+    anticommute with one of them. Unless it is a product of those, it has a
+    letter on a fresh qubit q; CNOTs from q clear its other X parts, S turns Y
+    on q into X, CZs clear its other Z parts off the pivots, and H makes X_q a
+    Z_q. Later gates act on fresh qubits only, so it stays Z-type.
+    """
+    gates: list[tuple[str, tuple[int, ...]]] = []
+    pivots = 0
+    for x, z in strings:
+        for gate in gates:
+            x, z, _ = reference_conjugate(gate, x, z)
+        if x & pivots:
+            raise ConstraintError("fragment is not tensor-wise and its Pauli strings anticommute")
+        free = (x | z) & ~pivots
+        if not free:
+            continue
+        q = ((x or free) & -(x or free)).bit_length() - 1
+        if x:
+            new = [("cx", (q, r)) for r in range(x.bit_length()) if r != q and (x >> r) & 1]
+            if (x & z).bit_count() & 1:  # each CNOT adds its target's Z bit to q: Y left on q
+                new.append(("s", (q,)))
+        else:
+            new = [("h", (q,))]
+        new += [("cz", (q, r)) for r in range(z.bit_length()) if (free & z & ~(1 << q)) >> r & 1]
+        gates += new + [("h", (q,))]
+        pivots |= 1 << q
+    return gates
+
+
+def reference_qubit_letters(coeffs, n: int) -> list[tuple[int, int, int]] | None:
+    """Each qubit's letter (q, x bit, z bit), taken from the strings in descending |c|. A string
+    that holds another letter on a qubit is left to the residual when |c| <= 2 * _DIAG_TOL, and
+    otherwise no per-qubit basis can certify the strings (None)."""
+    xs = zs = 0
+    for (x, z), c in sorted(coeffs.items(), key=lambda sc: -abs(sc[1])):
+        if (x ^ xs | z ^ zs) & (x | z) & (xs | zs):
+            if abs(c) > 2 * _DIAG_TOL:
+                return None
+            continue
+        xs, zs = xs | x, zs | z
+    return [(q, xs >> q & 1, zs >> q & 1) for q in range(n)]
+
+
+def reference_conjugated(coeffs, gates, n: int, kind: str, ops) -> FragmentDiagonalization:
+    """The basis of `gates` for Pauli strings {(x, z): c}, each conjugated exactly: strings left
+    with an X or Y letter are its residual, the Z-type rest its diagonal."""
+    diagonal_terms = []
+    off = 0.0
+    for (x, z), c in coeffs.items():
+        flips = 0
+        for gate in gates:
+            x, z, flip = reference_conjugate(gate, x, z)
+            flips ^= flip
+        off += abs(c) if x else abs(c.imag)
+        if not x:
+            diagonal_terms.append((-c.real if flips else c.real, _basis_mask(z, n)))
+    # Rounding: a dense U^dag M U through the gates loses about an ulp of the
+    # scale sum |c_s| per gate on each side, and one per string summed into M.
+    rounding = (2 * len(gates) + len(coeffs)) * _EPS * sum(abs(c) for c in coeffs.values())
+
+    def diagonal() -> np.ndarray:
+        idx = np.arange(1 << n, dtype=np.uint64)
+        parities = ((c, np.bitwise_count(idx & np.uint64(mask)) & 1) for c, mask in diagonal_terms)
+        return sum((np.where(odd, -c, c) for c, odd in parities), np.zeros(1 << n))
+
+    return FragmentDiagonalization(ops, kind, off + rounding, diagonal)
+
+
+def reference_letter_diagonalization(frag: Fragment, n: int) -> FragmentDiagonalization:
+    """The letter and Clifford paths of diagonalize_fragment through the per-gate rule."""
+    coeffs = {s: c for s, c in fragments.pauli_coefficients(frag.terms, blocks=True).items()
+              if c != 0}
+    if (shared := reference_qubit_letters(coeffs, n)) is not None:
+        gates = [(name, (q,)) for q, x, z in shared if x for name in ("s", "h")[1 - z:]]
+        ops = tuple(((q,), _LETTER_BASES[x, z]) for q, x, z in shared if x | z)
+        basis = reference_conjugated(coeffs, gates, n, "tensor-wise", ops)
+        if basis.residual <= _DIAG_TOL:
+            return basis
+    gates = reference_clifford_circuit(coeffs)
+    ops = tuple((qubits, _GATE_OPS[name]) for name, qubits in gates)
+    return reference_conjugated(coeffs, gates, n, "clifford", ops)
+
+
+@st.composite
+def clifford_string_sets(draw):
+    """Distinct non-identity strings on 1-70 qubits with coefficients: Z-type strings (products
+    of each other included) pushed through random gates by the reference rule, so they commute,
+    and sometimes one more random string that may anticommute with them."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, 70), st.integers(63, 70)))
+    qubit = st.integers(0, n - 1)
+    one = st.tuples(st.sampled_from(["h", "s"]), qubit.map(lambda q: (q,)))
+    two = st.tuples(st.sampled_from(["cx", "cz"]), st.lists(qubit, min_size=2, max_size=2,
+                                                            unique=True).map(tuple))
+    size = draw(st.integers(0, 60))
+    gates = draw(st.lists(st.one_of(one, two) if n > 1 else one, min_size=size, max_size=size))
+    strings = []
+    for z in draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=10)):
+        x = 0
+        for gate in gates:
+            x, z, _ = reference_conjugate(gate, x, z)
+        strings.append((x, z))
+    if draw(st.booleans()):
+        strings.append((draw(st.integers(0, (1 << n) - 1)), draw(st.integers(1, (1 << n) - 1))))
+    strings = list(dict.fromkeys(strings))
+    coeffs = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.25, 0.125, 3.0]),
+                           min_size=len(strings), max_size=len(strings)))
+    return n, strings, coeffs
+
+
+class TestLayerConjugationMatchesPerGateReference:
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(case=clifford_string_sets())
+    def test_gates_images_records_and_diagonal(self, case):
+        n, strings, coeffs = case
+        try:
+            expected_gates = reference_clifford_circuit(strings)
+        except ConstraintError:
+            with pytest.raises(ConstraintError):
+                _clifford_circuit([(x, z, (x & z).bit_count()) for x, z in strings])
+        else:
+            images = [(x, z, (x & z).bit_count()) for x, z in strings]
+            assert _clifford_circuit(images) == expected_gates
+            for (x, z), (xi, zi, e) in zip(strings, images):
+                flips = 0
+                for gate in expected_gates:
+                    x, z, flip = reference_conjugate(gate, x, z)
+                    flips ^= flip
+                assert (xi, zi, (e - (xi & zi).bit_count()) >> 1 & 1) == (x, z, flips)
+        frag = Fragment(tuple(pauli_term(c, PauliString(n, x, z))
+                              for c, (x, z) in zip(coeffs, strings)))
+        try:
+            expected = reference_letter_diagonalization(frag, n)
+        except ConstraintError:
+            with pytest.raises(ConstraintError):
+                diagonalize_fragment(frag, n)
+            return
+        result = diagonalize_fragment(frag, n)
+        assert result.record() == expected.record()
+        if n <= 12:
+            assert np.max(np.abs(result.diagonal - expected.diagonal)) <= 1e-12
+
+    def test_seventy_qubit_clifford_certification(self):
+        h = pauli.parse_pauli_text("1.0 X0 X69 Z65\n0.5 Y0 Y69 Z65\n0.25 Z0 Z69\n", n=70)
+        part = Partition(70, (Fragment(tuple(pauli_term(c, s) for c, s in h)),))
+        report = validate_partition(part, h).to_dict()
+        assert report["ok"]
+        assert report["bases"] == [{"kind": "clifford", "largest_block": 2, "two_qubit_gates": 2,
+                                    "residual": 5.051514762044462e-15}]
