@@ -17,6 +17,7 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -35,7 +36,7 @@ _LETTER_MATS = np.stack([pauli_matrix(letter) for letter in "IXZY"])  # by x + 2
 
 class TensorFactor:
     """Hermitian block acting on an ordered tuple of qubits. Given `masks` instead of a block, the
-    (c, x, z) triples it sums over the register, its block is their restricted_block."""
+    (c, x, z) triples it sums over the register, its block is their dense_sum on its qubits."""
 
     __slots__ = ("qubits", "_block", "masks", "_projection")
 
@@ -63,8 +64,7 @@ class TensorFactor:
     def block(self) -> np.ndarray:
         """The dense block, realized on first read for a factor built from strings."""
         if self._block is None:
-            strings = [(c, PauliString(max(self.qubits) + 1, x, z)) for c, x, z in self.masks]
-            object.__setattr__(self, "_block", _pauli.restricted_block(strings, self.qubits))
+            object.__setattr__(self, "_block", _pauli.dense_sum(self.masks, self.qubits))
             self._block.setflags(write=False)
         return self._block
 
@@ -290,15 +290,15 @@ def apply_fragment(frag: Fragment, vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def pauli_coefficients(terms, cap: int = EXPANSION_CAP, blocks: bool = False) -> defaultdict:
+def pauli_coefficients(terms, blocks: bool = False) -> defaultdict:
     """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient, by
     tensor_expansion of the factors' masks; with `blocks` (certification: the blocks a file holds)
-    or no masks, of their blocks' projections. Nothing is dropped; a term over `cap` strings
-    raises ResourceError before anything is expanded."""
+    or no masks, of their blocks' projections. Nothing is dropped; a term over EXPANSION_CAP
+    strings raises ResourceError before anything is expanded."""
     expanded = [[f.projection if blocks or f.masks is None else f.masks for f in term.factors]
                 for term in terms]
-    if (size := max((prod(map(len, e)) for e in expanded), default=0)) > cap:
-        raise ResourceError(f"term expands to {size} Pauli strings, cap {cap}")
+    if (size := max((prod(map(len, e)) for e in expanded), default=0)) > EXPANSION_CAP:
+        raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
     out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
     for e in expanded:
         for c, x, z in tensor_expansion(1.0, e):
@@ -327,6 +327,8 @@ def _factor_from_json(f: dict) -> TensorFactor:
     if not all(type(q) is int for q in qubits):  # no bool, float or string
         raise DataError(f"factor qubits must be JSON integers, got {qubits}")
     data, dim = f["block"], 1 << len(qubits)
+    if bool in map(type, chain.from_iterable(data)):  # struct.pack and complex() take it as 1 or 0
+        raise DataError(f"block entries must be numbers, got JSON true or false on {qubits}")
     if dim == 2 and len(data) == 4:
         letter = _UNIT_BLOCKS.get(struct.pack("8d", *data[0], *data[1], *data[2], *data[3]))
         if letter:

@@ -615,10 +615,8 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
             raise DomainError(f"term {string.letters} does not fit a chain block")
     frags = []
     for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
-        terms = tuple(
-            TensorProductTerm((pauli_factor(members[pair], pair),))
-            for pair in pairs
-            if pair in members
-        )
-        frags.append(Fragment(terms, f"fh1d-{name}"))
+        pairs = [pair for pair in pairs if pair in members]
+        terms = tuple(TensorProductTerm((pauli_factor(members[pair], pair),)) for pair in pairs)
+        held = held_strings(item for pair in pairs for item in members[pair])
+        frags.append(Fragment(terms, f"fh1d-{name}", held))
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")

@@ -99,10 +99,6 @@ class PauliString:
     def letter(self, q: int) -> str:
         return _BITS_TO_LETTER[((self.x >> q) & 1, (self.z >> q) & 1)]
 
-    def restricted(self, qubits: Iterable[int]) -> "PauliString":
-        """The letters on `qubits`, in the listed order, as a shorter string."""
-        return PauliString.from_letters("".join(self.letter(q) for q in qubits))
-
     @property
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
@@ -168,76 +164,62 @@ def commutes(p: PauliString, q: PauliString, kind: str = "full") -> bool:
     raise DataError(f"unknown commutation kind {kind!r}")
 
 
-def _basis_mask(mask: int, n: int) -> int:
-    """Map a qubit-indexed mask to basis-index bit positions (qubit 0 = MSB)."""
-    out = 0
-    for q in range(n):
-        if (mask >> q) & 1:
-            out |= 1 << (n - 1 - q)
-    return out
-
-
-def _phases_over_basis(p: PauliString) -> tuple[int, np.ndarray]:
-    """p|b> = phases[b] |b ^ flip>, with phases[b] = i^|x&z| (-1)^popcount(b & sign_mask)."""
-    flip, sign_mask = _basis_mask(p.x, p.n), _basis_mask(p.z, p.n)
-    base = 1j ** (p.x & p.z).bit_count()
-    dim = 1 << p.n
-    idx = np.arange(dim, dtype=np.uint64)
-    parity = np.bitwise_count(idx & np.uint64(sign_mask)) & 1
-    phases = base * np.where(parity, -1.0, 1.0)
-    return flip, phases
-
-
-def dense_sum(terms, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n sum of c * s over weighted n-qubit strings (c, s), one scatter-add of
-    c * phases into mat[cols ^ flip, cols] per string; more than DENSE_QUBIT_CAP qubits is
+def dense_sum(terms, qubits) -> np.ndarray:
+    """Dense 2^k x 2^k sum of c * P over weighted strings (c, x mask, z mask) on k listed register
+    `qubits` (the first listed is the top index bit; bits off them are ignored). Per string, in
+    order, one scatter-add of c * i^|flip & sign| (-1)^|b & sign| into mat[b ^ flip, b], flip and
+    sign being its x and z bits read onto the local index; more than DENSE_QUBIT_CAP qubits is
     refused before allocating."""
-    if n > DENSE_QUBIT_CAP:
-        raise ResourceError(f"dense realization capped at {DENSE_QUBIT_CAP} qubits, got {n}")
-    mat = np.zeros((1 << n, 1 << n), dtype=complex)
-    cols = np.arange(1 << n)
-    for c, s in terms:
-        flip, phases = _phases_over_basis(s)
+    k = len(qubits)
+    if k > DENSE_QUBIT_CAP:
+        raise ResourceError(f"dense realization capped at {DENSE_QUBIT_CAP} qubits, got {k}")
+    mat = np.zeros((1 << k, 1 << k), dtype=complex)
+    cols = np.arange(1 << k)
+    for c, x, z in terms:
+        flip = sign = 0
+        for q in qubits:
+            flip, sign = flip << 1 | x >> q & 1, sign << 1 | z >> q & 1
+        parity = np.bitwise_count(cols & sign) & 1
+        phases = 1j ** (flip & sign).bit_count() * np.where(parity, -1.0, 1.0)
         mat[cols ^ flip, cols] += c * phases
     return mat
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
-    return dense_sum([(1.0, p)], p.n)
+    return dense_sum([(1.0, p.x, p.z)], range(p.n))
 
 
 # One qubit's block entries (M00, M01, M10, M11) -> its (I, X, Y, Z) coefficients Tr(P M) / 2.
 _ENTRIES_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) / 2
 
 
-def pauli_project(M: np.ndarray, k: int) -> list[tuple[complex, PauliString]]:
-    """Every nonzero Tr(P M) / 2^k of a 2^k x 2^k M over k-qubit Pauli strings P, in IXYZ order
-    (qubit 0 slowest). Tensorized transform (Hantzko, Binkowski & Gupta, arXiv:2310.13421):
-    one 4x4 map per qubit's (row bit, column bit) axis, O(k 4^k) work."""
+def pauli_masks(M: np.ndarray, qubits) -> list[tuple[complex, int, int]]:
+    """Every nonzero Tr(P M) / 2^k of a 2^k x 2^k block M on k listed register `qubits` (the first
+    listed is its top index bit) as (coefficient, x mask, z mask) triples, in IXYZ order with the
+    first listed qubit slowest. Tensorized transform (Hantzko, Binkowski & Gupta,
+    arXiv:2310.13421): one 4x4 map per qubit's (row bit, column bit) axis, O(k 4^k) work; each
+    nonzero base-4 index's digits are read straight into the masks."""
+    k = len(qubits)
     if M.shape != (1 << k, 1 << k):
         raise DimensionError(f"expected {1 << k} x {1 << k} matrix, got {M.shape}")
-    pairs = np.arange(2 * k).reshape(2, k).T.ravel()  # axes (row 0, col 0, row 1, col 1, ...)
+    pairs = [j + b for j in range(k) for b in (0, k)]  # axes (row 0, col 0, row 1, col 1, ...)
     coeffs = M.reshape((2,) * (2 * k)).transpose(pairs).ravel()
     for _ in range(k):  # transform the leading qubit axis and move it last
         coeffs = (coeffs.reshape(4, -1).T @ _ENTRIES_TO_PAULI.T).ravel()
-    shifts = range(2 * k - 2, -1, -2)  # qubit 0 is the most significant base-4 digit
-    return [
-        (complex(c), PauliString.from_letters("".join("IXYZ"[(i >> s) & 3] for s in shifts)))
-        for i, c in zip(np.flatnonzero(coeffs), coeffs[coeffs != 0])
-    ]
+    out = []
+    nonzero = np.flatnonzero(coeffs)
+    for i, c in zip(nonzero.tolist(), coeffs[nonzero].tolist()):
+        x = z = 0
+        for q in reversed(qubits):  # the last listed qubit is the lowest digit
+            xb, zb = _LETTER_TO_BITS["IXYZ"[i & 3]]
+            x, z, i = x | xb << q, z | zb << q, i >> 2
+        out.append((c, x, z))
+    return out
 
 
-def pauli_masks(M: np.ndarray, qubits) -> list[tuple[complex, int, int]]:
-    """pauli_project of a block acting on `qubits` (the first listed is its qubit 0) as
-    (coefficient, x mask, z mask) triples, with masks lifted to the register's qubits."""
-    if len(qubits) == 1 and M.shape == (2, 2):  # pauli_project's product, no PauliString built
-        coeffs = (np.ravel(M).reshape(4, -1).T @ _ENTRIES_TO_PAULI.T).ravel()
-        return [(complex(coeffs[i]), *(bit << qubits[0] for bit in _LETTER_TO_BITS["IXYZ"[i]]))
-                for i in np.flatnonzero(coeffs)]
-    lift = [0]  # mask over the block's qubits -> mask over `qubits`
-    for q in qubits:
-        lift += [m | (1 << q) for m in lift]
-    return [(c, lift[s.x], lift[s.z]) for c, s in pauli_project(M, len(qubits))]
+def pauli_project(M: np.ndarray, k: int) -> list[tuple[complex, PauliString]]:
+    """pauli_masks of a 2^k x 2^k M on qubits 0..k-1, as k-qubit PauliStrings."""
+    return [(c, PauliString(k, x, z)) for c, x, z in pauli_masks(M, range(k))]
 
 
 def tensor_expansion(coeff, factors, tol: float | None = None) -> list[tuple[complex, int, int]]:
@@ -250,11 +232,6 @@ def tensor_expansion(coeff, factors, tol: float | None = None) -> list[tuple[com
         if tol is not None:
             out = [t for t in out if abs(t[0]) > tol]
     return out
-
-
-def restricted_block(terms, qubits) -> np.ndarray:
-    """dense_sum of weighted strings (c, s), each restricted to `qubits` in the listed order."""
-    return dense_sum([(c, s.restricted(qubits)) for c, s in terms], len(qubits))
 
 
 STRING_DTYPE = np.dtype([("c", complex), ("x", np.uint64), ("z", np.uint64)])
@@ -307,7 +284,7 @@ def _group_diagonal(v: np.ndarray, z: list[int], n: int, state_axes: int) -> np.
         np.add.at(d, (bits << np.arange(len(differ), dtype=np.uint64)).sum(axis=1), v)
     else:  # one string (or copies of it)
         d = v.sum(keepdims=True)
-    for _ in differ:  # transform the leading axis and move it last, as in pauli_project
+    for _ in differ:  # transform the leading axis and move it last, as in pauli_masks
         d = (d.reshape(2, -1).T @ _HADAMARD).ravel()
     signs = _parity_signs(common.bit_count())
     axes = [1] * state_axes
@@ -456,8 +433,8 @@ class PauliSum:
 
     def to_matrix(self) -> np.ndarray:
         """Realize as a dense 2^n x 2^n numpy array (dense_sum, constant included)."""
-        terms = [(c, s) for s, c in self._terms.items()]
-        return dense_sum([(self._constant, PauliString.identity(self.n)), *terms], self.n)
+        terms = [(c, s.x, s.z) for s, c in self._terms.items()]
+        return dense_sum([(self._constant, 0, 0), *terms], range(self.n))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state

@@ -384,7 +384,7 @@ def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
     Without such a basis, or with a residual over tol, a Clifford circuit is
     searched; ConstraintError when the Pauli strings anticommute.
     """
-    letters = all(f.size == 1 and len(f.projection) == 1 and f.projection[0][1] | f.projection[0][2]
+    letters = all(f.size == 1 and len(proj := f.projection) == 1 and proj[0][1] | proj[0][2]
                   for t in frag.terms for f in t.factors)
     if not letters and (basis := _tensor_wise_basis(frag)) is not None:
         unitaries, rotated = basis

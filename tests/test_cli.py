@@ -549,8 +549,8 @@ class TestSweepK:
         stem = tmp_path / "b7"
         assert run(["build", "bose-hubbard", "--modes", 7, "--d", 4, "-o", stem]) == 0
         calls = []
-        real = pauli.restricted_block
-        monkeypatch.setattr(pauli, "restricted_block", lambda *a: calls.append(a) or real(*a))
+        real = pauli.dense_sum  # what realizes a factor's block from its strings
+        monkeypatch.setattr(pauli, "dense_sum", lambda *a: calls.append(a) or real(*a))
         out = tmp_path / "s.csv"
         assert run(["sweep-k", f"{stem}.pauli", "--method", "greedy", "--k-min", 12,
                     "--states", 1, "--seed", 2024, "-o", out]) == 0
@@ -662,6 +662,10 @@ class TestVerify:
         "block-entry-nan": ("qpn", "block", lambda v: [float("nan"), 0.0]),
         "block-entry-inf": ("qpn", "block", lambda v: [float("inf"), 0.0]),
         "letter-block-entry-nan": ("fc-si", "block", lambda v: [float("nan"), 0.0]),
+        "block-entry-bool": ("qpn", "block", lambda v: [True, v[1]]),
+        # A bare X, Y or Z letter's first entry as JSON true/false: it packs to the same floats.
+        "letter-block-entry-bool": ("fc-si", "letter", lambda v: [{0.0: False, 1.0: True}[x]
+                                                                  for x in v]),
         "constant-nan-text": ("qpn", "constant", lambda c: "nan"),
         "constant-nan": ("qpn", "constant", lambda c: float("nan")),
         "constant-inf": ("qpn", "constant", lambda c: float("inf")),
@@ -676,6 +680,10 @@ class TestVerify:
         run(["partition", f"{b3d4}.pauli", "--method", method, "-o", part])
         data = json.loads(part.read_text())
         factor = data["fragments"][0]["terms"][0]["factors"][0]
+        if place == "letter":  # the first bare letter, not a coefficient-carrying factor
+            factor = next(f for frag in data["fragments"] for term in frag["terms"]
+                          for f in term["factors"][1:])
+            place = "block"
         if place == "qubit":
             factor["qubits"][-1] = change(factor["qubits"][-1])
         elif place == "block":

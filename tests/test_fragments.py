@@ -38,7 +38,7 @@ from hampart.partitioners import (
     qpn_partition,
     sorted_insertion,
 )
-from hampart.pauli import PauliString, pauli_masks, pauli_matrix, restricted_block
+from hampart.pauli import PauliString, pauli_masks, pauli_matrix
 
 
 class TestConstruction:
@@ -105,7 +105,9 @@ class TestConstruction:
 
 
 class TestPauliBornFactors:
-    """Factors built from Pauli strings realize the bytes of the dense construction."""
+    """Factors built from Pauli strings realize the sum of their strings' kron products on the
+    listed qubits; their bytes are pinned by the partition digests and the differential test of
+    pauli.dense_sum."""
 
     @pytest.mark.parametrize("coeff", [0.75, -0.75, -1.0])
     @pytest.mark.parametrize("letter", "XYZ")
@@ -115,8 +117,9 @@ class TestPauliBornFactors:
                    (-0.25, PauliString.from_ops([(3, letter)], 4))]
         for group, qubits in ((members, (1, 3)), (members, (3, 1)), (members[2:], (3,))):
             block = pauli_factor(group, qubits).block
-            want = TensorFactor(qubits, restricted_block(group, qubits)).block
-            assert block.tobytes() == want.tobytes()
+            want = sum(c * dense_from_letters("".join(t.letter(q) for q in qubits))
+                       for c, t in group)
+            np.testing.assert_allclose(block, want, rtol=0, atol=1e-15)
             assert not block.flags.writeable
 
     def test_masks_are_the_strings_of_the_block(self):

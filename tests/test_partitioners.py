@@ -67,6 +67,7 @@ from hampart.pauli import (
     string_to_dense,
 )
 from hampart.validators import check_commutation, check_locality, check_reconstruction
+from hampart.variance import partition_costs, random_state, state_block
 
 
 def ps(letters):
@@ -322,7 +323,8 @@ def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
     for q in w.ref.support():
         if q not in free:
             factors.append(TensorFactor((q,), pauli_matrix(w.ref.letter(q))))
-    block = sum(coeff * string_to_dense(string.restricted(free)) for coeff, string in w.members)
+    block = sum(coeff * string_to_dense(PauliString.from_letters("".join(
+        string.letter(q) for q in free))) for coeff, string in w.members)
     factors.append(TensorFactor(free, block))
     return TensorProductTerm(factors)
 
@@ -456,6 +458,21 @@ class TestFragmentStrings:
         assert (h.n, len(h)) == (8, 360)
         for part in string_built_partitions(h):
             assert_strings_are_the_expansion(part)
+
+    @pytest.mark.parametrize("sites", range(2, 9))
+    def test_fh1d_chains(self, sites):
+        f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
+        assert_strings_are_the_expansion(color_partition_fermi_hubbard_1d(f, sites))
+
+    def test_fh1d_costs_equal_strings_set_by_scoring(self):
+        # Strings held from the build score to the bytes of strings the scorer expands itself.
+        part = color_partition_fermi_hubbard_1d(build_fermi_hubbard(chain_lattice(6), 1.0, 2.0), 6)
+        bare = Partition(part.n, [Fragment(f.terms, f.label) for f in part.fragments],
+                         part.constant)
+        block = state_block([random_state(part.n, s) for s in range(3)])
+        for got, want in zip(partition_costs(part, block), partition_costs(bare, block)):
+            assert got.tobytes() == want.tobytes()
+        assert all(f.strings is not None for f in bare.fragments)
 
 
 class TestReorderIndices:

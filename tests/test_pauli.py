@@ -10,11 +10,13 @@ from hampart.encodings import jordan_wigner
 from hampart.errors import DataError, DimensionError, ParseError, ResourceError
 from hampart.operators import FermionOperator
 from hampart.pauli import (
+    DENSE_QUBIT_CAP,
     PauliString,
     PauliSum,
     _group_diagonal,
     apply_pauli_terms,
     commutes,
+    dense_sum,
     format_pauli_text,
     multiply,
     parse_pauli_text,
@@ -346,16 +348,104 @@ class TestGroupDiagonal:
         assert len(groups) >= 4 and sum(spreads) >= 4  # the shared bits were factored out
 
 
+# The two transforms as they were before each direction became one pass on register masks: a
+# PauliString per term, restricted to the block's qubits through its letters, and a one-qubit
+# closed form plus a lift table for block projections. Kept verbatim as oracles.
+REFERENCE_DENSE_QUBIT_CAP = 12
+REFERENCE_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+REFERENCE_ENTRIES_TO_PAULI = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) / 2
+
+
+def reference_basis_mask(mask: int, n: int) -> int:
+    """Map a qubit-indexed mask to basis-index bit positions (qubit 0 = MSB)."""
+    out = 0
+    for q in range(n):
+        if (mask >> q) & 1:
+            out |= 1 << (n - 1 - q)
+    return out
+
+
+def reference_phases_over_basis(p: PauliString) -> tuple[int, np.ndarray]:
+    """p|b> = phases[b] |b ^ flip>, with phases[b] = i^|x&z| (-1)^popcount(b & sign_mask)."""
+    flip, sign_mask = reference_basis_mask(p.x, p.n), reference_basis_mask(p.z, p.n)
+    base = 1j ** (p.x & p.z).bit_count()
+    dim = 1 << p.n
+    idx = np.arange(dim, dtype=np.uint64)
+    parity = np.bitwise_count(idx & np.uint64(sign_mask)) & 1
+    phases = base * np.where(parity, -1.0, 1.0)
+    return flip, phases
+
+
+def reference_dense_sum(terms, n: int) -> np.ndarray:
+    """Dense 2^n x 2^n sum of c * s over weighted n-qubit strings (c, s), one scatter-add of
+    c * phases into mat[cols ^ flip, cols] per string; more than DENSE_QUBIT_CAP qubits is
+    refused before allocating."""
+    if n > REFERENCE_DENSE_QUBIT_CAP:
+        raise ResourceError(f"dense realization capped at {REFERENCE_DENSE_QUBIT_CAP} qubits, "
+                            f"got {n}")
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    cols = np.arange(1 << n)
+    for c, s in terms:
+        flip, phases = reference_phases_over_basis(s)
+        mat[cols ^ flip, cols] += c * phases
+    return mat
+
+
+def reference_restricted(s: PauliString, qubits) -> PauliString:
+    """The letters on `qubits`, in the listed order, as a shorter string."""
+    return PauliString.from_letters("".join(s.letter(q) for q in qubits))
+
+
+def reference_restricted_block(terms, qubits) -> np.ndarray:
+    """dense_sum of weighted strings (c, s), each restricted to `qubits` in the listed order."""
+    return reference_dense_sum([(c, reference_restricted(s, qubits)) for c, s in terms],
+                               len(qubits))
+
+
+def reference_pauli_project(M: np.ndarray, k: int) -> list[tuple[complex, PauliString]]:
+    """Every nonzero Tr(P M) / 2^k of a 2^k x 2^k M over k-qubit Pauli strings P, in IXYZ order
+    (qubit 0 slowest)."""
+    if M.shape != (1 << k, 1 << k):
+        raise DimensionError(f"expected {1 << k} x {1 << k} matrix, got {M.shape}")
+    pairs = np.arange(2 * k).reshape(2, k).T.ravel()  # axes (row 0, col 0, row 1, col 1, ...)
+    coeffs = M.reshape((2,) * (2 * k)).transpose(pairs).ravel()
+    for _ in range(k):  # transform the leading qubit axis and move it last
+        coeffs = (coeffs.reshape(4, -1).T @ REFERENCE_ENTRIES_TO_PAULI.T).ravel()
+    shifts = range(2 * k - 2, -1, -2)  # qubit 0 is the most significant base-4 digit
+    return [
+        (complex(c), PauliString.from_letters("".join("IXYZ"[(i >> s) & 3] for s in shifts)))
+        for i, c in zip(np.flatnonzero(coeffs), coeffs[coeffs != 0])
+    ]
+
+
+def reference_pauli_masks(M: np.ndarray, qubits) -> list[tuple[complex, int, int]]:
+    """pauli_project of a block acting on `qubits` (the first listed is its qubit 0) as
+    (coefficient, x mask, z mask) triples, with masks lifted to the register's qubits."""
+    if len(qubits) == 1 and M.shape == (2, 2):  # pauli_project's product, no PauliString built
+        coeffs = (np.ravel(M).reshape(4, -1).T @ REFERENCE_ENTRIES_TO_PAULI.T).ravel()
+        return [(complex(coeffs[i]),
+                 *(bit << qubits[0] for bit in REFERENCE_LETTER_TO_BITS["IXYZ"[i]]))
+                for i in np.flatnonzero(coeffs)]
+    lift = [0]  # mask over the block's qubits -> mask over `qubits`
+    for q in qubits:
+        lift += [m | (1 << q) for m in lift]
+    return [(c, lift[s.x], lift[s.z]) for c, s in reference_pauli_project(M, len(qubits))]
+
+
+def assert_same_triples(got, want):
+    """Equal masks in the same order and bitwise-equal coefficients (signed zeros included)."""
+    assert [(x, z) for _, x, z in got] == [(x, z) for _, x, z in want]
+    assert np.array([c for c, _, _ in got], complex).tobytes() == np.array(
+        [c for c, _, _ in want], complex).tobytes()
+
+
 class TestPauliMasks:
-    """The closed form for one-qubit blocks against pauli_project, bit for bit."""
+    """pauli_masks against the former one-qubit closed form, bit for bit."""
 
     @staticmethod
     def assert_matches_project(block, q):
-        got = pauli_masks(block, (q,))
-        want = [(c, s.x << q, s.z << q) for c, s in pauli_project(block, 1)]
-        assert [(x, z) for _, x, z in got] == [(x, z) for _, x, z in want]
-        assert np.array([c for c, _, _ in got]).tobytes() == np.array(
-            [c for c, _, _ in want]).tobytes()
+        assert_same_triples(pauli_masks(block, (q,)), reference_pauli_masks(block, (q,)))
 
     def test_random_hermitian_blocks(self):
         rng = np.random.default_rng(21)
@@ -381,6 +471,79 @@ class TestPauliMasks:
         block = coeff * pauli_matrix(letter)
         self.assert_matches_project(block, 2)
         assert len(pauli_masks(block, (2,))) == 1
+
+    def test_real_blocks(self):
+        # Real float blocks (the Jordan-Wigner ladder products) take the same transform.
+        for block in (np.diag([1.0, -1.0]), np.eye(2, k=1), np.eye(2, k=-1), np.eye(4, k=1)):
+            qubits = (5,) if len(block) == 2 else (7, 2)
+            assert_same_triples(pauli_masks(block, qubits), reference_pauli_masks(block, qubits))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError):
+            pauli_masks(np.eye(4), (0,))
+        with pytest.raises(DimensionError):
+            pauli_project(np.eye(2), 2)
+
+
+@st.composite
+def blocks_on_qubits(draw):
+    """A 1-6-qubit Hermitian block on distinct register qubits in drawn order (some past qubit
+    64), and weighted mask sets on a register at least that wide, with repeated strings. The
+    block is dense, thinned to exact zeros, or the realization of a mask set."""
+    k = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([k + 2, 40, 70, 130]))
+    qubits = tuple(draw(st.lists(st.integers(0, top - 1), min_size=k, max_size=k, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = max(qubits) + 1 + int(rng.integers(0, 3))
+    pool = [tuple(int.from_bytes(rng.bytes(17), "little") % (1 << width) for _ in "xz")
+            for _ in range(int(rng.integers(1, 8)))]
+    picks = rng.integers(0, len(pool), int(rng.integers(0, 12)))  # repeats on purpose
+    real = draw(st.booleans())
+    terms = [(float(rng.standard_normal()) if real else complex(*rng.standard_normal(2)),
+              *pool[i]) for i in picks.tolist()]
+    kind = draw(st.sampled_from(["dense", "thinned", "strings"]))
+    if kind == "strings":
+        hermitian = [(c.real if isinstance(c, complex) else c, x, z) for c, x, z in terms]
+        block = reference_restricted_block(
+            [(c, PauliString(width, x, z)) for c, x, z in hermitian], qubits)
+    else:
+        m = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal((1 << k, 1 << k))
+        if kind == "thinned":
+            m *= rng.random((1 << k, 1 << k)) < 0.3
+        block = (m + m.conj().T) / 2
+    return qubits, block, width, terms
+
+
+class TestTransformsMatchFormerPaths:
+    """Both transforms on register masks against the former PauliString paths, bit for bit."""
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None)
+    @given(case=blocks_on_qubits())
+    def test_blocks_and_strings_both_ways(self, case):
+        qubits, block, width, terms = case
+        assert_same_triples(pauli_masks(block, qubits), reference_pauli_masks(block, qubits))
+        got = dense_sum(terms, qubits)
+        want = reference_restricted_block(
+            [(c, PauliString(width, x, z)) for c, x, z in terms], qubits)
+        assert got.tobytes() == want.tobytes()
+        k = len(qubits)
+        assert [(c, s.x, s.z) for c, s in pauli_project(block, k)] == [
+            (c, s.x, s.z) for c, s in reference_pauli_project(block, k)]
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(max_qubits=6))
+    def test_to_matrix_and_string_to_dense(self, h):
+        terms = [(c, s) for s, c in h.terms.items()]
+        want = reference_dense_sum([(h.constant, PauliString.identity(h.n)), *terms], h.n)
+        assert h.to_matrix().tobytes() == want.tobytes()
+        for _, s in terms:
+            assert string_to_dense(s).tobytes() == reference_dense_sum([(1.0, s)], s.n).tobytes()
+
+    def test_cap_is_refused_before_allocating(self):
+        with pytest.raises(ResourceError):
+            dense_sum([(1.0, 1, 0)], range(DENSE_QUBIT_CAP + 1))
 
 
 class TestTextFormat:

@@ -453,8 +453,8 @@ class TestGroupedPauliEngine:
                    for f in t.factors) > 1 << h.n
         block = random_state(h.n, 0).amplitudes[:, None]
         calls = []
-        real = pauli.restricted_block
-        monkeypatch.setattr(pauli, "restricted_block", lambda *a: calls.append(a) or real(*a))
+        real = pauli.dense_sum  # what realizes a factor's block from its strings
+        monkeypatch.setattr(pauli, "dense_sum", lambda *a: calls.append(a) or real(*a))
         per = partition_costs(part, block)[1]
         assert calls == []
         for frag, got in zip(part.fragments, per):
