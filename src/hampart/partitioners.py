@@ -617,6 +617,7 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
     for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
         pairs = [pair for pair in pairs if pair in members]
         terms = tuple(TensorProductTerm((pauli_factor(members[pair], pair),)) for pair in pairs)
-        held = held_strings(item for pair in pairs for item in members[pair])
+        # Packed strings hold 64 qubits; a wider chain's fragments keep theirs unset.
+        held = held_strings(item for pair in pairs for item in members[pair]) if h.n <= 64 else None
         frags.append(Fragment(terms, f"fh1d-{name}", held))
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")

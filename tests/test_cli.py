@@ -243,6 +243,16 @@ class TestPartition:
                     "-o", out]) == 0
         assert len(json.loads(out.read_text())["fragments"]) == 2
 
+    def test_fh1d_seventy_site_chain(self, tmp_path):
+        # 70 qubits: past one 64-bit mask word, so the fragments carry no packed strings.
+        stem = tmp_path / "fh70"
+        run(["build", "fermi-hubbard", "--sites", 70, "--lattice", "chain", "-o", stem])
+        out = tmp_path / "fh70.json"
+        assert run(["partition", f"{stem}.pauli", "--method", "fh1d-coloring",
+                    "-o", out]) == 0
+        assert len(json.loads(out.read_text())["fragments"]) == 2
+        assert run(["verify", out, "--hamiltonian", f"{stem}.pauli"]) == 0
+
     def test_fc_si_certifies_ten_qubit_electronic(self, tmp_path):
         # Clifford bases: no dense whole-support eigenbasis, so no 8-qubit cap (exit 4).
         rng = np.random.default_rng(10)

@@ -66,7 +66,12 @@ from hampart.pauli import (
     pauli_matrix,
     string_to_dense,
 )
-from hampart.validators import check_commutation, check_locality, check_reconstruction
+from hampart.validators import (
+    check_commutation,
+    check_locality,
+    check_reconstruction,
+    validate_partition,
+)
 from hampart.variance import partition_costs, random_state, state_block
 
 
@@ -723,6 +728,19 @@ class TestFermiHubbard1D:
             assert len(part.fragments) == 2
             h = jordan_wigner(f)
             assert check_reconstruction(part, h) < 1e-12
+
+    @pytest.mark.parametrize("sites", [40, 64, 65, 70])
+    def test_long_chains_validate(self, sites):
+        # Strings pack into 64-bit masks: chains past 64 sites leave them unset.
+        f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
+        part = color_partition_fermi_hubbard_1d(f, sites)
+        report = validate_partition(part, jordan_wigner(f), 2)
+        assert report.reconstruction_error == 0.0 and report.locality_ok and report.tensor_wise
+        assert report.diagonalization_residual < 1e-10
+        if sites <= 64:
+            assert_strings_are_the_expansion(part)
+        else:
+            assert all(frag.strings is None for frag in part.fragments)
 
     def test_non_chain_rejected(self):
         f = build_fermi_hubbard(square_lattice(2, 2), 1.0, 2.0)
