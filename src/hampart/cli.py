@@ -269,10 +269,10 @@ def run_method(method: str, h: PauliSum, meta: dict | None, k: int | None) -> Pa
 def cmd_partition(args) -> int:
     h, meta, digest = _load_hamiltonian(args.hamiltonian)
     part = run_method(args.method, h, meta, args.k)
-    part = Partition(part.n, part.fragments, part.constant, part.source, digest)
     check_realized_bytes(part)
     report = validate_partition(part, h, k=args.k)
     data = partition_to_json(part)
+    data["hamiltonian_sha256"] = digest  # set in place, so the key keeps its position
     data["validation"] = report.to_dict()
     _write_text(args.output, json.dumps(data) + "\n")  # no indent: the C encoder
     print(

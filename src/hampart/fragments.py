@@ -208,9 +208,22 @@ def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
                   (first, *(unit_factor(q, string.letter(q)) for q in support[1:])))
 
 
-def held_strings(items) -> np.ndarray:
-    """Fragment.strings of the weighted strings (c, s) a fragment's terms hold, in order."""
-    return string_array((c, s.x, s.z) for c, s in items)
+def string_fragment(sets, label: str, n: int) -> Fragment:
+    """Fragment of one term per set (members, block mask), whose weighted strings (c, s) hold the
+    first member's letters off the block: those unit letters, then one pauli_factor of the
+    members on the block qubits in ascending order; an empty block gives pauli_term of its single
+    member. Its strings are the members in set order, unset past the 64 qubits a mask packs."""
+    terms, held = [], []
+    for members, block in sets:
+        held += members
+        if not block:
+            terms.append(pauli_term(*members[0]))
+            continue
+        ref, qubits = members[0][1], tuple(q for q in range(n) if block >> q & 1)
+        letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
+        terms.append(TensorProductTerm(letters + [pauli_factor(members, qubits)]))
+    strings = string_array((c, s.x, s.z) for c, s in held) if n <= 64 else None
+    return Fragment(tuple(terms), label, strings)
 
 
 def pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -> list[Fragment]:

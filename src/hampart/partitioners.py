@@ -9,6 +9,7 @@ consume the pre-encoded operators directly.
 from __future__ import annotations
 
 from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -19,11 +20,8 @@ from .fragments import (
     Partition,
     TensorFactor,
     TensorProductTerm,
-    held_strings,
-    pauli_factor,
     pauli_group_fragments,
-    pauli_term,
-    unit_factor,
+    string_fragment,
 )
 from .operators import (
     GRID_STEPS,
@@ -95,17 +93,6 @@ def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
 # Greedy bounded-mismatch matching
 
 
-def _match_set_term(members, free_mask: int, n: int) -> TensorProductTerm:
-    """Matched non-identity qubits become fixed 1-qubit factors (the first member's
-    letters); free qubits form a single dense block holding the coefficients."""
-    free = tuple(q for q in range(n) if (free_mask >> q) & 1)
-    ref = members[0][1]
-    if not free:
-        return pauli_term(*members[0])
-    factors = [unit_factor(q, ref.letter(q)) for q in ref.support() if q not in free]
-    return TensorProductTerm(factors + [pauli_factor(members, free)])
-
-
 def greedy_partition(h: PauliSum, k: int) -> Partition:
     """Descending-|c| term placement with at most k mismatched qubits per set.
 
@@ -142,13 +129,10 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
         union[target] |= s
         members.append([item])
         n_frags = max(n_frags, target + 1)
-    frags: list[list[TensorProductTerm]] = [[] for _ in range(n_frags)]
-    strings: list[list[tuple[float, PauliString]]] = [[] for _ in range(n_frags)]
+    sets: list[list] = [[] for _ in range(n_frags)]
     for j, group in enumerate(members):
-        frags[fid[j]].append(_match_set_term(group, int(free[j]), h.n))
-        strings[fid[j]] += group
-    out = [Fragment(tuple(terms), f"greedy-k{k}-{i}", held_strings(group))
-           for i, (terms, group) in enumerate(zip(frags, strings))]
+        sets[fid[j]].append((group, int(free[j])))
+    out = [string_fragment(frag, f"greedy-k{k}-{i}", h.n) for i, frag in enumerate(sets)]
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
 
@@ -156,49 +140,39 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
 # Blocking with residuals
 
 
-def _window_of(o: int, k: int, n: int, low: int, high: int) -> tuple[int, int] | None:
-    """Window of the offset-o basis containing qubits [low, high], if any."""
-    if low < o:
-        return None
-    start = o + ((low - o) // k) * k
-    end = min(start + k, n)
-    if high < end:
-        return (start, end)
-    return None
+def _route(items, windows) -> tuple[list[list], list]:
+    """The weighted strings (c, s) of `items` each put in the first of `windows` (qubit masks in
+    priority order) that holds its support: every window's members, and the strings left over."""
+    routed, rest = [[] for _ in windows], []
+    for item in items:
+        support = item[1].support_mask
+        for members, window in zip(routed, windows):
+            if not support & ~window:
+                members.append(item)
+                break
+        else:
+            rest.append(item)
+    return routed, rest
 
 
 def blocking_partition(h: PauliSum, k: int) -> Partition:
-    """k sliding-offset bases of contiguous windows; leftovers via FC SortedInsertion."""
+    """k sliding-offset bases of contiguous windows, tried by offset and then by start, each a
+    block on its members' support; leftovers via FC SortedInsertion."""
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
     n = h.n
-    assigned: dict[tuple[int, int, int], list[tuple[float, PauliString]]] = {}
-    residual: list[tuple[float, PauliString]] = []
-    for coeff, string in h.items_sorted():
-        supp = string.support()
-        low, high = supp[0], supp[-1]
-        for o in range(k):
-            win = _window_of(o, k, n, low, high)
-            if win is not None:
-                assigned.setdefault((o, win[0], win[1]), []).append((coeff, string))
-                break
-        else:
-            residual.append((coeff, string))
-    # Grouped first: a sum past 64 qubits is refused before any window's strings are packed.
+    spans = [(o, start) for o in range(k) for start in range(o, n, k)]
+    windows = [((1 << min(k, n - start)) - 1) << start for _, start in spans]
+    routed, residual = _route(h.items_sorted(), windows)
+    # Grouped first: a sum past 64 qubits is refused before any window's fragment is built.
     rest = PauliSum(n, residual)
     residual_groups = _insertion_groups(rest, "full")
-    fragments = []
-    for o in range(k):
-        windows = sorted(key for key in assigned if key[0] == o)
-        if not windows:
-            continue
-        terms = []
-        for key in windows:
-            group = assigned[key]
-            qubits = tuple(sorted({q for _, s in group for q in s.support()}))
-            terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
-        held = [item for key in windows for item in assigned[key]]
-        fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}", held_strings(held)))
+    sets: list[list] = [[] for _ in range(k)]
+    for (o, _), members in zip(spans, routed):
+        if members:
+            sets[o].append((members, reduce(or_, (s.support_mask for _, s in members))))
+    fragments = [string_fragment(frag, f"blocking-k{k}-offset{o}", n)
+                 for o, frag in enumerate(sets) if frag]
     fragments += pauli_group_fragments(rest, residual_groups, "blocking-residual")
     return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
 
@@ -602,22 +576,11 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
         raise DomainError("need at least 2 sites")
     _require_chain_fermi_hubbard(f, sites)
     h = jordan_wigner(f)
-    even_pairs = [(i, i + 1) for i in range(0, sites - 1, 2)]
-    odd_pairs = [(i, i + 1) for i in range(1, sites - 1, 2)]
-    members: dict[tuple[int, int], list[tuple[float, PauliString]]] = {}
-    for coeff, string in h.items_sorted():
-        supp = string.support()
-        for pair in even_pairs + odd_pairs:
-            if set(supp) <= set(pair):
-                members.setdefault(pair, []).append((coeff, string))
-                break
-        else:
-            raise DomainError(f"term {string.letters} does not fit a chain block")
-    frags = []
-    for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
-        pairs = [pair for pair in pairs if pair in members]
-        terms = tuple(TensorProductTerm((pauli_factor(members[pair], pair),)) for pair in pairs)
-        # Packed strings hold 64 qubits; a wider chain's fragments keep theirs unset.
-        held = held_strings(item for pair in pairs for item in members[pair]) if h.n <= 64 else None
-        frags.append(Fragment(terms, f"fh1d-{name}", held))
+    starts = [*range(0, sites - 1, 2), *range(1, sites - 1, 2)]  # even pairs (i, i + 1) first
+    routed, rest = _route(h.items_sorted(), [3 << i for i in starts])
+    if rest:
+        raise DomainError(f"term {rest[0][1].letters} does not fit a chain block")
+    frags = [string_fragment([(members, 3 << i) for i, members in zip(starts, routed)
+                              if members and i % 2 == parity], f"fh1d-{name}", h.n)
+             for parity, name in enumerate(("even", "odd"))]
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")

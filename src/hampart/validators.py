@@ -423,7 +423,7 @@ def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> Valid
             bases.append(dict(kind="none", largest_block=0, two_qubit_gates=0, residual=None))
     return ValidationReport(
         reconstruction_error=recon,
-        locality_ok=check_locality(p, bound),
+        locality_ok=worst_factor <= bound,
         locality_worst=worst_factor,
         locality_bound=bound,
         tensor_wise=all(b["kind"] == "tensor-wise" for b in bases),

@@ -31,9 +31,15 @@ from hampart.fragments import (
     term_matrix,
     unit_factor,
 )
-from hampart.operators import build_bose_hubbard, chain_lattice, fermion_from_integrals
+from hampart.operators import (
+    build_bose_hubbard,
+    build_fermi_hubbard,
+    chain_lattice,
+    fermion_from_integrals,
+)
 from hampart.partitioners import (
     blocking_partition,
+    color_partition_fermi_hubbard_1d,
     greedy_partition,
     qpn_partition,
     sorted_insertion,
@@ -239,7 +245,8 @@ def partitions(draw):
 
 
 def _fixture_partitions():
-    """The library partitions of H2 (4 qubits) and the 3-mode d=4 Bose-Hubbard chain (6)."""
+    """The library partitions of H2 (4 qubits), the 3-mode d=4 Bose-Hubbard chain (6) and the
+    8-site spinless Fermi-Hubbard chain (8)."""
     h2 = jordan_wigner(fermion_from_integrals(h2_sto3g_integrals()))
     lat = chain_lattice(3)
     bose = build_bose_hubbard(lat, 1.0, 2.0, 4)
@@ -251,6 +258,8 @@ def _fixture_partitions():
         out[name, "greedy-k3"] = greedy_partition(h, 3)
         out[name, "blocking-k3"] = blocking_partition(h, 3)
     out["b3d4", "qpn"] = qpn_partition(bose, lat)
+    fh8 = build_fermi_hubbard(chain_lattice(8), 1.0, 2.0)
+    out["fh8", "fh1d-coloring"] = color_partition_fermi_hubbard_1d(fh8, 8)
     return out
 
 
@@ -268,6 +277,7 @@ PARTITION_DIGESTS = {
     ("b3d4", "greedy-k3"): "cdbbee67a07e5c5aec91fbe5e4ed70bf2fe171cf1faf65f2815e540c39360225",
     ("b3d4", "blocking-k3"): "510de2f1268a1470f5e6741070729b2c259e314dce634ace05a059a17e6a83a4",
     ("b3d4", "qpn"): "23fb6d6bde79893d45caf9dbcab8ee37c415113834db11e2845dd09e494caae3",
+    ("fh8", "fh1d-coloring"): "80de2942806b9144ba3ddd6b4c3b02aa10cb408877bd0e4111fd540843a2eef8",
 }
 
 

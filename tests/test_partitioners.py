@@ -1,6 +1,7 @@
 """Partitioning algorithms: grouping baselines, greedy matching, blocking,
 index reordering, edge coloring, and the structure-aware bosonic methods."""
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -24,8 +25,11 @@ from hampart.fragments import (
     fragment_matrix,
     partition_to_json,
     pauli_coefficients,
+    pauli_factor,
+    pauli_group_fragments,
     pauli_sum_from_fragment,
     pauli_term,
+    unit_factor,
 )
 from hampart.operators import (
     BosonOperator,
@@ -64,6 +68,7 @@ from hampart.pauli import (
     PauliSum,
     commutes,
     pauli_matrix,
+    string_array,
     string_to_dense,
 )
 from hampart.validators import (
@@ -334,7 +339,7 @@ def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
     return TensorProductTerm(factors)
 
 
-def reference_greedy_partition(h: PauliSum, k: int) -> Partition:
+def reference_greedy_sets(h: PauliSum, k: int) -> list[list[_MatchSet]]:
     """Descending-|c| term placement with at most k mismatched qubits per set.
 
     A term joins the first match set where the mismatch stays within k and
@@ -363,9 +368,14 @@ def reference_greedy_partition(h: PauliSum, k: int) -> Partition:
                 break
         if not placed:
             fragments.append([_MatchSet(coeff, string)])
+    return fragments
+
+
+def reference_greedy_partition(h: PauliSum, k: int) -> Partition:
+    """reference_greedy_sets with each set's free block built densely."""
     out = [
         Fragment(tuple(_match_set_term(w, h.n) for w in frag), f"greedy-k{k}-{i}")
-        for i, frag in enumerate(fragments)
+        for i, frag in enumerate(reference_greedy_sets(h, k))
     ]
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
@@ -478,6 +488,194 @@ class TestFragmentStrings:
         for got, want in zip(partition_costs(part, block), partition_costs(bare, block)):
             assert got.tobytes() == want.tobytes()
         assert all(f.strings is not None for f in bare.fragments)
+
+
+# ---------------------------------------------------------------------------
+# The per-method fragment builders that string_fragment and the window router replaced, kept
+# verbatim: greedy, blocking and fh1d must write the same partition JSON and strings bytes.
+
+
+def reference_match_set_term(members, free_mask: int, n: int) -> TensorProductTerm:
+    """Matched non-identity qubits become fixed 1-qubit factors (the first member's
+    letters); free qubits form a single dense block holding the coefficients."""
+    free = tuple(q for q in range(n) if (free_mask >> q) & 1)
+    ref = members[0][1]
+    if not free:
+        return pauli_term(*members[0])
+    factors = [unit_factor(q, ref.letter(q)) for q in ref.support() if q not in free]
+    return TensorProductTerm(factors + [pauli_factor(members, free)])
+
+
+def reference_held_strings(items) -> np.ndarray:
+    """Fragment.strings of the weighted strings (c, s) a fragment's terms hold, in order."""
+    return string_array((c, s.x, s.z) for c, s in items)
+
+
+def reference_string_greedy_partition(h: PauliSum, k: int) -> Partition:
+    """The sets of reference_greedy_sets, each a reference_match_set_term."""
+    out = [Fragment(tuple(reference_match_set_term(w.members, w.free_mask, h.n) for w in frag),
+                    f"greedy-k{k}-{i}",
+                    reference_held_strings(item for w in frag for item in w.members))
+           for i, frag in enumerate(reference_greedy_sets(h, k))]
+    return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
+
+
+def reference_window_of(o: int, k: int, n: int, low: int, high: int) -> tuple[int, int] | None:
+    """Window of the offset-o basis containing qubits [low, high], if any."""
+    if low < o:
+        return None
+    start = o + ((low - o) // k) * k
+    end = min(start + k, n)
+    if high < end:
+        return (start, end)
+    return None
+
+
+def reference_blocking_partition(h: PauliSum, k: int) -> Partition:
+    """k sliding-offset bases of contiguous windows; leftovers via FC SortedInsertion."""
+    if not 1 <= k <= h.n:
+        raise DomainError(f"k must be in [1, {h.n}], got {k}")
+    n = h.n
+    assigned: dict[tuple[int, int, int], list[tuple[float, PauliString]]] = {}
+    residual: list[tuple[float, PauliString]] = []
+    for coeff, string in h.items_sorted():
+        supp = string.support()
+        low, high = supp[0], supp[-1]
+        for o in range(k):
+            win = reference_window_of(o, k, n, low, high)
+            if win is not None:
+                assigned.setdefault((o, win[0], win[1]), []).append((coeff, string))
+                break
+        else:
+            residual.append((coeff, string))
+    # Grouped first: a sum past 64 qubits is refused before any window's strings are packed.
+    rest = PauliSum(n, residual)
+    residual_groups = partitioners._insertion_groups(rest, "full")
+    fragments = []
+    for o in range(k):
+        windows = sorted(key for key in assigned if key[0] == o)
+        if not windows:
+            continue
+        terms = []
+        for key in windows:
+            group = assigned[key]
+            qubits = tuple(sorted({q for _, s in group for q in s.support()}))
+            terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
+        held = [item for key in windows for item in assigned[key]]
+        fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}",
+                                  reference_held_strings(held)))
+    fragments += pauli_group_fragments(rest, residual_groups, "blocking-residual")
+    return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
+
+
+def reference_fh1d_partition(f: FermionOperator, sites: int) -> Partition:
+    """Two fragments of 2-qubit blocks on even/odd edges of an open chain, by a pair scan."""
+    if sites < 2:
+        raise DomainError("need at least 2 sites")
+    partitioners._require_chain_fermi_hubbard(f, sites)
+    h = jordan_wigner(f)
+    even_pairs = [(i, i + 1) for i in range(0, sites - 1, 2)]
+    odd_pairs = [(i, i + 1) for i in range(1, sites - 1, 2)]
+    members: dict[tuple[int, int], list[tuple[float, PauliString]]] = {}
+    for coeff, string in h.items_sorted():
+        supp = string.support()
+        for pair in even_pairs + odd_pairs:
+            if set(supp) <= set(pair):
+                members.setdefault(pair, []).append((coeff, string))
+                break
+        else:
+            raise DomainError(f"term {string.letters} does not fit a chain block")
+    frags = []
+    for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
+        pairs = [pair for pair in pairs if pair in members]
+        terms = tuple(TensorProductTerm((pauli_factor(members[pair], pair),)) for pair in pairs)
+        # Packed strings hold 64 qubits; a wider chain's fragments keep theirs unset.
+        held = (reference_held_strings(item for pair in pairs for item in members[pair])
+                if h.n <= 64 else None)
+        frags.append(Fragment(terms, f"fh1d-{name}", held))
+    return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")
+
+
+def assert_same_bytes(got: Partition, want: Partition):
+    """The same partition JSON, and the same Fragment.strings bytes fragment by fragment."""
+    assert json.dumps(partition_to_json(got)) == json.dumps(partition_to_json(want))
+    assert len(got.fragments) == len(want.fragments)
+    for a, b in zip(got.fragments, want.fragments):
+        assert a.strings.dtype == b.strings.dtype, a.label
+        assert a.strings.tobytes() == b.strings.tobytes(), a.label
+
+
+def factor_qubits(part: Partition) -> dict[str, list[list[tuple[int, ...]]]]:
+    """Each fragment's terms as the qubits of their factors, by label."""
+    return {f.label: [[x.qubits for x in t.factors] for t in f.terms] for f in part.fragments}
+
+
+class TestStringFragmentsMatchReferenceBuilders:
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_greedy_and_blocking(self, h):
+        for k in range(1, h.n + 1):
+            assert_same_bytes(greedy_partition(h, k), reference_string_greedy_partition(h, k))
+        for k in (1, 2, 3):
+            if k <= h.n:
+                assert_same_bytes(blocking_partition(h, k), reference_blocking_partition(h, k))
+
+    @pytest.mark.parametrize("sites", range(2, 13))
+    @seed(20261020)
+    @settings(max_examples=8, deadline=None)
+    @given(t=st.floats(-2.0, 2.0), u=st.floats(-4.0, 4.0))
+    def test_fh1d_chains(self, sites, t, u):
+        f = build_fermi_hubbard(chain_lattice(sites), t, u)
+        assert_same_bytes(color_partition_fermi_hubbard_1d(f, sites),
+                          reference_fh1d_partition(f, sites))
+
+    def test_electronic_instance(self):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(4, np.random.default_rng(3))))
+        for k in (1, 3, 5):
+            assert_same_bytes(greedy_partition(h, k), reference_string_greedy_partition(h, k))
+        for k in (2, 3):
+            assert_same_bytes(blocking_partition(h, k), reference_blocking_partition(h, k))
+
+
+class TestWindowRouter:
+    def test_first_holding_window_wins_and_leftovers_keep_order(self):
+        items = [(1.0, ps("ZIII")), (0.5, ps("IZZI")), (0.25, ps("XIIX")), (0.125, ps("IIIY"))]
+        routed, rest = partitioners._route(items, [0b0011, 0b0110, 0b0111])
+        assert routed == [[items[0]], [items[1]], []]
+        assert rest == [items[2], items[3]]
+
+    def test_n_not_a_multiple_of_k(self):
+        # n=5, k=2: offset 0 has windows [0, 2), [2, 4) and a last [4, 5); offset 1 has
+        # [1, 3) and [3, 5).
+        h = PauliSum(5, [(1.0, ps("IIIIZ")), (0.5, ps("IIIXX")), (0.25, ps("XXIII")),
+                         (0.125, ps("IXXII"))])
+        part = blocking_partition(h, 2)
+        assert factor_qubits(part) == {"blocking-k2-offset0": [[(0, 1)], [(4,)]],
+                                       "blocking-k2-offset1": [[(1, 2)], [(3, 4)]]}
+        assert_same_bytes(part, reference_blocking_partition(h, 2))
+
+    def test_string_crossing_an_offset0_boundary_fits_offset1(self):
+        h = PauliSum(4, [(1.0, ps("IZZI"))])
+        assert factor_qubits(blocking_partition(h, 2)) == {"blocking-k2-offset1": [[(1, 2)]]}
+        # The block covers the members' support, not the whole [1, 4) window.
+        h = PauliSum(6, [(1.0, ps("IIZZII"))])
+        assert factor_qubits(blocking_partition(h, 3)) == {"blocking-k3-offset1": [[(2, 3)]]}
+
+    def test_lower_offset_wins(self):
+        # Qubit 2 lies in offset 0's [2, 4) and offset 1's [1, 3).
+        h = PauliSum(4, [(1.0, ps("IIZI"))])
+        assert factor_qubits(blocking_partition(h, 2)) == {"blocking-k2-offset0": [[(2,)]]}
+        h = PauliSum(6, [(1.0, ps("IIIZII")), (0.5, ps("IIXXII"))])
+        assert factor_qubits(blocking_partition(h, 3)) == {"blocking-k3-offset0": [[(3,)]],
+                                                           "blocking-k3-offset1": [[(2, 3)]]}
+
+    def test_fh1d_term_fitting_no_pair_is_named(self):
+        f = build_fermi_hubbard(chain_lattice(4), 1.0, 2.0)
+        wide = PauliSum(4, [(0.25, ps("ZZII")), (1.0, ps("XIXI")), (0.5, ps("ZIIZ"))])
+        with mock.patch.object(partitioners, "jordan_wigner", return_value=wide):
+            with pytest.raises(DomainError, match="term XIXI does not fit a chain block"):
+                color_partition_fermi_hubbard_1d(f, 4)
 
 
 class TestReorderIndices:
