@@ -241,14 +241,10 @@ def run_method(method: str, h: PauliSum, meta: dict | None, k: int | None) -> Pa
         return sorted_insertion(h, "qubitwise")
     if method == "fc-si":
         return sorted_insertion(h, "full")
-    if method == "greedy":
+    if method in ("greedy", "blocking"):
         if k is None:
-            raise DomainError("greedy needs --k")
-        return greedy_partition(h, k)
-    if method == "blocking":
-        if k is None:
-            raise DomainError("blocking needs --k")
-        return blocking_partition(h, k)
+            raise DomainError(f"{method} needs --k")
+        return {"greedy": greedy_partition, "blocking": blocking_partition}[method](h, k)
     if method == "coloring":
         op, lat = _rebuild_operator(meta, ("bose-hubbard",))
         return color_partition_bose_hubbard(op, lat)
@@ -363,17 +359,20 @@ def cmd_sweep_k(args) -> int:
     if not 1 <= args.k_min <= k_max <= h.n:
         raise DomainError(f"bad k range [{args.k_min}, {k_max}] for n={h.n}")
     makers = [partial(random_state, h.n, args.seed + i) for i in range(args.states)]
+    score = partial(_score_states, h.n, makers)
+    if len(column_chunks(h.n, args.states)) == 1:  # one chunk: each state is made once per sweep
+        _, (states,) = score(lambda block: (block,))
+        score = lambda scorer: (None, scorer(states))
     fc = sorted_insertion(h, "full")
-    _, (fc_totals, lbs) = _score_states(h.n, makers, lambda block: (
-        partition_costs(fc, block)[0], lower_bounds(h, block)))
+    _, (fc_totals, lbs) = score(lambda block: (partition_costs(fc, block)[0],
+                                               lower_bounds(h, block)))
     fc_mean, lb_mean = float(np.mean(fc_totals)), float(np.mean(lbs))
     lines = ["k,L,mean_var,fc_si_var,lower_bound"]
     k_star = None
     try:
         for k in range(args.k_min, k_max + 1):
             part = run_method(args.method, h, meta, k)
-            _, (totals,) = _score_states(h.n, makers,
-                                         lambda block: (partition_costs(part, block)[0],))
+            _, (totals,) = score(lambda block: (partition_costs(part, block)[0],))
             mean = float(np.mean(totals))
             if k_star is None and mean <= fc_mean:
                 k_star = k
@@ -487,6 +486,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", None) is not None and args.k < 1:  # partition and verify
+            raise DomainError(f"--k must be at least 1, got {args.k}")
         return args.func(args)
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)

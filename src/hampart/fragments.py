@@ -15,23 +15,25 @@ from __future__ import annotations
 import json
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import cache
-from itertools import chain
-from math import prod
+from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import accumulate, chain
+from math import isfinite, prod
+from operator import or_
 
 import numpy as np
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
-from .pauli import (STRING_DTYPE, PauliString, PauliSum, pauli_masks, pauli_matrix, string_array,
+from .pauli import (STRING_DTYPE, PauliString, PauliSum, pauli_masks, pauli_matrix,
                     tensor_expansion)
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
 EXPANSION_CAP = 1 << 20
 _UNIT_BLOCKS = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
-_LETTER_MATS = np.stack([pauli_matrix(letter) for letter in "IXZY"])  # by x + 2z
+# Fragment members past the 64 qubits a STRING_DTYPE mask packs.
+_WIDE_STRINGS = np.dtype([("c", complex), ("x", object), ("z", object)])
 
 
 class TensorFactor:
@@ -101,9 +103,6 @@ class TensorProductTerm:
     def __setattr__(self, *_):
         raise AttributeError("TensorProductTerm is immutable")
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(q for f in self.factors for q in f.qubits))
-
     def max_factor_size(self) -> int:
         return max((f.size for f in self.factors), default=0)
 
@@ -111,20 +110,35 @@ class TensorProductTerm:
         return f"TensorProductTerm({[f.qubits for f in self.factors]})"
 
 
-@dataclass(frozen=True)
 class Fragment:
     """Terms simultaneously measurable in one basis; `strings` is pauli_coefficients(terms) as a
-    pauli.string_array, set by the partitioners that start from strings or by first scoring."""
+    pauli.string_array, set by the partitioners that start from strings or by first scoring.
+    One built from Pauli strings holds `sets` instead of terms, each its members (a slice of one
+    read-only array of weighted strings (c, x, z)) and block mask; its terms are built on first
+    read (string_fragments)."""
 
-    terms: tuple[TensorProductTerm, ...]
-    label: str = ""
-    strings: np.ndarray | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_terms", "label", "strings", "sets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms=(), label: str = "", strings=None, sets=None):
+        values = (tuple(terms) if sets is None else None, label, strings, sets)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Fragment is immutable")
+
+    @property
+    def terms(self) -> tuple[TensorProductTerm, ...]:
+        """The terms, built from the sets on first read (_set_terms of each, in order)."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", tuple(t for s in self.sets for t in _set_terms(*s)))
+        return self._terms
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted({q for t in self.terms for q in t.support()}))
+        if self.sets is None:
+            return tuple(sorted({q for t in self.terms for f in t.factors for q in f.qubits}))
+        mask = reduce(or_, (b | x | z for m, b in self.sets for _, x, z in m.tolist()), 0)
+        return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
     def max_factor_size(self) -> int:
         return max((t.max_factor_size() for t in self.terms), default=0)
@@ -142,13 +156,9 @@ class Partition:
 
     def __post_init__(self):
         object.__setattr__(self, "fragments", tuple(self.fragments))
-        for frag in self.fragments:
-            for term in frag.terms:
-                for f in term.factors:
-                    if f.qubits and max(f.qubits) >= self.n:
-                        raise DataError(
-                            f"factor on qubits {f.qubits} exceeds n={self.n}"
-                        )
+        for frag in self.fragments:  # a fragment holding sets is checked on its masks
+            if (support := frag.support()) and support[-1] >= self.n:
+                raise DataError(f"fragment {frag.label!r} acts on qubit {support[-1]}, n={self.n}")
 
     def __len__(self) -> int:
         return len(self.fragments)
@@ -196,58 +206,48 @@ def _built(cls, *values):
 def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
     """Weighted Pauli string as a product of 1-qubit factors (coeff in the first). A real finite
     coeff on distinct qubits makes the factor and term checks redundant, so they are skipped."""
-    support = string.support()
+    x, z, mask = string.x, string.z, string.support_mask
+    support = [q for q in range(mask.bit_length()) if mask >> q & 1]
     if not support:
         raise DataError("identity terms belong in Partition.constant")
-    if isinstance(coeff, complex) or not np.isfinite(coeff):
+    if isinstance(coeff, complex) or not isfinite(coeff):
         raise DataError(f"Pauli term coefficient must be real and finite, got {coeff!r}")
-    block = coeff * pauli_matrix(string.letter(support[0]))
+    letters = ["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in support]  # by x + 2z
+    block = coeff * _pauli._PAULI_MATS[letters[0]]
     block.setflags(write=False)
-    first = _built(TensorFactor, support[:1], block, None, None)
-    return _built(TensorProductTerm,
-                  (first, *(unit_factor(q, string.letter(q)) for q in support[1:])))
+    first = _built(TensorFactor, (support[0],), block, None, None)
+    return _built(TensorProductTerm, (first, *map(unit_factor, support[1:], letters[1:])))
 
 
-def string_fragment(sets, label: str, n: int) -> Fragment:
-    """Fragment of one term per set (members, block mask), whose weighted strings (c, s) hold the
-    first member's letters off the block: those unit letters, then one pauli_factor of the
-    members on the block qubits in ascending order; an empty block gives pauli_term of its single
-    member. Its strings are the members in set order, unset past the 64 qubits a mask packs."""
-    terms, held = [], []
-    for members, block in sets:
-        held += members
-        if not block:
-            terms.append(pauli_term(*members[0]))
-            continue
-        ref, qubits = members[0][1], tuple(q for q in range(n) if block >> q & 1)
-        letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
-        terms.append(TensorProductTerm(letters + [pauli_factor(members, qubits)]))
-    strings = string_array((c, s.x, s.z) for c, s in held) if n <= 64 else None
-    return Fragment(tuple(terms), label, strings)
+def _set_terms(members, block: int) -> list[TensorProductTerm]:
+    """The terms of one set of weighted strings (c, x, z): an empty block gives pauli_term of
+    each member; else one term holding the first member's letters off the block: those unit
+    letters, then one pauli_factor of the members on the block qubits in ascending order."""
+    members = [(c.real, _built(PauliString, (x | z).bit_length(), x, z))
+               for c, x, z in members.tolist()]
+    if not block:
+        return [pauli_term(c, s) for c, s in members]
+    ref, qubits = members[0][1], tuple(q for q in range(block.bit_length()) if block >> q & 1)
+    letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
+    return [TensorProductTerm(letters + [pauli_factor(members, qubits)])]
 
 
-def pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -> list[Fragment]:
-    """One fragment `prefix-g` of pauli_terms per group id g of h's items_sorted, members in
-    order. The coefficient-carrying 2x2 factors are one broadcast (N, 2, 2) product and the
-    fragments' strings slices of one string_array."""
-    order = np.argsort(gid, kind="stable")
-    items = h.items_sorted()
-    strings = np.empty(len(order), STRING_DTYPE)
-    strings["c"] = [items[i][0] for i in order.tolist()]
-    strings["x"], strings["z"] = (mask[order] for mask in h.sorted_masks())
-    strings.setflags(write=False)
-    q = np.arange(max(h.n, 1), dtype=np.uint64)  # a column even for the empty 0-qubit sum
-    codes = (strings["x"][:, None] >> q & 1) + 2 * (strings["z"][:, None] >> q & 1)
-    low = (codes != 0).argmax(axis=1)  # each string's first qubit and its letter carry c
-    blocks = strings["c"].real[:, None, None] * _LETTER_MATS[codes[np.arange(len(low)), low]]
-    blocks.setflags(write=False)
-    terms = [_built(TensorProductTerm, (
-        _built(TensorFactor, (first,), block, None, None),
-        *(unit_factor(qubit, "IXZY"[k]) for qubit, k in enumerate(row) if k and qubit > first)))
-        for first, block, row in zip(low.tolist(), blocks, codes.tolist())]
-    bounds = np.searchsorted(gid[order], np.arange(gid.max(initial=-1) + 2)).tolist()
-    return [Fragment(tuple(terms[a:b]), f"{prefix}-{g}", strings[a:b])
-            for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+def string_fragments(labelled: list, n: int) -> list[Fragment]:
+    """A fragment per (label, sets) pair, each set (members, block mask) of weighted strings
+    (c, s), its terms built on first read. All members, in order, are one read-only array of
+    (c, x, z): each fragment's strings and each set's members are slices of it. Past the 64
+    qubits a uint64 mask packs, its masks are Python ints and the strings are unset."""
+    held = np.fromiter(((c, s.x, s.z) for _, sets in labelled for members, _ in sets
+                        for c, s in members), STRING_DTYPE if n <= 64 else _WIDE_STRINGS)
+    held.setflags(write=False)
+    out, start = [], 0
+    for label, sets in labelled:
+        bounds = list(accumulate((len(members) for members, _ in sets), initial=start))
+        views = tuple((held[a:b], block) for a, b, (_, block) in zip(bounds, bounds[1:], sets))
+        out.append(Fragment(label=label, strings=held[start:bounds[-1]] if n <= 64 else None,
+                            sets=views))
+        start = bounds[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

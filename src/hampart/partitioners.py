@@ -20,8 +20,7 @@ from .fragments import (
     Partition,
     TensorFactor,
     TensorProductTerm,
-    pauli_group_fragments,
-    string_fragment,
+    string_fragments,
 )
 from .operators import (
     GRID_STEPS,
@@ -85,7 +84,8 @@ def sorted_insertion_groups(h: PauliSum, kind: str) -> list[list[tuple[float, Pa
 
 def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
     label = "fc-si" if kind == "full" else "qwc-si"
-    fragments = pauli_group_fragments(h, _insertion_groups(h, kind), label)
+    groups = enumerate(sorted_insertion_groups(h, kind))
+    fragments = string_fragments([(f"{label}-{g}", [(members, 0)]) for g, members in groups], h.n)
     return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
 
 
@@ -132,7 +132,7 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     sets: list[list] = [[] for _ in range(n_frags)]
     for j, group in enumerate(members):
         sets[fid[j]].append((group, int(free[j])))
-    out = [string_fragment(frag, f"greedy-k{k}-{i}", h.n) for i, frag in enumerate(sets)]
+    out = string_fragments([(f"greedy-k{k}-{i}", frag) for i, frag in enumerate(sets)], h.n)
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
 
@@ -165,16 +165,14 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
     windows = [((1 << min(k, n - start)) - 1) << start for _, start in spans]
     routed, residual = _route(h.items_sorted(), windows)
     # Grouped first: a sum past 64 qubits is refused before any window's fragment is built.
-    rest = PauliSum(n, residual)
-    residual_groups = _insertion_groups(rest, "full")
+    residual_groups = enumerate(sorted_insertion_groups(PauliSum(n, residual), "full"))
     sets: list[list] = [[] for _ in range(k)]
     for (o, _), members in zip(spans, routed):
         if members:
             sets[o].append((members, reduce(or_, (s.support_mask for _, s in members))))
-    fragments = [string_fragment(frag, f"blocking-k{k}-offset{o}", n)
-                 for o, frag in enumerate(sets) if frag]
-    fragments += pauli_group_fragments(rest, residual_groups, "blocking-residual")
-    return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
+    labelled = [(f"blocking-k{k}-offset{o}", frag) for o, frag in enumerate(sets) if frag]
+    labelled += [(f"blocking-residual-{g}", [(members, 0)]) for g, members in residual_groups]
+    return Partition(n, tuple(string_fragments(labelled, n)), h.constant, source=f"blocking(k={k})")
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +578,7 @@ def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partitio
     routed, rest = _route(h.items_sorted(), [3 << i for i in starts])
     if rest:
         raise DomainError(f"term {rest[0][1].letters} does not fit a chain block")
-    frags = [string_fragment([(members, 3 << i) for i, members in zip(starts, routed)
-                              if members and i % 2 == parity], f"fh1d-{name}", h.n)
-             for parity, name in enumerate(("even", "odd"))]
+    sets = [[(members, 3 << i) for i, members in zip(starts, routed) if members and i % 2 == parity]
+            for parity in (0, 1)]
+    frags = string_fragments(list(zip(("fh1d-even", "fh1d-odd"), sets)), h.n)
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")

@@ -1,9 +1,13 @@
 """Shared fixtures: reference Hamiltonians and independent dense oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from hampart import fragments
+from hampart.fragments import TensorFactor, TensorProductTerm
 from hampart.operators import ElectronicIntegrals
 from hampart.pauli import PauliString, PauliSum, parse_pauli_text, pauli_matrix
 
@@ -40,6 +44,24 @@ ILLUSTRATIVE_FC_GROUPS = [
     {"IIXZ", "IXXZ", "IIIZ", "IXIZ"},
     {"YYXI"},
 ]
+
+
+@pytest.fixture()
+def built_terms(monkeypatch) -> Counter:
+    """Counts, by class name, the TensorFactor and TensorProductTerm objects made while the test
+    runs: each is made by its class's __init__ or, checks skipped, by fragments._built."""
+    counts = Counter()
+
+    def counting(make, name=None):
+        def wrapped(*args, **kwargs):
+            counts[name or args[0].__name__] += 1
+            return make(*args, **kwargs)
+        return wrapped
+
+    for cls in (TensorFactor, TensorProductTerm):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__, cls.__name__))
+    monkeypatch.setattr(fragments, "_built", counting(fragments._built))
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hampart.cli import main
 from hampart.errors import ResourceError
 from hampart.fragments import Fragment, Partition, pauli_term, save_partition
 from hampart.operators import ElectronicIntegrals, build_bose_hubbard, chain_lattice, write_fcidump
-from hampart.partitioners import greedy_partition, qpn_partition
+from hampart.partitioners import greedy_partition, qpn_partition, sorted_insertion
 from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum, parse_pauli_text
 from hampart.validators import check_reconstruction, validate_partition
 from hampart.variance import lower_bounds, partition_costs, random_state, state_block
@@ -194,6 +195,28 @@ class TestPartition:
         assert data["validation"]["ok"] is True
         assert [b["kind"] for b in data["validation"]["bases"]] == ["tensor-wise"] * 3
         assert data["validation"]["basis_summary"]["two_qubit_gates"] == {"total": 0, "max": 0}
+
+    @pytest.mark.parametrize("command", [
+        ["partition", "{stem}.pauli", "--method", "fc-si", "--k", 0, "-o", "{out}"],
+        ["partition", "{stem}.pauli", "--method", "qpn", "--k", -1, "-o", "{out}"],
+        ["partition", "{stem}.pauli", "--method", "greedy", "--k", 0, "-o", "{out}"],
+        ["verify", "{out}", "--hamiltonian", "{stem}.pauli", "--k", 0],
+        ["verify", "{out}", "--hamiltonian", "{stem}.pauli", "--k", -3],
+    ], ids=["fc-si-0", "qpn-minus-1", "greedy-0", "verify-0", "verify-minus-3"])
+    def test_nonpositive_k_is_a_usage_error(self, b3d4, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "p.json"
+        if command[0] == "verify":
+            assert run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", out]) == 0
+            before = out.read_bytes()
+
+        def load(path):
+            raise AssertionError(f"{path} loaded before --k was checked")
+
+        monkeypatch.setattr(cli, "_load_hamiltonian", load)
+        capsys.readouterr()
+        assert run([str(a).format(stem=b3d4, out=out) for a in command]) == 2
+        assert "--k must be at least 1" in capsys.readouterr().err
+        assert out.read_bytes() == before if command[0] == "verify" else not out.exists()
 
     def test_coloring_fragment_count(self, b3d4, tmp_path):
         out = tmp_path / "col.json"
@@ -516,6 +539,44 @@ class TestSweepK:
         assert "k_star=" in printed
         k_star = printed.rsplit("k_star=", 1)[1].split()[0]
         assert k_star != "none" and 1 <= int(k_star) <= 4
+
+    @staticmethod
+    def _sweep_csv_remaking_states(h, method, k_range, states, seed):
+        """The sweep CSV as made when every k made the states again: each of FC-SI with the
+        lower bound and the k partitions is scored on its own _score_states pass."""
+        makers = [partial(random_state, h.n, seed + i) for i in range(states)]
+        fc = sorted_insertion(h, "full")
+        _, (fc_totals, lbs) = cli._score_states(h.n, makers, lambda block: (
+            partition_costs(fc, block)[0], lower_bounds(h, block)))
+        fc_mean, lb_mean = float(np.mean(fc_totals)), float(np.mean(lbs))
+        lines = ["k,L,mean_var,fc_si_var,lower_bound"]
+        for k in k_range:
+            part = cli.run_method(method, h, None, k)
+            _, (totals,) = cli._score_states(h.n, makers,
+                                             lambda block: (partition_costs(part, block)[0],))
+            lines.append(f"{k},{len(part.fragments)},{cli._fmt(float(np.mean(totals)))},"
+                         f"{cli._fmt(fc_mean)},{cli._fmt(lb_mean)}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("method", ["greedy", "blocking"])
+    def test_states_are_made_once_per_sweep(self, b3d4, tmp_path, monkeypatch, method):
+        h = parse_pauli_text(Path(f"{b3d4}.pauli").read_text())
+        want = self._sweep_csv_remaking_states(h, method, range(1, 5), 4, 11)
+        made = []
+        real = cli.random_state
+        monkeypatch.setattr(cli, "random_state", lambda n, seed: made.append(seed) or real(n, seed))
+        out = tmp_path / "s.csv"
+        assert run(["sweep-k", f"{b3d4}.pauli", "--method", method, "--k-max", 4,
+                    "--states", 4, "--seed", 11, "-o", out]) == 0
+        assert made == [11, 12, 13, 14]
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("method", ["greedy", "blocking"])
+    def test_sweep_builds_no_terms(self, b3d4, tmp_path, built_terms, method):
+        # FC-SI and every k's partition are scored on the strings their fragments hold.
+        assert run(["sweep-k", f"{b3d4}.pauli", "--method", method, "--states", 2,
+                    "-o", tmp_path / "s.csv"]) == 0
+        assert built_terms == {}
 
     @staticmethod
     def _refuse_at(monkeypatch, k):

@@ -11,12 +11,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ILLUSTRATIVE_FC_GROUPS, pauli_sums, random_integrals, vib_couplings, VIB_OMEGA
-from hampart import partitioners
+from hampart import fragments, partitioners
 from hampart.encodings import (
     encode_boson_operator,
     jordan_wigner,
 )
-from hampart.errors import DomainError, ResourceError
+from hampart.errors import DataError, DomainError, ResourceError
 from hampart.fragments import (
     Fragment,
     Partition,
@@ -26,7 +26,6 @@ from hampart.fragments import (
     partition_to_json,
     pauli_coefficients,
     pauli_factor,
-    pauli_group_fragments,
     pauli_sum_from_fragment,
     pauli_term,
     unit_factor,
@@ -64,6 +63,7 @@ from hampart.partitioners import (
 )
 from hampart.pauli import (
     DENSE_QUBIT_CAP,
+    STRING_DTYPE,
     PauliString,
     PauliSum,
     commutes,
@@ -77,7 +77,7 @@ from hampart.validators import (
     check_reconstruction,
     validate_partition,
 )
-from hampart.variance import partition_costs, random_state, state_block
+from hampart.variance import fragment_variance, partition_costs, random_state, state_block
 
 
 def ps(letters):
@@ -531,6 +531,69 @@ def reference_window_of(o: int, k: int, n: int, low: int, high: int) -> tuple[in
     return None
 
 
+# The eager fragment builders whose terms the string-built fragments now build on first read,
+# kept verbatim: reading those terms must give the same partition JSON and strings bytes.
+_LETTER_MATS = np.stack([pauli_matrix(letter) for letter in "IXZY"])  # by x + 2z
+_built = fragments._built
+
+
+def reference_string_fragment(sets, label: str, n: int) -> Fragment:
+    """Fragment of one term per set (members, block mask), whose weighted strings (c, s) hold the
+    first member's letters off the block: those unit letters, then one pauli_factor of the
+    members on the block qubits in ascending order; an empty block gives pauli_term of its single
+    member. Its strings are the members in set order, unset past the 64 qubits a mask packs."""
+    terms, held = [], []
+    for members, block in sets:
+        held += members
+        if not block:
+            terms.append(pauli_term(*members[0]))
+            continue
+        ref, qubits = members[0][1], tuple(q for q in range(n) if block >> q & 1)
+        letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
+        terms.append(TensorProductTerm(letters + [pauli_factor(members, qubits)]))
+    strings = string_array((c, s.x, s.z) for c, s in held) if n <= 64 else None
+    return Fragment(tuple(terms), label, strings)
+
+
+def reference_pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -> list[Fragment]:
+    """One fragment `prefix-g` of pauli_terms per group id g of h's items_sorted, members in
+    order. The coefficient-carrying 2x2 factors are one broadcast (N, 2, 2) product and the
+    fragments' strings slices of one string_array."""
+    order = np.argsort(gid, kind="stable")
+    items = h.items_sorted()
+    strings = np.empty(len(order), STRING_DTYPE)
+    strings["c"] = [items[i][0] for i in order.tolist()]
+    strings["x"], strings["z"] = (mask[order] for mask in h.sorted_masks())
+    strings.setflags(write=False)
+    q = np.arange(max(h.n, 1), dtype=np.uint64)  # a column even for the empty 0-qubit sum
+    codes = (strings["x"][:, None] >> q & 1) + 2 * (strings["z"][:, None] >> q & 1)
+    low = (codes != 0).argmax(axis=1)  # each string's first qubit and its letter carry c
+    blocks = strings["c"].real[:, None, None] * _LETTER_MATS[codes[np.arange(len(low)), low]]
+    blocks.setflags(write=False)
+    terms = [_built(TensorProductTerm, (
+        _built(TensorFactor, (first,), block, None, None),
+        *(unit_factor(qubit, "IXZY"[k]) for qubit, k in enumerate(row) if k and qubit > first)))
+        for first, block, row in zip(low.tolist(), blocks, codes.tolist())]
+    bounds = np.searchsorted(gid[order], np.arange(gid.max(initial=-1) + 2)).tolist()
+    return [Fragment(tuple(terms[a:b]), f"{prefix}-{g}", strings[a:b])
+            for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def reference_eager_sorted_insertion(h: PauliSum, kind: str) -> Partition:
+    label = "fc-si" if kind == "full" else "qwc-si"
+    fragments = reference_pauli_group_fragments(h, partitioners._insertion_groups(h, kind), label)
+    return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
+
+
+def reference_eager_greedy(h: PauliSum, k: int) -> Partition:
+    """reference_greedy_sets, each fragment's sets (members, free mask) a
+    reference_string_fragment."""
+    out = [reference_string_fragment([(w.members, w.free_mask) for w in frag],
+                                     f"greedy-k{k}-{i}", h.n)
+           for i, frag in enumerate(reference_greedy_sets(h, k))]
+    return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
+
+
 def reference_blocking_partition(h: PauliSum, k: int) -> Partition:
     """k sliding-offset bases of contiguous windows; leftovers via FC SortedInsertion."""
     if not 1 <= k <= h.n:
@@ -564,7 +627,7 @@ def reference_blocking_partition(h: PauliSum, k: int) -> Partition:
         held = [item for key in windows for item in assigned[key]]
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}",
                                   reference_held_strings(held)))
-    fragments += pauli_group_fragments(rest, residual_groups, "blocking-residual")
+    fragments += reference_pauli_group_fragments(rest, residual_groups, "blocking-residual")
     return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
 
 
@@ -608,6 +671,79 @@ def assert_same_bytes(got: Partition, want: Partition):
 def factor_qubits(part: Partition) -> dict[str, list[list[tuple[int, ...]]]]:
     """Each fragment's terms as the qubits of their factors, by label."""
     return {f.label: [[x.qubits for x in t.factors] for t in f.terms] for f in part.fragments}
+
+
+def assert_lazy_equals_eager(got: Partition, want: Partition):
+    """`got`'s fragments hold their sets, terms unbuilt, and the strings bytes of `want`'s (both
+    unset past 64 qubits); once read, its terms write `want`'s partition JSON."""
+    assert [f.label for f in got.fragments] == [f.label for f in want.fragments]
+    for a, b in zip(got.fragments, want.fragments):
+        assert a.sets is not None and a._terms is None, a.label
+        assert (a.strings is None) == (b.strings is None) == (got.n > 64), a.label
+        if a.strings is not None:
+            assert a.strings.dtype == b.strings.dtype, a.label
+            assert a.strings.tobytes() == b.strings.tobytes(), a.label
+    assert json.dumps(partition_to_json(got)) == json.dumps(partition_to_json(want))
+
+
+class TestLazyTermsMatchEagerBuilders:
+    @seed(20261024)
+    @settings(max_examples=80, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_string_built_partitions(self, h):
+        for kind in ("full", "qubitwise"):
+            assert_lazy_equals_eager(sorted_insertion(h, kind),
+                                     reference_eager_sorted_insertion(h, kind))
+        for k in range(1, h.n + 1):
+            assert_lazy_equals_eager(greedy_partition(h, k), reference_eager_greedy(h, k))
+        for k in (1, 2, 3):
+            if k <= h.n:
+                assert_lazy_equals_eager(blocking_partition(h, k),
+                                         reference_blocking_partition(h, k))
+
+    def test_electronic_instance(self):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(4, np.random.default_rng(5))))
+        for kind in ("full", "qubitwise"):
+            assert_lazy_equals_eager(sorted_insertion(h, kind),
+                                     reference_eager_sorted_insertion(h, kind))
+        for k in (1, 3, 5):
+            assert_lazy_equals_eager(greedy_partition(h, k), reference_eager_greedy(h, k))
+
+    @pytest.mark.parametrize("sites", [*range(2, 13), 65, 70])
+    def test_fh1d_chains(self, sites):
+        # 65 and 70 sites pass the 64 qubits a packed string holds: strings stay unset there.
+        f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
+        assert_lazy_equals_eager(color_partition_fermi_hubbard_1d(f, sites),
+                                 reference_fh1d_partition(f, sites))
+
+
+class TestStringBuiltFragmentsKeepTheirSets:
+    """SortedInsertion, greedy and blocking fragments hold their strings' sets: building them,
+    constructing their Partition and scoring them make no TensorFactor or TensorProductTerm."""
+
+    @staticmethod
+    def _partitions(h):
+        parts = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
+        return parts + [greedy_partition(h, k) for k in (1, 3)] + [blocking_partition(h, 2)]
+
+    def test_build_construct_and_score_make_no_terms(self, built_terms):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(4, np.random.default_rng(6))))
+        parts = self._partitions(h)
+        block = state_block([random_state(h.n, s) for s in range(2)])
+        for part in parts:
+            again = Partition(part.n, part.fragments, part.constant, part.source)
+            partition_costs(again, block)
+            fragment_variance(part.fragments[0], random_state(h.n, 9))
+            assert all(f._terms is None for f in part.fragments), part.source
+        assert built_terms == {}
+        # The counter sees terms once they are read.
+        assert len(parts[0].fragments[0].terms) > 0 and built_terms["TensorProductTerm"] > 0
+
+    def test_out_of_range_sets_are_refused_on_their_masks(self, built_terms):
+        part = greedy_partition(PauliSum(3, [(1.0, ps("XYZ")), (0.5, ps("ZZI"))]), 2)
+        with pytest.raises(DataError, match="acts on qubit 2"):
+            Partition(2, part.fragments)
+        assert built_terms == {}
 
 
 class TestStringFragmentsMatchReferenceBuilders:
