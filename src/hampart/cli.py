@@ -224,9 +224,8 @@ def _rebuild_operator(meta: dict | None, expect_class: tuple[str, ...]):
         if cls == "bose-hubbard":
             lat = lattice_from_json(params["lattice"])
             return build_bose_hubbard(lat, params["t"], params["U"], params["d"]), lat
-        if cls == "fermi-hubbard":
-            lat = lattice_from_json(params["lattice"])
-            return build_fermi_hubbard(lat, params["t"], params["U"]), lat
+        if cls == "fermi-hubbard":  # the .pauli sum is its Jordan-Wigner image
+            return None, lattice_from_json(params["lattice"])
         if cls == "vibrational":
             return vibrational_from_json(params), None
     except HampartError:
@@ -255,10 +254,10 @@ def run_method(method: str, h: PauliSum, meta: dict | None, k: int | None) -> Pa
         op, _ = _rebuild_operator(meta, ("vibrational",))
         return qp_partition_vibrational(op)
     if method == "fh1d-coloring":
-        op, lat = _rebuild_operator(meta, ("fermi-hubbard",))
+        _, lat = _rebuild_operator(meta, ("fermi-hubbard",))
         if lat.kind != "chain" or lat.boundary != "open":
             raise DomainError("fh1d-coloring needs an open chain lattice")
-        return color_partition_fermi_hubbard_1d(op, lat.sites)
+        return color_partition_fermi_hubbard_1d(h, lat.sites)
     raise DomainError(f"unknown method {method!r}")
 
 

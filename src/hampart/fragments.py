@@ -32,8 +32,6 @@ _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
 EXPANSION_CAP = 1 << 20
 _UNIT_BLOCKS = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
-# Fragment members past the 64 qubits a STRING_DTYPE mask packs.
-_WIDE_STRINGS = np.dtype([("c", complex), ("x", object), ("z", object)])
 
 
 class TensorFactor:
@@ -232,19 +230,19 @@ def _set_terms(members, block: int) -> list[TensorProductTerm]:
     return [TensorProductTerm(letters + [pauli_factor(members, qubits)])]
 
 
-def string_fragments(labelled: list, n: int) -> list[Fragment]:
-    """A fragment per (label, sets) pair, each set (members, block mask) of weighted strings
-    (c, s), its terms built on first read. All members, in order, are one read-only array of
-    (c, x, z): each fragment's strings and each set's members are slices of it. Past the 64
-    qubits a uint64 mask packs, its masks are Python ints and the strings are unset."""
-    held = np.fromiter(((c, s.x, s.z) for _, sets in labelled for members, _ in sets
-                        for c, s in members), STRING_DTYPE if n <= 64 else _WIDE_STRINGS)
+def string_fragments(labelled: list, strings: np.ndarray) -> list[Fragment]:
+    """A fragment per (label, sets) pair, each set (rows, block mask) naming rows of `strings`
+    (PauliSum.sorted_strings), its terms built on first read. All rows, in order, are gathered
+    by one fancy index into one read-only array: each fragment's strings and each set's members
+    are slices of it. Past the 64 qubits a uint64 mask packs, the strings are unset."""
+    held = strings[np.fromiter((r for _, sets in labelled for rows, _ in sets for r in rows),
+                               np.intp)]
     held.setflags(write=False)
-    out, start = [], 0
+    out, start, packed = [], 0, held.dtype == STRING_DTYPE
     for label, sets in labelled:
-        bounds = list(accumulate((len(members) for members, _ in sets), initial=start))
+        bounds = list(accumulate((len(rows) for rows, _ in sets), initial=start))
         views = tuple((held[a:b], block) for a, b, (_, block) in zip(bounds, bounds[1:], sets))
-        out.append(Fragment(label=label, strings=held[start:bounds[-1]] if n <= 64 else None,
+        out.append(Fragment(label=label, strings=held[start:bounds[-1]] if packed else None,
                             sets=views))
         start = bounds[-1]
     return out

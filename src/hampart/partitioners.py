@@ -13,8 +13,8 @@ from operator import or_
 
 import numpy as np
 
-from .encodings import embed_matrix, gray_map, jordan_wigner, mode_qubit_layout
-from .errors import DomainError
+from .encodings import embed_matrix, gray_map, mode_qubit_layout
+from .errors import DomainError, ResourceError
 from .fragments import (
     Fragment,
     Partition,
@@ -30,28 +30,34 @@ from .operators import (
     Lattice,
     boson_matrices,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PauliSum
 
 
 # ---------------------------------------------------------------------------
 # SortedInsertion baselines
 
 
-def _insertion_groups(h: PauliSum, kind: str) -> np.ndarray:
-    """Group id of each term of items_sorted: descending |c|, each term joins the first group
-    with no member it conflicts with. `full` keeps per group a bitset of the terms that
-    anticommute with a member (ceil(N/64) words, a row added when a group opens); a term's own
-    row is the XOR of bit-sliced z columns over its x bits and x columns over its z bits.
-    `qubitwise` keeps per group the OR of its members' x, z and support: a conflict is an
+def _packed_strings(h: PauliSum) -> np.ndarray:
+    """h.sorted_strings() with uint64 masks; a sum past 64 qubits is refused before it is built."""
+    if h.n > 64:
+        raise ResourceError(f"uint64 masks hold at most 64 qubits, got {h.n}")
+    return h.sorted_strings()
+
+
+def _insertion_groups(xs: np.ndarray, zs: np.ndarray, n: int, kind: str) -> np.ndarray:
+    """Group id of each n-qubit string (x, z) in the given order (descending |c|): each joins
+    the first group with no member it conflicts with. `full` keeps per group a bitset of the
+    terms that anticommute with a member (ceil(N/64) words, a row added when a group opens); a
+    term's own row is the XOR of bit-sliced z columns over its x bits and x columns over its z
+    bits. `qubitwise` keeps per group the OR of its members' x, z and support: a conflict is an
     overlap with a differing letter."""
     if kind not in ("full", "qubitwise"):
         raise DomainError(f"unknown commutation kind {kind!r}")
-    xs, zs = h.sorted_masks()
-    size, q = len(xs), np.arange(h.n, dtype=np.uint64)
+    size, q = len(xs), np.arange(n, dtype=np.uint64)
     if kind == "full":
         letters = np.hstack([xs[:, None] >> q & 1, zs[:, None] >> q & 1]) != 0
-        columns = np.zeros((2 * h.n, -(-size // 64) * 8), np.uint8)  # z columns, then x columns
-        columns[:, :-(-size // 8)] = np.packbits(np.roll(letters, h.n, 1).T, 1, bitorder="little")
+        columns = np.zeros((2 * n, -(-size // 64) * 8), np.uint8)  # z columns, then x columns
+        columns[:, :-(-size // 8)] = np.packbits(np.roll(letters, n, 1).T, 1, bitorder="little")
         columns = columns.view("<u8")
         row = lambda i: np.bitwise_xor.reduce(columns[letters[i]], axis=0)
         hits = lambda rows, i: rows[:, i >> 6] & np.uint64(1 << (i & 63))
@@ -73,19 +79,19 @@ def _insertion_groups(h: PauliSum, kind: str) -> np.ndarray:
     return gid
 
 
-def sorted_insertion_groups(h: PauliSum, kind: str) -> list[list[tuple[float, PauliString]]]:
-    """Greedy grouping: descending |c|, first group whose members all commute."""
-    gid = _insertion_groups(h, kind)
-    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(gid.max(initial=-1) + 1)]
-    for item, g in zip(h.items_sorted(), gid.tolist()):
-        groups[g].append(item)
-    return groups
+def _insertion_rows(strings: np.ndarray, rows: np.ndarray, n: int, kind: str) -> list[np.ndarray]:
+    """The given rows of sorted strings as _insertion_groups groups them, in group order, each
+    group's rows in order: the group ids split by one stable argsort."""
+    gid = _insertion_groups(strings["x"][rows], strings["z"][rows], n, kind)
+    order, ends = np.argsort(gid, kind="stable"), np.bincount(gid).cumsum().tolist()
+    return [rows[order[a:b]] for a, b in zip([0, *ends], ends)]
 
 
 def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
     label = "fc-si" if kind == "full" else "qwc-si"
-    groups = enumerate(sorted_insertion_groups(h, kind))
-    fragments = string_fragments([(f"{label}-{g}", [(members, 0)]) for g, members in groups], h.n)
+    strings = _packed_strings(h)
+    groups = enumerate(_insertion_rows(strings, np.arange(len(strings)), h.n, kind))
+    fragments = string_fragments([(f"{label}-{g}", [(rows, 0)]) for g, rows in groups], strings)
     return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
 
 
@@ -100,39 +106,43 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     qubits; the sets of a fragment have disjoint supports. A term joins the
     first fragment that has a set accepting it (mismatch within k, grown
     support disjoint from the siblings) or whose sets it does not touch: the
-    first accepting set there, else a new set. Every set is tested at once.
+    first accepting set there, else a new set. The mismatch is tested on every
+    set at once; the few sets within k are then tested on Python ints.
     """
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
-    xs, zs = h.sorted_masks()
-    items = h.items_sorted()
-    # Per match set: reference letters, free mask, support mask, fragment id.
-    ref_x, ref_z, free, supp = (np.zeros(len(items), np.uint64) for _ in range(4))
-    fid = np.zeros(len(items), np.intp)
-    union = np.zeros(len(items), np.uint64)  # per fragment: its sets' support union
-    members: list[list[tuple[float, PauliString]]] = []
-    n_frags = 0
-    for item, x, z in zip(items, xs, zs):
-        w, s = len(members), x | z
-        touched = union[:n_frags + 1] & s  # slot n_frags is still empty
-        target = int(np.argmax(touched == 0))
-        grown_free = free[:w] | (ref_x[:w] ^ x) | (ref_z[:w] ^ z)
+    strings = _packed_strings(h)
+    # Per match set: reference letters and free mask (uint64), support, fragment id and rows.
+    ref_x, ref_z, free = (np.zeros(len(strings), np.uint64) for _ in range(3))
+    supp, fid, rows = [], [], []
+    # Per fragment: its sets' support union; per qubit: a bitset of the fragments touching it.
+    union, touch = [0] * (len(strings) + 1), [0] * h.n
+    for i, (x, z) in enumerate(zip(strings["x"].tolist(), strings["z"].tolist())):
+        w, s = len(rows), x | z
+        qubits = [q for q in range(s.bit_length()) if s >> q & 1]
+        hit = reduce(or_, (touch[q] for q in qubits), 0)
+        target = (~hit & (hit + 1)).bit_length() - 1  # the first fragment s does not touch
+        grown = free[:w] | (ref_x[:w] ^ x) | (ref_z[:w] ^ z)
         # Supports are disjoint within a fragment: s may touch only the set's own support there.
-        accepts = (np.bitwise_count(grown_free) <= k) & (touched[fid[:w]] == supp[:w] & s)
-        j = int(np.argmin(np.where(accepts, fid[:w], n_frags + 1))) if w else 0
-        if w and accepts[j] and (best := fid[j]) <= target:  # first set of the first fragment
-            free[j], supp[j] = grown_free[j], supp[j] | s
-            union[best] |= s
-            members[j].append(item)
-            continue
-        ref_x[w], ref_z[w], supp[w], fid[w] = x, z, s, target
-        union[target] |= s
-        members.append([item])
-        n_frags = max(n_frags, target + 1)
-    sets: list[list] = [[] for _ in range(n_frags)]
-    for j, group in enumerate(members):
+        accepts = [j for j in np.flatnonzero(np.bitwise_count(grown) <= k).tolist()
+                   if union[fid[j]] & s == supp[j] & s]
+        j = min(accepts, key=fid.__getitem__, default=w)  # first set of the first fragment
+        if j < w and fid[j] <= target:
+            free[j] = grown[j]
+        else:
+            j, ref_x[w], ref_z[w] = w, x, z
+            supp.append(0)
+            fid.append(target)
+            rows.append([])
+        supp[j] |= s
+        union[fid[j]] |= s
+        rows[j].append(i)
+        for q in qubits:
+            touch[q] |= 1 << fid[j]
+    sets: list[list] = [[] for _ in range(max(fid, default=-1) + 1)]
+    for j, group in enumerate(rows):
         sets[fid[j]].append((group, int(free[j])))
-    out = string_fragments([(f"greedy-k{k}-{i}", frag) for i, frag in enumerate(sets)], h.n)
+    out = string_fragments([(f"greedy-k{k}-{i}", frag) for i, frag in enumerate(sets)], strings)
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
 
@@ -140,18 +150,14 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
 # Blocking with residuals
 
 
-def _route(items, windows) -> tuple[list[list], list]:
-    """The weighted strings (c, s) of `items` each put in the first of `windows` (qubit masks in
-    priority order) that holds its support: every window's members, and the strings left over."""
-    routed, rest = [[] for _ in windows], []
-    for item in items:
-        support = item[1].support_mask
-        for members, window in zip(routed, windows):
-            if not support & ~window:
-                members.append(item)
-                break
-        else:
-            rest.append(item)
+def _route(support: np.ndarray, windows) -> tuple[list[np.ndarray], np.ndarray]:
+    """The rows of `support` (qubit masks) each put in the first of `windows` (qubit masks in
+    priority order) that holds it: every window's rows, and the rows left over, each ascending."""
+    routed, rest = [], np.arange(len(support))
+    for window in windows:
+        fits = (support[rest] | window) == window
+        routed.append(rest[fits])
+        rest = rest[~fits]
     return routed, rest
 
 
@@ -160,19 +166,20 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
     block on its members' support; leftovers via FC SortedInsertion."""
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
-    n = h.n
+    n, strings = h.n, _packed_strings(h)
+    support = strings["x"] | strings["z"]
     spans = [(o, start) for o in range(k) for start in range(o, n, k)]
     windows = [((1 << min(k, n - start)) - 1) << start for _, start in spans]
-    routed, residual = _route(h.items_sorted(), windows)
-    # Grouped first: a sum past 64 qubits is refused before any window's fragment is built.
-    residual_groups = enumerate(sorted_insertion_groups(PauliSum(n, residual), "full"))
+    routed, residual = _route(support, windows)
     sets: list[list] = [[] for _ in range(k)]
-    for (o, _), members in zip(spans, routed):
-        if members:
-            sets[o].append((members, reduce(or_, (s.support_mask for _, s in members))))
+    for (o, _), rows in zip(spans, routed):
+        if len(rows):
+            sets[o].append((rows, reduce(or_, support[rows].tolist())))
     labelled = [(f"blocking-k{k}-offset{o}", frag) for o, frag in enumerate(sets) if frag]
-    labelled += [(f"blocking-residual-{g}", [(members, 0)]) for g, members in residual_groups]
-    return Partition(n, tuple(string_fragments(labelled, n)), h.constant, source=f"blocking(k={k})")
+    residual_groups = enumerate(_insertion_rows(strings, residual, n, "full"))
+    labelled += [(f"blocking-residual-{g}", [(rows, 0)]) for g, rows in residual_groups]
+    out = string_fragments(labelled, strings)
+    return Partition(n, tuple(out), h.constant, source=f"blocking(k={k})")
 
 
 # ---------------------------------------------------------------------------
@@ -544,41 +551,22 @@ def qp_partition_vibrational(v: BosonOperator) -> Partition:
 # 1D spinless Fermi-Hubbard coloring
 
 
-def _require_chain_fermi_hubbard(f: FermionOperator, sites: int):
-    if f.modes != sites:
-        raise DomainError(f"operator has {f.modes} modes but chain has {sites} sites")
-    for coeff, ops in f.terms:
-        if not ops:
-            continue
-        modes = [m for m, _ in ops]
-        if len(ops) == 2:
-            if abs(modes[0] - modes[1]) != 1:
-                raise DomainError("hopping term is not nearest-neighbor")
-        elif len(ops) == 4:
-            pair = sorted(set(modes))
-            if len(pair) != 2 or pair[1] - pair[0] != 1:
-                raise DomainError("interaction term is not nearest-neighbor")
-        else:
-            raise DomainError("term is not of Fermi-Hubbard form")
-
-
-def color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partition:
-    """Two fragments of 2-qubit blocks on even/odd edges of an open chain.
-
-    Every term of the Jordan-Wigner image (hops, ZZ, and the single-Z and
-    identity pieces of the density-density expansion) is folded into the
-    first even-parity block covering its support, falling back to the odd
-    fragment; reconstruction of the JW image is exact by construction.
-    """
+def color_partition_fermi_hubbard_1d(h: PauliSum, sites: int) -> Partition:
+    """Two fragments of 2-qubit blocks on even/odd edges of an open chain, from the Jordan-Wigner
+    image `h` of a spinless Fermi-Hubbard chain: each term goes into the first even pair holding
+    its support, else the first odd one, so reconstruction is exact; a term fitting no pair is
+    refused (DomainError naming it)."""
     if sites < 2:
         raise DomainError("need at least 2 sites")
-    _require_chain_fermi_hubbard(f, sites)
-    h = jordan_wigner(f)
+    if h.n != sites:
+        raise DomainError(f"sum has {h.n} qubits but chain has {sites} sites")
+    strings = h.sorted_strings()
     starts = [*range(0, sites - 1, 2), *range(1, sites - 1, 2)]  # even pairs (i, i + 1) first
-    routed, rest = _route(h.items_sorted(), [3 << i for i in starts])
-    if rest:
-        raise DomainError(f"term {rest[0][1].letters} does not fit a chain block")
-    sets = [[(members, 3 << i) for i, members in zip(starts, routed) if members and i % 2 == parity]
+    routed, rest = _route(strings["x"] | strings["z"], [3 << i for i in starts])
+    if len(rest):
+        letters = h.items_sorted()[rest[0]][1].letters
+        raise DomainError(f"term {letters} does not fit a chain block")
+    sets = [[(rows, 3 << i) for i, rows in zip(starts, routed) if len(rows) and i % 2 == parity]
             for parity in (0, 1)]
-    frags = string_fragments(list(zip(("fh1d-even", "fh1d-odd"), sets)), h.n)
+    frags = string_fragments(list(zip(("fh1d-even", "fh1d-odd"), sets)), strings)
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")

@@ -235,6 +235,7 @@ def tensor_expansion(coeff, factors, tol: float | None = None) -> list[tuple[com
 
 
 STRING_DTYPE = np.dtype([("c", complex), ("x", np.uint64), ("z", np.uint64)])
+_WIDE_STRINGS = np.dtype([("c", complex), ("x", object), ("z", object)])
 
 
 def string_array(terms) -> np.ndarray:
@@ -349,7 +350,7 @@ class PauliSum:
         self._terms = {s: c for s, c in acc.items() if abs(c) > SIMPLIFY_TOL}
         self._constant = const
         self._sorted: tuple[tuple[float, PauliString], ...] | None = None
-        self._masks: tuple[np.ndarray, np.ndarray] | None = None
+        self._strings: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -385,18 +386,16 @@ class PauliSum:
             keys = np.packbits(words, axis=2).view(">u8")[..., 0]
             order = np.lexsort((*keys.T[::-1], -np.abs(np.array(coeffs, float))))
             self._sorted = tuple((coeffs[i], strings[i]) for i in order.tolist())
-            self._masks = x[order, 0], z[order, 0]  # contiguous: placement scans them per term
-            for mask in self._masks:
-                mask.setflags(write=False)
         return list(self._sorted)
 
-    def sorted_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x and z masks of items_sorted as read-only uint64 arrays, built once per instance;
-        a sum on more than 64 qubits is refused before any array is built."""
-        if self.n > 64:
-            raise ResourceError(f"uint64 masks hold at most 64 qubits, got {self.n}")
-        self.items_sorted()
-        return self._masks
+    def sorted_strings(self) -> np.ndarray:
+        """The weighted strings (c, x, z) of items_sorted as one read-only array, built once per
+        instance: STRING_DTYPE, or Python-int masks past the 64 qubits a uint64 mask holds."""
+        if self._strings is None:
+            self._strings = np.fromiter(((c, s.x, s.z) for c, s in self.items_sorted()),
+                                        STRING_DTYPE if self.n <= 64 else _WIDE_STRINGS)
+            self._strings.setflags(write=False)
+        return self._strings
 
     def __iter__(self) -> Iterator[tuple[float, PauliString]]:
         return iter(self.items_sorted())

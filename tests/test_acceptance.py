@@ -107,7 +107,7 @@ def suite():
     fh = build_fermi_hubbard(chain_lattice(4), 1.0, 2.0)
     h_fh = jordan_wigner(fh)
     methods = base(h_fh)
-    methods["fh1d-coloring"] = color_partition_fermi_hubbard_1d(fh, 4)
+    methods["fh1d-coloring"] = color_partition_fermi_hubbard_1d(h_fh, 4)
     instances.append(("fermi-hubbard-chain4", h_fh, methods))
 
     lat3 = chain_lattice(3)
@@ -203,7 +203,7 @@ def test_criterion_4_basis_count_claims():
 
         for sites in (2, 3, 4, 5, 6):
             fh = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
-            assert len(color_partition_fermi_hubbard_1d(fh, sites).fragments) == 2
+            assert len(color_partition_fermi_hubbard_1d(jordan_wigner(fh), sites).fragments) == 2
 
 
 def test_criterion_5_figure_trends():
@@ -225,7 +225,7 @@ def test_criterion_5_figure_trends():
         m = means(
             h_fh,
             {
-                "coloring": color_partition_fermi_hubbard_1d(fh, 4),
+                "coloring": color_partition_fermi_hubbard_1d(h_fh, 4),
                 "fc-si": sorted_insertion(h_fh, "full"),
             },
         )

@@ -266,6 +266,33 @@ class TestPartition:
                     "-o", out]) == 0
         assert len(json.loads(out.read_text())["fragments"]) == 2
 
+    def test_fh1d_partitions_the_file_it_is_given(self, tmp_path):
+        # One coefficient of the .pauli file is scaled and its .json kept: the partition must
+        # reconstruct the file, not the operator the metadata describes.
+        stem = tmp_path / "fh6"
+        run(["build", "fermi-hubbard", "--sites", 6, "--t", 1, "--U", 2, "-o", stem])
+        pauli_path = Path(f"{stem}.pauli")
+        *head, last = pauli_path.read_text().splitlines()
+        coeff, letters = last.split(" ", 1)
+        pauli_path.write_text("\n".join([*head, f"{3 * float(coeff)!r} {letters}"]) + "\n")
+        out = tmp_path / "fh1d.json"
+        assert run(["partition", pauli_path, "--method", "fh1d-coloring", "-o", out]) == 0
+        report = json.loads(out.read_text())["validation"]
+        assert report["ok"] is True and report["reconstruction_error"] == 0.0
+
+    def test_fh1d_neither_rebuilds_nor_encodes(self, tmp_path, monkeypatch):
+        stem = tmp_path / "fh4"
+        run(["build", "fermi-hubbard", "--sites", 4, "--t", 1, "--U", 2, "-o", stem])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fh1d-coloring must partition the parsed .pauli sum")
+
+        for name in ("build_fermi_hubbard", "jordan_wigner"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "fh1d.json"
+        assert run(["partition", f"{stem}.pauli", "--method", "fh1d-coloring",
+                    "-o", out]) == 0
+
     def test_fh1d_seventy_site_chain(self, tmp_path):
         # 70 qubits: past one 64-bit mask word, so the fragments carry no packed strings.
         stem = tmp_path / "fh70"

@@ -259,7 +259,7 @@ def _fixture_partitions():
         out[name, "blocking-k3"] = blocking_partition(h, 3)
     out["b3d4", "qpn"] = qpn_partition(bose, lat)
     fh8 = build_fermi_hubbard(chain_lattice(8), 1.0, 2.0)
-    out["fh8", "fh1d-coloring"] = color_partition_fermi_hubbard_1d(fh8, 8)
+    out["fh8", "fh1d-coloring"] = color_partition_fermi_hubbard_1d(jordan_wigner(fh8), 8)
     return out
 
 

@@ -3,6 +3,10 @@ index reordering, edge coloring, and the structure-aware bosonic methods."""
 
 import json
 import tracemalloc
+from functools import reduce
+from itertools import accumulate
+from operator import or_
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -59,9 +63,9 @@ from hampart.partitioners import (
     qpn_partition,
     reorder_indices,
     sorted_insertion,
-    sorted_insertion_groups,
 )
 from hampart.pauli import (
+    _WIDE_STRINGS,
     DENSE_QUBIT_CAP,
     STRING_DTYPE,
     PauliString,
@@ -263,6 +267,19 @@ def reference_group_ids(h: PauliSum, kind: str) -> np.ndarray:
     return np.array([group[s] for _, s in h.items_sorted()], dtype=np.intp)
 
 
+def reference_group_ids_of(xs, zs, n: int, kind: str) -> np.ndarray:
+    """reference_group_ids of the n-qubit strings (x, z) in their given order: a stand-in for
+    partitioners._insertion_groups."""
+    items = [(1.0, PauliString(n, x, z)) for x, z in zip(xs.tolist(), zs.tolist())]
+    return reference_group_ids(SimpleNamespace(items_sorted=lambda: items), kind)
+
+
+def insertion_group_ids(h: PauliSum, kind: str) -> np.ndarray:
+    """partitioners._insertion_groups of h's sorted strings: the group of each of items_sorted."""
+    strings = h.sorted_strings()
+    return partitioners._insertion_groups(strings["x"], strings["z"], h.n, kind)
+
+
 def random_sum(n: int, size: int, seed: int) -> PauliSum:
     """`size` distinct random strings on n qubits, coefficients spread so few tie."""
     rng = np.random.default_rng(seed)
@@ -280,7 +297,7 @@ class TestSortedInsertionMatchesReferenceLoop:
         # The full kind keeps one bit per term: sizes straddle the 64-term words.
         h = random_sum(6, size, seed=size)
         assert len(h) == size
-        assert sorted_insertion_groups(h, kind) == reference_sorted_insertion_groups(h, kind)
+        assert insertion_group_ids(h, kind).tolist() == reference_group_ids(h, kind).tolist()
 
     @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("kind", ["full", "qubitwise"])
@@ -291,7 +308,7 @@ class TestSortedInsertionMatchesReferenceLoop:
     @pytest.mark.parametrize("kind", ["full", "qubitwise"])
     def test_groups_on_64_qubits(self, kind):
         h = random_sum(64, 150, seed=64)
-        assert sorted_insertion_groups(h, kind) == reference_sorted_insertion_groups(h, kind)
+        assert insertion_group_ids(h, kind).tolist() == reference_group_ids(h, kind).tolist()
 
     @pytest.mark.parametrize("kind", ["full", "qubitwise"])
     def test_fragment_strings_are_slices_of_one_array(self, kind):
@@ -412,7 +429,7 @@ class TestPlacementMatchesReferenceLoops:
             assert_same_partition(greedy_partition(h, k), reference_greedy_partition(h, k))
         vectorized = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
         vectorized += [blocking_partition(h, k) for k in (2, 3) if k <= h.n]
-        with mock.patch.object(partitioners, "_insertion_groups", reference_group_ids):
+        with mock.patch.object(partitioners, "_insertion_groups", reference_group_ids_of):
             reference = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
             reference += [blocking_partition(h, k) for k in (2, 3) if k <= h.n]
         for got, want in zip(vectorized, reference):
@@ -477,11 +494,12 @@ class TestFragmentStrings:
     @pytest.mark.parametrize("sites", range(2, 9))
     def test_fh1d_chains(self, sites):
         f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
-        assert_strings_are_the_expansion(color_partition_fermi_hubbard_1d(f, sites))
+        assert_strings_are_the_expansion(color_partition_fermi_hubbard_1d(jordan_wigner(f), sites))
 
     def test_fh1d_costs_equal_strings_set_by_scoring(self):
         # Strings held from the build score to the bytes of strings the scorer expands itself.
-        part = color_partition_fermi_hubbard_1d(build_fermi_hubbard(chain_lattice(6), 1.0, 2.0), 6)
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(6), 1.0, 2.0))
+        part = color_partition_fermi_hubbard_1d(h, 6)
         bare = Partition(part.n, [Fragment(f.terms, f.label) for f in part.fragments],
                          part.constant)
         block = state_block([random_state(part.n, s) for s in range(3)])
@@ -563,7 +581,7 @@ def reference_pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -
     items = h.items_sorted()
     strings = np.empty(len(order), STRING_DTYPE)
     strings["c"] = [items[i][0] for i in order.tolist()]
-    strings["x"], strings["z"] = (mask[order] for mask in h.sorted_masks())
+    strings["x"], strings["z"] = (h.sorted_strings()[m][order] for m in "xz")
     strings.setflags(write=False)
     q = np.arange(max(h.n, 1), dtype=np.uint64)  # a column even for the empty 0-qubit sum
     codes = (strings["x"][:, None] >> q & 1) + 2 * (strings["z"][:, None] >> q & 1)
@@ -581,7 +599,7 @@ def reference_pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -
 
 def reference_eager_sorted_insertion(h: PauliSum, kind: str) -> Partition:
     label = "fc-si" if kind == "full" else "qwc-si"
-    fragments = reference_pauli_group_fragments(h, partitioners._insertion_groups(h, kind), label)
+    fragments = reference_pauli_group_fragments(h, insertion_group_ids(h, kind), label)
     return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
 
 
@@ -613,7 +631,7 @@ def reference_blocking_partition(h: PauliSum, k: int) -> Partition:
             residual.append((coeff, string))
     # Grouped first: a sum past 64 qubits is refused before any window's strings are packed.
     rest = PauliSum(n, residual)
-    residual_groups = partitioners._insertion_groups(rest, "full")
+    residual_groups = insertion_group_ids(rest, "full")
     fragments = []
     for o in range(k):
         windows = sorted(key for key in assigned if key[0] == o)
@@ -635,7 +653,7 @@ def reference_fh1d_partition(f: FermionOperator, sites: int) -> Partition:
     """Two fragments of 2-qubit blocks on even/odd edges of an open chain, by a pair scan."""
     if sites < 2:
         raise DomainError("need at least 2 sites")
-    partitioners._require_chain_fermi_hubbard(f, sites)
+    reference_require_chain_fermi_hubbard(f, sites)
     h = jordan_wigner(f)
     even_pairs = [(i, i + 1) for i in range(0, sites - 1, 2)]
     odd_pairs = [(i, i + 1) for i in range(1, sites - 1, 2)]
@@ -713,7 +731,7 @@ class TestLazyTermsMatchEagerBuilders:
     def test_fh1d_chains(self, sites):
         # 65 and 70 sites pass the 64 qubits a packed string holds: strings stay unset there.
         f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
-        assert_lazy_equals_eager(color_partition_fermi_hubbard_1d(f, sites),
+        assert_lazy_equals_eager(color_partition_fermi_hubbard_1d(jordan_wigner(f), sites),
                                  reference_fh1d_partition(f, sites))
 
 
@@ -763,7 +781,7 @@ class TestStringFragmentsMatchReferenceBuilders:
     @given(t=st.floats(-2.0, 2.0), u=st.floats(-4.0, 4.0))
     def test_fh1d_chains(self, sites, t, u):
         f = build_fermi_hubbard(chain_lattice(sites), t, u)
-        assert_same_bytes(color_partition_fermi_hubbard_1d(f, sites),
+        assert_same_bytes(color_partition_fermi_hubbard_1d(jordan_wigner(f), sites),
                           reference_fh1d_partition(f, sites))
 
     def test_electronic_instance(self):
@@ -777,9 +795,10 @@ class TestStringFragmentsMatchReferenceBuilders:
 class TestWindowRouter:
     def test_first_holding_window_wins_and_leftovers_keep_order(self):
         items = [(1.0, ps("ZIII")), (0.5, ps("IZZI")), (0.25, ps("XIIX")), (0.125, ps("IIIY"))]
-        routed, rest = partitioners._route(items, [0b0011, 0b0110, 0b0111])
-        assert routed == [[items[0]], [items[1]], []]
-        assert rest == [items[2], items[3]]
+        support = np.array([s.support_mask for _, s in items], np.uint64)
+        routed, rest = partitioners._route(support, [0b0011, 0b0110, 0b0111])
+        assert [rows.tolist() for rows in routed] == [[0], [1], []]
+        assert rest.tolist() == [2, 3]
 
     def test_n_not_a_multiple_of_k(self):
         # n=5, k=2: offset 0 has windows [0, 2), [2, 4) and a last [4, 5); offset 1 has
@@ -807,11 +826,175 @@ class TestWindowRouter:
                                                            "blocking-k3-offset1": [[(2, 3)]]}
 
     def test_fh1d_term_fitting_no_pair_is_named(self):
-        f = build_fermi_hubbard(chain_lattice(4), 1.0, 2.0)
         wide = PauliSum(4, [(0.25, ps("ZZII")), (1.0, ps("XIXI")), (0.5, ps("ZIIZ"))])
-        with mock.patch.object(partitioners, "jordan_wigner", return_value=wide):
-            with pytest.raises(DomainError, match="term XIXI does not fit a chain block"):
-                color_partition_fermi_hubbard_1d(f, 4)
+        with pytest.raises(DomainError, match="term XIXI does not fit a chain block"):
+            color_partition_fermi_hubbard_1d(wide, 4)
+
+
+# ---------------------------------------------------------------------------
+# The parent's tuple pipeline, kept verbatim: members travel as (c, PauliString) tuples, are
+# grouped, routed and packed with np.fromiter. The row pipeline (rows of one sorted string
+# array) must write the same partition JSON and Fragment.strings bytes.
+
+
+def reference_id_sorted_insertion_groups(
+        h: PauliSum, kind: str) -> list[list[tuple[float, PauliString]]]:
+    """Greedy grouping: descending |c|, first group whose members all commute."""
+    gid = insertion_group_ids(h, kind)
+    groups: list[list[tuple[float, PauliString]]] = [[] for _ in range(gid.max(initial=-1) + 1)]
+    for item, g in zip(h.items_sorted(), gid.tolist()):
+        groups[g].append(item)
+    return groups
+
+
+def reference_route(items, windows) -> tuple[list[list], list]:
+    """The weighted strings (c, s) of `items` each put in the first of `windows` (qubit masks in
+    priority order) that holds its support: every window's members, and the strings left over."""
+    routed, rest = [[] for _ in windows], []
+    for item in items:
+        support = item[1].support_mask
+        for members, window in zip(routed, windows):
+            if not support & ~window:
+                members.append(item)
+                break
+        else:
+            rest.append(item)
+    return routed, rest
+
+
+def reference_tuple_string_fragments(labelled: list, n: int) -> list[Fragment]:
+    """A fragment per (label, sets) pair, each set (members, block mask) of weighted strings
+    (c, s), its terms built on first read. All members, in order, are one read-only array of
+    (c, x, z): each fragment's strings and each set's members are slices of it. Past the 64
+    qubits a uint64 mask packs, its masks are Python ints and the strings are unset."""
+    held = np.fromiter(((c, s.x, s.z) for _, sets in labelled for members, _ in sets
+                        for c, s in members), STRING_DTYPE if n <= 64 else _WIDE_STRINGS)
+    held.setflags(write=False)
+    out, start = [], 0
+    for label, sets in labelled:
+        bounds = list(accumulate((len(members) for members, _ in sets), initial=start))
+        views = tuple((held[a:b], block) for a, b, (_, block) in zip(bounds, bounds[1:], sets))
+        out.append(Fragment(label=label, strings=held[start:bounds[-1]] if n <= 64 else None,
+                            sets=views))
+        start = bounds[-1]
+    return out
+
+
+def reference_require_chain_fermi_hubbard(f: FermionOperator, sites: int):
+    if f.modes != sites:
+        raise DomainError(f"operator has {f.modes} modes but chain has {sites} sites")
+    for coeff, ops in f.terms:
+        if not ops:
+            continue
+        modes = [m for m, _ in ops]
+        if len(ops) == 2:
+            if abs(modes[0] - modes[1]) != 1:
+                raise DomainError("hopping term is not nearest-neighbor")
+        elif len(ops) == 4:
+            pair = sorted(set(modes))
+            if len(pair) != 2 or pair[1] - pair[0] != 1:
+                raise DomainError("interaction term is not nearest-neighbor")
+        else:
+            raise DomainError("term is not of Fermi-Hubbard form")
+
+
+def reference_color_partition_fermi_hubbard_1d(f: FermionOperator, sites: int) -> Partition:
+    """Two fragments of 2-qubit blocks on even/odd edges of an open chain.
+
+    Every term of the Jordan-Wigner image (hops, ZZ, and the single-Z and
+    identity pieces of the density-density expansion) is folded into the
+    first even-parity block covering its support, falling back to the odd
+    fragment; reconstruction of the JW image is exact by construction.
+    """
+    if sites < 2:
+        raise DomainError("need at least 2 sites")
+    reference_require_chain_fermi_hubbard(f, sites)
+    h = jordan_wigner(f)
+    starts = [*range(0, sites - 1, 2), *range(1, sites - 1, 2)]  # even pairs (i, i + 1) first
+    routed, rest = reference_route(h.items_sorted(), [3 << i for i in starts])
+    if rest:
+        raise DomainError(f"term {rest[0][1].letters} does not fit a chain block")
+    sets = [[(members, 3 << i) for i, members in zip(starts, routed) if members and i % 2 == parity]
+            for parity in (0, 1)]
+    frags = reference_tuple_string_fragments(list(zip(("fh1d-even", "fh1d-odd"), sets)), h.n)
+    return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")
+
+
+def reference_tuple_sorted_insertion(h: PauliSum, kind: str) -> Partition:
+    """The parent's sorted_insertion."""
+    label = "fc-si" if kind == "full" else "qwc-si"
+    groups = enumerate(reference_id_sorted_insertion_groups(h, kind))
+    fragments = reference_tuple_string_fragments(
+        [(f"{label}-{g}", [(members, 0)]) for g, members in groups], h.n)
+    return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
+
+
+def reference_tuple_greedy(h: PauliSum, k: int) -> Partition:
+    """The sets of reference_greedy_sets, each (members, free mask), as the parent packed them."""
+    sets = [[(w.members, w.free_mask) for w in frag] for frag in reference_greedy_sets(h, k)]
+    out = reference_tuple_string_fragments(
+        [(f"greedy-k{k}-{i}", frag) for i, frag in enumerate(sets)], h.n)
+    return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
+
+
+def reference_tuple_blocking(h: PauliSum, k: int) -> Partition:
+    """The parent's blocking_partition: its residual rebuilt as a PauliSum and sorted again."""
+    n = h.n
+    spans = [(o, start) for o in range(k) for start in range(o, n, k)]
+    windows = [((1 << min(k, n - start)) - 1) << start for _, start in spans]
+    routed, residual = reference_route(h.items_sorted(), windows)
+    residual_groups = enumerate(reference_id_sorted_insertion_groups(PauliSum(n, residual), "full"))
+    sets: list[list] = [[] for _ in range(k)]
+    for (o, _), members in zip(spans, routed):
+        if members:
+            sets[o].append((members, reduce(or_, (s.support_mask for _, s in members))))
+    labelled = [(f"blocking-k{k}-offset{o}", frag) for o, frag in enumerate(sets) if frag]
+    labelled += [(f"blocking-residual-{g}", [(members, 0)]) for g, members in residual_groups]
+    out = reference_tuple_string_fragments(labelled, n)
+    return Partition(n, tuple(out), h.constant, source=f"blocking(k={k})")
+
+
+class TestRowPipelineMatchesTuplePipeline:
+    @seed(20261025)
+    @settings(max_examples=80, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_string_built_partitions(self, h):
+        for kind in ("full", "qubitwise"):
+            assert_lazy_equals_eager(sorted_insertion(h, kind),
+                                     reference_tuple_sorted_insertion(h, kind))
+        for k in range(1, h.n + 1):
+            assert_lazy_equals_eager(greedy_partition(h, k), reference_tuple_greedy(h, k))
+        for k in (1, 2, 3):
+            if k <= h.n:
+                assert_lazy_equals_eager(blocking_partition(h, k), reference_tuple_blocking(h, k))
+
+    def test_electronic_instance(self):
+        h = jordan_wigner(fermion_from_integrals(random_integrals(4, np.random.default_rng(8))))
+        for kind in ("full", "qubitwise"):
+            assert_lazy_equals_eager(sorted_insertion(h, kind),
+                                     reference_tuple_sorted_insertion(h, kind))
+        for k in (1, 3, 8):
+            assert_lazy_equals_eager(greedy_partition(h, k), reference_tuple_greedy(h, k))
+            assert_lazy_equals_eager(blocking_partition(h, k), reference_tuple_blocking(h, k))
+
+    @pytest.mark.parametrize("t, u", [(1.0, 2.0), (-0.7, 0.0)])
+    @pytest.mark.parametrize("sites", [*range(2, 13), 65, 70])
+    def test_fh1d_chains(self, sites, t, u):
+        # 65 and 70 sites pass the 64 qubits a packed string holds: strings stay unset there.
+        f = build_fermi_hubbard(chain_lattice(sites), t, u)
+        assert_lazy_equals_eager(color_partition_fermi_hubbard_1d(jordan_wigner(f), sites),
+                                 reference_color_partition_fermi_hubbard_1d(f, sites))
+
+    def test_fh1d_refuses_a_sum_of_another_width(self):
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(4), 1.0, 2.0))
+        with pytest.raises(DomainError, match="sum has 4 qubits but chain has 5 sites"):
+            color_partition_fermi_hubbard_1d(h, 5)
+
+    def test_sorted_strings_past_64_qubits_hold_python_int_masks(self):
+        h = PauliSum(70, [(1.0, ps("X" * 70)), (-0.5, ps("I" * 69 + "Z"))])
+        strings = h.sorted_strings()
+        assert strings.dtype == _WIDE_STRINGS and not strings.flags.writeable
+        assert strings.tolist() == [(1.0, (1 << 70) - 1, 0), (-0.5, 0, 1 << 69)]
 
 
 class TestReorderIndices:
@@ -1043,7 +1226,7 @@ class TestColorPartitionBoseHubbard:
 class TestFermiHubbard1D:
     def test_four_site_chain(self):
         f = build_fermi_hubbard(chain_lattice(4), 1.0, 2.0)
-        part = color_partition_fermi_hubbard_1d(f, 4)
+        part = color_partition_fermi_hubbard_1d(jordan_wigner(f), 4)
         assert len(part.fragments) == 2
         assert part.max_factor_size() == 2
         h = jordan_wigner(f)
@@ -1058,7 +1241,7 @@ class TestFermiHubbard1D:
     def test_odd_and_even_lengths(self):
         for sites in (2, 3, 5, 6):
             f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
-            part = color_partition_fermi_hubbard_1d(f, sites)
+            part = color_partition_fermi_hubbard_1d(jordan_wigner(f), sites)
             assert len(part.fragments) == 2
             h = jordan_wigner(f)
             assert check_reconstruction(part, h) < 1e-12
@@ -1067,7 +1250,7 @@ class TestFermiHubbard1D:
     def test_long_chains_validate(self, sites):
         # Strings pack into 64-bit masks: chains past 64 sites leave them unset.
         f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
-        part = color_partition_fermi_hubbard_1d(f, sites)
+        part = color_partition_fermi_hubbard_1d(jordan_wigner(f), sites)
         report = validate_partition(part, jordan_wigner(f), 2)
         assert report.reconstruction_error == 0.0 and report.locality_ok and report.tensor_wise
         assert report.diagonalization_residual < 1e-10
@@ -1079,7 +1262,7 @@ class TestFermiHubbard1D:
     def test_non_chain_rejected(self):
         f = build_fermi_hubbard(square_lattice(2, 2), 1.0, 2.0)
         with pytest.raises(DomainError):
-            color_partition_fermi_hubbard_1d(f, 4)
+            color_partition_fermi_hubbard_1d(jordan_wigner(f), 4)
 
 
 class TestQpn:

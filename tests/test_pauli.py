@@ -172,9 +172,9 @@ class TestPauliSum:
         first.append("caller's edit")  # callers get their own list
         fresh = PauliSum(h.n, [(c, s) for s, c in h.terms.items()], h.constant).items_sorted()
         assert h.items_sorted() == fresh
-        x, z = h.sorted_masks()
-        assert x.tolist() == [s.x for _, s in fresh] and z.tolist() == [s.z for _, s in fresh]
-        assert h.sorted_masks()[0] is x and not x.flags.writeable
+        strings = h.sorted_strings()
+        assert strings.tolist() == [(complex(c), s.x, s.z) for c, s in fresh]
+        assert h.sorted_strings() is strings and not strings.flags.writeable
 
     def test_simplify_idempotent_and_matrix_preserving(self):
         h = PauliSum(2, [(0.25, ps("XZ")), (0.75, ps("XZ")), (1.5, ps("YI"))], 0.5)

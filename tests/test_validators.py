@@ -345,7 +345,7 @@ class TestDiagonalization:
         partitions = [
             qpn_partition(b, lat),
             color_partition_bose_hubbard(b, lat),
-            color_partition_fermi_hubbard_1d(f, 4),
+            color_partition_fermi_hubbard_1d(jordan_wigner(f), 4),
         ]
         for part in partitions:
             for frag in part.fragments:
