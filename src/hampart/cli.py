@@ -207,8 +207,8 @@ def _load_hamiltonian(path: str) -> tuple[PauliSum, dict | None, str]:
     meta_path = os.path.splitext(path)[0] + ".json"
     if os.path.exists(meta_path):
         meta = _read_json_object(meta_path)
-        if not isinstance(meta.get("n", 0), int):
-            raise DataError(f"{meta_path} must be a JSON object with an integer n")
+        if type(n := meta.get("n", 0)) is not int or n < 0:
+            raise DataError(f"{meta_path}: n must be a non-negative JSON integer, got {n!r}")
     h = parse_pauli_text(text, n=meta.get("n") if meta else None)
     return h, meta, _sha256(text)
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
-from .pauli import (STRING_DTYPE, PauliString, PauliSum, pauli_masks, pauli_matrix,
-                    tensor_expansion)
+from .pauli import PauliString, PauliSum, mask_ints, pauli_masks, pauli_matrix, tensor_expansion
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
@@ -111,9 +110,8 @@ class TensorProductTerm:
 class Fragment:
     """Terms simultaneously measurable in one basis; `strings` is pauli_coefficients(terms) as a
     pauli.string_array, set by the partitioners that start from strings or by first scoring.
-    One built from Pauli strings holds `sets` instead of terms, each its members (a slice of one
-    read-only array of weighted strings (c, x, z)) and block mask; its terms are built on first
-    read (string_fragments)."""
+    One built from Pauli strings holds `sets` instead of terms, each its members (a slice of its
+    strings) and block mask; its terms are built on first read (string_fragments)."""
 
     __slots__ = ("_terms", "label", "strings", "sets")
 
@@ -135,7 +133,8 @@ class Fragment:
     def support(self) -> tuple[int, ...]:
         if self.sets is None:
             return tuple(sorted({q for t in self.terms for f in t.factors for q in f.qubits}))
-        mask = reduce(or_, (b | x | z for m, b in self.sets for _, x, z in m.tolist()), 0)
+        words = np.bitwise_or.reduce(self.strings["x"] | self.strings["z"], keepdims=True)
+        mask = reduce(or_, (b for _, b in self.sets), mask_ints(words)[0])
         return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
     def max_factor_size(self) -> int:
@@ -221,8 +220,8 @@ def _set_terms(members, block: int) -> list[TensorProductTerm]:
     """The terms of one set of weighted strings (c, x, z): an empty block gives pauli_term of
     each member; else one term holding the first member's letters off the block: those unit
     letters, then one pauli_factor of the members on the block qubits in ascending order."""
-    members = [(c.real, _built(PauliString, (x | z).bit_length(), x, z))
-               for c, x, z in members.tolist()]
+    members = [(c, _built(PauliString, (x | z).bit_length(), x, z)) for c, x, z in
+               zip(members["c"].real.tolist(), mask_ints(members["x"]), mask_ints(members["z"]))]
     if not block:
         return [pauli_term(c, s) for c, s in members]
     ref, qubits = members[0][1], tuple(q for q in range(block.bit_length()) if block >> q & 1)
@@ -234,16 +233,15 @@ def string_fragments(labelled: list, strings: np.ndarray) -> list[Fragment]:
     """A fragment per (label, sets) pair, each set (rows, block mask) naming rows of `strings`
     (PauliSum.sorted_strings), its terms built on first read. All rows, in order, are gathered
     by one fancy index into one read-only array: each fragment's strings and each set's members
-    are slices of it. Past the 64 qubits a uint64 mask packs, the strings are unset."""
+    are slices of it."""
     held = strings[np.fromiter((r for _, sets in labelled for rows, _ in sets for r in rows),
                                np.intp)]
     held.setflags(write=False)
-    out, start, packed = [], 0, held.dtype == STRING_DTYPE
+    out, start = [], 0
     for label, sets in labelled:
         bounds = list(accumulate((len(rows) for rows, _ in sets), initial=start))
         views = tuple((held[a:b], block) for a, b, (_, block) in zip(bounds, bounds[1:], sets))
-        out.append(Fragment(label=label, strings=held[start:bounds[-1]] if packed else None,
-                            sets=views))
+        out.append(Fragment(label=label, strings=held[start:bounds[-1]], sets=views))
         start = bounds[-1]
     return out
 

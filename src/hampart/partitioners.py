@@ -14,7 +14,7 @@ from operator import or_
 import numpy as np
 
 from .encodings import embed_matrix, gray_map, mode_qubit_layout
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .fragments import (
     Fragment,
     Partition,
@@ -30,51 +30,40 @@ from .operators import (
     Lattice,
     boson_matrices,
 )
-from .pauli import PauliSum
+from .pauli import PauliSum, mask_bits, mask_ints, mask_words
 
 
 # ---------------------------------------------------------------------------
 # SortedInsertion baselines
 
 
-def _packed_strings(h: PauliSum) -> np.ndarray:
-    """h.sorted_strings() with uint64 masks; a sum past 64 qubits is refused before it is built."""
-    if h.n > 64:
-        raise ResourceError(f"uint64 masks hold at most 64 qubits, got {h.n}")
-    return h.sorted_strings()
-
-
 def _insertion_groups(xs: np.ndarray, zs: np.ndarray, n: int, kind: str) -> np.ndarray:
-    """Group id of each n-qubit string (x, z) in the given order (descending |c|): each joins
-    the first group with no member it conflicts with. `full` keeps per group a bitset of the
-    terms that anticommute with a member (ceil(N/64) words, a row added when a group opens); a
-    term's own row is the XOR of bit-sliced z columns over its x bits and x columns over its z
-    bits. `qubitwise` keeps per group the OR of its members' x, z and support: a conflict is an
-    overlap with a differing letter."""
+    """Group id of each n-qubit string (x, z mask words) in order: each joins the first group with
+    no member it conflicts with. Each group keeps a bitset of the terms that conflict with a
+    member (ceil(N/64) words, a row added per new group), and a term's row reduces bit-sliced
+    letter columns: `full` XORs the z columns over its x bits and the x columns over its z bits
+    (an odd count anticommutes); `qubitwise` ORs, on each qubit it holds, the other two letters."""
     if kind not in ("full", "qubitwise"):
         raise DomainError(f"unknown commutation kind {kind!r}")
-    size, q = len(xs), np.arange(n, dtype=np.uint64)
+    size, x, z = len(xs), mask_bits(xs, n) != 0, mask_bits(zs, n) != 0
     if kind == "full":
-        letters = np.hstack([xs[:, None] >> q & 1, zs[:, None] >> q & 1]) != 0
-        columns = np.zeros((2 * n, -(-size // 64) * 8), np.uint8)  # z columns, then x columns
-        columns[:, :-(-size // 8)] = np.packbits(np.roll(letters, n, 1).T, 1, bitorder="little")
-        columns = columns.view("<u8")
-        row = lambda i: np.bitwise_xor.reduce(columns[letters[i]], axis=0)
-        hits = lambda rows, i: rows[:, i >> 6] & np.uint64(1 << (i & 63))
-    else:
-        row = lambda i: (xs[i], zs[i], xs[i] | zs[i])
-        hits = lambda rows, i: (rows[:, 2] & (xs[i] | zs[i])
-                                & ((rows[:, 0] ^ xs[i]) | (rows[:, 1] ^ zs[i])))
+        picks, letters, reduce_row = np.hstack([x, z]), np.hstack([z, x]), np.bitwise_xor.reduce
+    else:  # X, Y, Z columns a qubit
+        letters = np.stack([x & ~z, x & z, z & ~x], axis=2).reshape(size, 3 * n)
+        picks, reduce_row = np.repeat(x | z, 3, axis=1) & ~letters, np.bitwise_or.reduce
+    columns = np.zeros((letters.shape[1], -(-size // 64) * 8), np.uint8)
+    columns[:, :-(-size // 8)] = np.packbits(letters.T, 1, bitorder="little")
+    columns = columns.view("<u8")
     gid, count = np.empty(size, np.intp), 0
-    groups = np.zeros((1, columns.shape[1] if kind == "full" else 3), np.uint64)
+    groups = np.zeros((1, columns.shape[1]), np.uint64)
     for i in range(size):
-        bad = hits(groups[:count], i)
+        bad = groups[:count, i >> 6] & np.uint64(1 << (i & 63))
         g = int(bad.argmin()) if count else 0
         if not count or bad[g]:
             g, count = count, count + 1
             if count > len(groups):
                 groups = np.concatenate([groups, np.zeros_like(groups)])
-        groups[g] |= row(i)
+        groups[g] |= reduce_row(columns[picks[i]], axis=0)
         gid[i] = g
     return gid
 
@@ -89,7 +78,7 @@ def _insertion_rows(strings: np.ndarray, rows: np.ndarray, n: int, kind: str) ->
 
 def sorted_insertion(h: PauliSum, kind: str = "full") -> Partition:
     label = "fc-si" if kind == "full" else "qwc-si"
-    strings = _packed_strings(h)
+    strings = h.sorted_strings()
     groups = enumerate(_insertion_rows(strings, np.arange(len(strings)), h.n, kind))
     fragments = string_fragments([(f"{label}-{g}", [(rows, 0)]) for g, rows in groups], strings)
     return Partition(h.n, tuple(fragments), h.constant, source=f"{label}(n={h.n})")
@@ -106,31 +95,36 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     qubits; the sets of a fragment have disjoint supports. A term joins the
     first fragment that has a set accepting it (mismatch within k, grown
     support disjoint from the siblings) or whose sets it does not touch: the
-    first accepting set there, else a new set. The mismatch is tested on every
-    set at once; the few sets within k are then tested on Python ints.
+    first accepting set there, else a new set. The mismatch on the first mask
+    word, a lower bound on the whole, is tested on every set at once; the few
+    sets within k there are then tested on Python ints.
     """
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
-    strings = _packed_strings(h)
-    # Per match set: reference letters and free mask (uint64), support, fragment id and rows.
+    strings = h.sorted_strings()
+    x0, z0 = strings["x"][:, 0], strings["z"][:, 0]
+    # Per match set: reference letters and free mask (word 0, and as ints), support, fragment, rows.
     ref_x, ref_z, free = (np.zeros(len(strings), np.uint64) for _ in range(3))
-    supp, fid, rows = [], [], []
+    ref, rf, supp, fid, rows = [], [], [], [], []
     # Per fragment: its sets' support union; per qubit: a bitset of the fragments touching it.
     union, touch = [0] * (len(strings) + 1), [0] * h.n
-    for i, (x, z) in enumerate(zip(strings["x"].tolist(), strings["z"].tolist())):
+    for i, (x, z) in enumerate(zip(mask_ints(strings["x"]), mask_ints(strings["z"]))):
         w, s = len(rows), x | z
         qubits = [q for q in range(s.bit_length()) if s >> q & 1]
         hit = reduce(or_, (touch[q] for q in qubits), 0)
         target = (~hit & (hit + 1)).bit_length() - 1  # the first fragment s does not touch
-        grown = free[:w] | (ref_x[:w] ^ x) | (ref_z[:w] ^ z)
+        grown = free[:w] | (ref_x[:w] ^ x0[i]) | (ref_z[:w] ^ z0[i])
         # Supports are disjoint within a fragment: s may touch only the set's own support there.
         accepts = [j for j in np.flatnonzero(np.bitwise_count(grown) <= k).tolist()
-                   if union[fid[j]] & s == supp[j] & s]
+                   if union[fid[j]] & s == supp[j] & s
+                   and (rf[j] | (ref[j][0] ^ x) | (ref[j][1] ^ z)).bit_count() <= k]
         j = min(accepts, key=fid.__getitem__, default=w)  # first set of the first fragment
         if j < w and fid[j] <= target:
-            free[j] = grown[j]
+            free[j], rf[j] = grown[j], rf[j] | (ref[j][0] ^ x) | (ref[j][1] ^ z)
         else:
-            j, ref_x[w], ref_z[w] = w, x, z
+            j, ref_x[w], ref_z[w] = w, x0[i], z0[i]
+            ref.append((x, z))
+            rf.append(0)
             supp.append(0)
             fid.append(target)
             rows.append([])
@@ -141,7 +135,7 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
             touch[q] |= 1 << fid[j]
     sets: list[list] = [[] for _ in range(max(fid, default=-1) + 1)]
     for j, group in enumerate(rows):
-        sets[fid[j]].append((group, int(free[j])))
+        sets[fid[j]].append((group, rf[j]))
     out = string_fragments([(f"greedy-k{k}-{i}", frag) for i, frag in enumerate(sets)], strings)
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
@@ -150,12 +144,12 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
 # Blocking with residuals
 
 
-def _route(support: np.ndarray, windows) -> tuple[list[np.ndarray], np.ndarray]:
-    """The rows of `support` (qubit masks) each put in the first of `windows` (qubit masks in
+def _route(support: np.ndarray, windows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The rows of `support` (mask words) each put in the first of `windows` (mask words, in
     priority order) that holds it: every window's rows, and the rows left over, each ascending."""
     routed, rest = [], np.arange(len(support))
     for window in windows:
-        fits = (support[rest] | window) == window
+        fits = ((support[rest] | window) == window).all(1)
         routed.append(rest[fits])
         rest = rest[~fits]
     return routed, rest
@@ -166,15 +160,15 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
     block on its members' support; leftovers via FC SortedInsertion."""
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
-    n, strings = h.n, _packed_strings(h)
+    n, strings = h.n, h.sorted_strings()
     support = strings["x"] | strings["z"]
     spans = [(o, start) for o in range(k) for start in range(o, n, k)]
     windows = [((1 << min(k, n - start)) - 1) << start for _, start in spans]
-    routed, residual = _route(support, windows)
+    routed, residual = _route(support, mask_words(windows, n))
     sets: list[list] = [[] for _ in range(k)]
     for (o, _), rows in zip(spans, routed):
         if len(rows):
-            sets[o].append((rows, reduce(or_, support[rows].tolist())))
+            sets[o].append((rows, reduce(or_, mask_ints(support[rows]))))
     labelled = [(f"blocking-k{k}-offset{o}", frag) for o, frag in enumerate(sets) if frag]
     residual_groups = enumerate(_insertion_rows(strings, residual, n, "full"))
     labelled += [(f"blocking-residual-{g}", [(rows, 0)]) for g, rows in residual_groups]
@@ -562,7 +556,7 @@ def color_partition_fermi_hubbard_1d(h: PauliSum, sites: int) -> Partition:
         raise DomainError(f"sum has {h.n} qubits but chain has {sites} sites")
     strings = h.sorted_strings()
     starts = [*range(0, sites - 1, 2), *range(1, sites - 1, 2)]  # even pairs (i, i + 1) first
-    routed, rest = _route(strings["x"] | strings["z"], [3 << i for i in starts])
+    routed, rest = _route(strings["x"] | strings["z"], mask_words([3 << i for i in starts], h.n))
     if len(rest):
         letters = h.items_sorted()[rest[0]][1].letters
         raise DomainError(f"term {letters} does not fit a chain block")

@@ -234,15 +234,18 @@ def tensor_expansion(coeff, factors, tol: float | None = None) -> list[tuple[com
     return out
 
 
-STRING_DTYPE = np.dtype([("c", complex), ("x", np.uint64), ("z", np.uint64)])
-_WIDE_STRINGS = np.dtype([("c", complex), ("x", object), ("z", object)])
+def string_dtype(n: int) -> np.dtype:
+    """Weighted strings (c, x, z) on n qubits: c complex, masks x and z as mask_words packs them."""
+    words = max(1, -(-n // 64))
+    return np.dtype([("c", complex), ("x", np.uint64, (words,)), ("z", np.uint64, (words,))])
 
 
-def string_array(terms) -> np.ndarray:
-    """Weighted strings (c, x mask, z mask), in order, as one read-only STRING_DTYPE array (32
-    bytes a string, one dtype object for all): what apply_pauli_terms takes, Fragment.strings
-    holds."""
-    out = np.fromiter(terms, STRING_DTYPE)
+def string_array(terms, n: int) -> np.ndarray:
+    """Weighted strings (c, x mask, z mask) on n qubits, in order, as one read-only
+    string_dtype(n) array: what apply_pauli_terms takes, Fragment.strings holds."""
+    c, x, z = list(zip(*terms)) or ((), (), ())
+    out = np.empty(len(c), string_dtype(n))
+    out["c"], out["x"], out["z"] = c, mask_words(x, n), mask_words(z, n)
     out.setflags(write=False)
     return out
 
@@ -256,8 +259,15 @@ def mask_words(masks, n: int) -> np.ndarray:
 
 def mask_ints(words: np.ndarray) -> list[int]:
     """Inverse of mask_words: one Python int per row of uint64 words."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
     shifts = np.arange(0, 64 * words.shape[1], 64, dtype=object)
     return (words.astype(object) << shifts).sum(axis=1, initial=0).tolist()
+
+
+def mask_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The (N, n) uint8 bits of rows of mask words, qubit q in column q."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
 
 
 # (-i)^k for k = |x & z| mod 4, and the unnormalized one-qubit Walsh-Hadamard map.
@@ -294,14 +304,14 @@ def _group_diagonal(v: np.ndarray, z: list[int], n: int, state_axes: int) -> np.
 
 
 def apply_pauli_terms(strings, vec: np.ndarray, n: int, out=None, tmp=None) -> np.ndarray:
-    """sum_j c_j P_j @ vec over weighted strings given as a string_array, for a 2^n
+    """sum_j c_j P_j @ vec over a string_array (word 0 of its masks: 2^n bounds n) for a 2^n
     vector or a (2^n, S) block. A string is P = (-i)^|x&z| Z^z X^x, so the strings sharing an x
     mask act as one strided flip of the (2,)*n view times one diagonal (_group_diagonal); groups
     are added in the order their x masks first appear. Given C-contiguous complex `out` and
     `tmp` shaped like vec, it overwrites them and returns a view of `out`."""
     if vec.shape[0] != 1 << n:
         raise DimensionError(f"state dimension {vec.shape[0]} != 2^{n}")
-    c, x, z = strings["c"], strings["x"], strings["z"]
+    c, x, z = strings["c"], strings["x"][:, 0], strings["z"][:, 0]
     phased = c * _MINUS_I_POWERS[np.bitwise_count(x & z) & 3]
     groups: dict[int, list[int]] = {}
     for i, key in enumerate(x.tolist()):
@@ -374,27 +384,25 @@ class PauliSum:
         """Terms in descending |coefficient|; ties broken by letter sequence (I < X < Y < Z,
         qubit 0 first). One np.lexsort over -|c| and letter-key words: each word is the base-4
         number with digit 2z + (x ^ z) per qubit over 32 qubits, qubit 0 on top. Sorted once
-        per instance."""
+        per instance; sorted_strings is its string_array, whose mask words it reads, in order."""
         if self._sorted is None:
             strings, coeffs = list(self._terms), list(self._terms.values())
-            x, z = (mask_words([getattr(s, m) for s in strings], self.n) for m in "xz")
-            bits = [np.unpackbits(w.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-                    for w in (z, x ^ z)]  # per qubit: the high and low bit of its digit
-            digits = np.zeros((len(strings), -(-self.n // 32) * 32, 2), np.uint8)
-            digits[:, :self.n] = np.stack(bits, axis=2)[:, :self.n]
+            table = string_array([(c, s.x, s.z) for s, c in self._terms.items()], self.n)
+            x, z = table["x"], table["z"]
+            digits = np.zeros((len(strings), -(-self.n // 32) * 32, 2), np.uint8)  # z, x ^ z
+            digits[:, :self.n] = np.stack([mask_bits(z, self.n), mask_bits(x ^ z, self.n)], 2)
             words = digits.reshape(len(digits), digits.shape[1] // 32, 64)  # 32 qubits a word
             keys = np.packbits(words, axis=2).view(">u8")[..., 0]
-            order = np.lexsort((*keys.T[::-1], -np.abs(np.array(coeffs, float))))
+            order = np.lexsort((*keys.T[::-1], -np.abs(table["c"].real)))
             self._sorted = tuple((coeffs[i], strings[i]) for i in order.tolist())
+            self._strings = table[order]
+            self._strings.setflags(write=False)
         return list(self._sorted)
 
     def sorted_strings(self) -> np.ndarray:
-        """The weighted strings (c, x, z) of items_sorted as one read-only array, built once per
-        instance: STRING_DTYPE, or Python-int masks past the 64 qubits a uint64 mask holds."""
+        """The weighted strings of items_sorted as one read-only string_array, built by its sort."""
         if self._strings is None:
-            self._strings = np.fromiter(((c, s.x, s.z) for c, s in self.items_sorted()),
-                                        STRING_DTYPE if self.n <= 64 else _WIDE_STRINGS)
-            self._strings.setflags(write=False)
+            self.items_sorted()
         return self._strings
 
     def __iter__(self) -> Iterator[tuple[float, PauliString]]:
@@ -438,8 +446,8 @@ class PauliSum:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state
         block, through apply_pauli_terms."""
-        terms = [(c, s.x, s.z) for s, c in self._terms.items()]
-        return apply_pauli_terms(string_array([(self._constant, 0, 0), *terms]), vec, self.n)
+        terms = [(self._constant, 0, 0), *((c, s.x, s.z) for s, c in self._terms.items())]
+        return apply_pauli_terms(string_array(terms, self.n), vec, self.n)
 
 
 def _require_real(value, what: str) -> float:

@@ -372,7 +372,7 @@ def _conjugated(coeffs, images, gates: int, n: int, kind: str, ops) -> FragmentD
     # scale sum |c_s| per gate on each side, and one per string summed into M.
     rounding = (2 * gates + len(coeffs)) * _EPS * sum(abs(c) for c in coeffs.values())
     return FragmentDiagonalization(ops, kind, off + rounding, lambda: apply_pauli_terms(
-        string_array(diagonal_terms), np.ones(1 << n), n).real)
+        string_array(diagonal_terms, n), np.ones(1 << n), n).real)
 
 
 def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:

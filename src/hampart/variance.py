@@ -160,7 +160,7 @@ def _apply(frag: Fragment, states: np.ndarray, n: int, *buffers: np.ndarray) -> 
             coeffs = pauli_coefficients(frag.terms)
         except ResourceError:
             return apply_fragment(frag, states, n)
-        strings = string_array((c, x, z) for (x, z), c in coeffs.items())
+        strings = string_array(((c, x, z) for (x, z), c in coeffs.items()), n)
         object.__setattr__(frag, "strings", strings)
     return apply_pauli_terms(frag.strings, states, n, *buffers)
 

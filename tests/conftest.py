@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hampart import fragments
 from hampart.fragments import TensorFactor, TensorProductTerm
 from hampart.operators import ElectronicIntegrals
-from hampart.pauli import PauliString, PauliSum, parse_pauli_text, pauli_matrix
+from hampart.pauli import PauliString, PauliSum, mask_ints, parse_pauli_text, pauli_matrix
 
 # Four-qubit example Hamiltonian used throughout (identity offset +1).
 ILLUSTRATIVE_TEXT = """\
@@ -144,6 +144,11 @@ def dense_pauli_sum(h) -> np.ndarray:
     for string, coeff in h.terms.items():
         out += coeff * dense_from_letters(string.letters)
     return out
+
+
+def string_triples(strings: np.ndarray) -> list[tuple[complex, int, int]]:
+    """The rows of a pauli.string_array as (c, x mask, z mask), masks read through mask_ints."""
+    return list(zip(strings["c"].tolist(), mask_ints(strings["x"]), mask_ints(strings["z"])))
 
 
 def jw_ladder(mode: int, modes: int, dagger: bool) -> np.ndarray:

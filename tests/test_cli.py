@@ -294,7 +294,7 @@ class TestPartition:
                     "-o", out]) == 0
 
     def test_fh1d_seventy_site_chain(self, tmp_path):
-        # 70 qubits: past one 64-bit mask word, so the fragments carry no packed strings.
+        # 70 qubits: past one 64-bit mask word, so the fragments hold two words a mask.
         stem = tmp_path / "fh70"
         run(["build", "fermi-hubbard", "--sites", 70, "--lattice", "chain", "-o", stem])
         out = tmp_path / "fh70.json"
@@ -379,6 +379,18 @@ class TestPartition:
         sidecar.write_text(edit(json.loads(sidecar.read_text())))
         out = tmp_path / "x.json"
         assert run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", out]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0.5 Z0\n", "0.5\n"], ids=["one-term", "constant-only"])
+    @pytest.mark.parametrize("n", ["true", "-1", "2.0"])
+    def test_sidecar_n_not_a_non_negative_integer_exit_code(self, tmp_path, capsys, text, n):
+        # As in a partition file: JSON true, a negative or a fractional n names the sidecar.
+        (tmp_path / "h.pauli").write_text(text)
+        (tmp_path / "h.json").write_text(f'{{"n": {n}}}')
+        out = tmp_path / "x.json"
+        assert run(["partition", tmp_path / "h.pauli", "--method", "fc-si", "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert "h.json: n must be a non-negative JSON integer" in err and "qubit" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix", [".pauli", ".json"])

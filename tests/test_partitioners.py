@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ILLUSTRATIVE_FC_GROUPS, pauli_sums, random_integrals, vib_couplings, VIB_OMEGA
+from conftest import (ILLUSTRATIVE_FC_GROUPS, pauli_sums, random_integrals, string_triples,
+                      vib_couplings, VIB_OMEGA)
 from hampart import fragments, partitioners
 from hampart.encodings import (
     encode_boson_operator,
@@ -65,14 +66,15 @@ from hampart.partitioners import (
     sorted_insertion,
 )
 from hampart.pauli import (
-    _WIDE_STRINGS,
     DENSE_QUBIT_CAP,
-    STRING_DTYPE,
     PauliString,
     PauliSum,
     commutes,
+    mask_ints,
+    mask_words,
     pauli_matrix,
     string_array,
+    string_dtype,
     string_to_dense,
 )
 from hampart.validators import (
@@ -270,7 +272,7 @@ def reference_group_ids(h: PauliSum, kind: str) -> np.ndarray:
 def reference_group_ids_of(xs, zs, n: int, kind: str) -> np.ndarray:
     """reference_group_ids of the n-qubit strings (x, z) in their given order: a stand-in for
     partitioners._insertion_groups."""
-    items = [(1.0, PauliString(n, x, z)) for x, z in zip(xs.tolist(), zs.tolist())]
+    items = [(1.0, PauliString(n, x, z)) for x, z in zip(mask_ints(xs), mask_ints(zs))]
     return reference_group_ids(SimpleNamespace(items_sorted=lambda: items), kind)
 
 
@@ -435,27 +437,37 @@ class TestPlacementMatchesReferenceLoops:
         for got, want in zip(vectorized, reference):
             assert_same_partition(got, want)
 
-    @pytest.mark.parametrize(
-        "method",
-        [
-            lambda h: sorted_insertion(h, "full"),
-            lambda h: sorted_insertion(h, "qubitwise"),
-            lambda h: greedy_partition(h, 2),
-            lambda h: blocking_partition(h, 2),
-        ],
-        ids=["fc-si", "qwc-si", "greedy", "blocking"],
-    )
-    def test_more_than_64_qubits_raises_before_allocating(self, method):
-        n = 65  # one string no longer fits a uint64 mask
-        h = PauliSum(n, [(1.0, ps("X" * n)), (0.5, ps("Z" * n))])
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError):
-                method(h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_string_built_partitions_across_word_boundaries(self, n):
+        # Sparse strings on the qubits next to each 64-qubit word boundary, against the pairwise
+        # loops: the same JSON, and the same held strings read back as Python-int masks.
+        h = boundary_sum(n, 40, seed=n)
+        kinds = [("full", "fc-si"), ("qubitwise", "qwc-si")]
+        pairs = [(sorted_insertion(h, kind), Partition(h.n, tuple(reference_pauli_group_fragments(
+            h, reference_group_ids(h, kind), label)), h.constant, f"{label}(n={h.n})"))
+                 for kind, label in kinds]
+        pairs += [(greedy_partition(h, k), reference_string_greedy_partition(h, k))
+                  for k in (1, 2, 3)]
+        pairs += [(blocking_partition(h, k), reference_blocking_partition(h, k)) for k in (1, 2, 3)]
+        for got, want in pairs:
+            assert json.dumps(partition_to_json(got)) == json.dumps(partition_to_json(want))
+            assert [string_triples(f.strings) for f in got.fragments] == [
+                string_triples(f.strings) for f in want.fragments], got.source
+            assert_same_bytes(got, want)
+
+
+def boundary_sum(n: int, size: int, seed: int) -> PauliSum:
+    """`size` random strings of weight 1 to 4 on n qubits, most of their letters within 3 qubits
+    of a 64-qubit word boundary or the register's end, coefficients spread so few tie."""
+    rng = np.random.default_rng(seed)
+    edges = sorted({q for b in (0, 64, 128, n) for q in range(b - 3, b + 3) if 0 <= q < n})
+    terms = []
+    for c in rng.normal(size=size):
+        pool = edges if rng.random() < 0.8 else range(n)
+        qubits = rng.choice(pool, size=rng.integers(1, 5), replace=False)
+        terms.append((float(c), PauliString.from_ops(
+            ((int(q), "XYZ"[rng.integers(3)]) for q in sorted(set(qubits.tolist()))), n)))
+    return PauliSum(n, terms)
 
 
 def assert_strings_are_the_expansion(part: Partition):
@@ -464,7 +476,7 @@ def assert_strings_are_the_expansion(part: Partition):
     for frag in part.fragments:
         coeffs = pauli_coefficients(frag.terms)
         got = frag.strings
-        assert list(zip(got["x"].tolist(), got["z"].tolist())) == list(coeffs), frag.label
+        assert [(x, z) for _, x, z in string_triples(got)] == list(coeffs), frag.label
         want = np.array(list(coeffs.values()), dtype=complex)
         assert got["c"].tobytes() == want.tobytes(), frag.label
         assert not got.flags.writeable
@@ -524,16 +536,16 @@ def reference_match_set_term(members, free_mask: int, n: int) -> TensorProductTe
     return TensorProductTerm(factors + [pauli_factor(members, free)])
 
 
-def reference_held_strings(items) -> np.ndarray:
+def reference_held_strings(items, n: int) -> np.ndarray:
     """Fragment.strings of the weighted strings (c, s) a fragment's terms hold, in order."""
-    return string_array((c, s.x, s.z) for c, s in items)
+    return string_array(((c, s.x, s.z) for c, s in items), n)
 
 
 def reference_string_greedy_partition(h: PauliSum, k: int) -> Partition:
     """The sets of reference_greedy_sets, each a reference_match_set_term."""
     out = [Fragment(tuple(reference_match_set_term(w.members, w.free_mask, h.n) for w in frag),
                     f"greedy-k{k}-{i}",
-                    reference_held_strings(item for w in frag for item in w.members))
+                    reference_held_strings((item for w in frag for item in w.members), h.n))
            for i, frag in enumerate(reference_greedy_sets(h, k))]
     return Partition(h.n, tuple(out), h.constant, source=f"greedy(k={k})")
 
@@ -559,7 +571,7 @@ def reference_string_fragment(sets, label: str, n: int) -> Fragment:
     """Fragment of one term per set (members, block mask), whose weighted strings (c, s) hold the
     first member's letters off the block: those unit letters, then one pauli_factor of the
     members on the block qubits in ascending order; an empty block gives pauli_term of its single
-    member. Its strings are the members in set order, unset past the 64 qubits a mask packs."""
+    member. Its strings are the members in set order."""
     terms, held = [], []
     for members, block in sets:
         held += members
@@ -569,7 +581,7 @@ def reference_string_fragment(sets, label: str, n: int) -> Fragment:
         ref, qubits = members[0][1], tuple(q for q in range(n) if block >> q & 1)
         letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
         terms.append(TensorProductTerm(letters + [pauli_factor(members, qubits)]))
-    strings = string_array((c, s.x, s.z) for c, s in held) if n <= 64 else None
+    strings = string_array(((c, s.x, s.z) for c, s in held), n)
     return Fragment(tuple(terms), label, strings)
 
 
@@ -579,12 +591,13 @@ def reference_pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -
     fragments' strings slices of one string_array."""
     order = np.argsort(gid, kind="stable")
     items = h.items_sorted()
-    strings = np.empty(len(order), STRING_DTYPE)
+    strings = np.empty(len(order), string_dtype(h.n))
     strings["c"] = [items[i][0] for i in order.tolist()]
     strings["x"], strings["z"] = (h.sorted_strings()[m][order] for m in "xz")
     strings.setflags(write=False)
-    q = np.arange(max(h.n, 1), dtype=np.uint64)  # a column even for the empty 0-qubit sum
-    codes = (strings["x"][:, None] >> q & 1) + 2 * (strings["z"][:, None] >> q & 1)
+    codes = np.array([[(x >> q & 1) + 2 * (z >> q & 1) for q in range(max(h.n, 1))]
+                      for _, x, z in string_triples(strings)],  # a column even for 0 qubits
+                     dtype=np.intp).reshape(len(order), max(h.n, 1))
     low = (codes != 0).argmax(axis=1)  # each string's first qubit and its letter carry c
     blocks = strings["c"].real[:, None, None] * _LETTER_MATS[codes[np.arange(len(low)), low]]
     blocks.setflags(write=False)
@@ -644,7 +657,7 @@ def reference_blocking_partition(h: PauliSum, k: int) -> Partition:
             terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
         held = [item for key in windows for item in assigned[key]]
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}",
-                                  reference_held_strings(held)))
+                                  reference_held_strings(held, n)))
     fragments += reference_pauli_group_fragments(rest, residual_groups, "blocking-residual")
     return Partition(n, tuple(fragments), h.constant, source=f"blocking(k={k})")
 
@@ -670,9 +683,7 @@ def reference_fh1d_partition(f: FermionOperator, sites: int) -> Partition:
     for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
         pairs = [pair for pair in pairs if pair in members]
         terms = tuple(TensorProductTerm((pauli_factor(members[pair], pair),)) for pair in pairs)
-        # Packed strings hold 64 qubits; a wider chain's fragments keep theirs unset.
-        held = (reference_held_strings(item for pair in pairs for item in members[pair])
-                if h.n <= 64 else None)
+        held = reference_held_strings((item for pair in pairs for item in members[pair]), h.n)
         frags.append(Fragment(terms, f"fh1d-{name}", held))
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")
 
@@ -692,15 +703,13 @@ def factor_qubits(part: Partition) -> dict[str, list[list[tuple[int, ...]]]]:
 
 
 def assert_lazy_equals_eager(got: Partition, want: Partition):
-    """`got`'s fragments hold their sets, terms unbuilt, and the strings bytes of `want`'s (both
-    unset past 64 qubits); once read, its terms write `want`'s partition JSON."""
+    """`got`'s fragments hold their sets, terms unbuilt, and the strings bytes of `want`'s; once
+    read, its terms write `want`'s partition JSON."""
     assert [f.label for f in got.fragments] == [f.label for f in want.fragments]
     for a, b in zip(got.fragments, want.fragments):
         assert a.sets is not None and a._terms is None, a.label
-        assert (a.strings is None) == (b.strings is None) == (got.n > 64), a.label
-        if a.strings is not None:
-            assert a.strings.dtype == b.strings.dtype, a.label
-            assert a.strings.tobytes() == b.strings.tobytes(), a.label
+        assert a.strings.dtype == b.strings.dtype, a.label
+        assert a.strings.tobytes() == b.strings.tobytes(), a.label
     assert json.dumps(partition_to_json(got)) == json.dumps(partition_to_json(want))
 
 
@@ -729,7 +738,7 @@ class TestLazyTermsMatchEagerBuilders:
 
     @pytest.mark.parametrize("sites", [*range(2, 13), 65, 70])
     def test_fh1d_chains(self, sites):
-        # 65 and 70 sites pass the 64 qubits a packed string holds: strings stay unset there.
+        # 65 and 70 sites pass the 64 qubits one mask word holds.
         f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
         assert_lazy_equals_eager(color_partition_fermi_hubbard_1d(jordan_wigner(f), sites),
                                  reference_fh1d_partition(f, sites))
@@ -795,8 +804,8 @@ class TestStringFragmentsMatchReferenceBuilders:
 class TestWindowRouter:
     def test_first_holding_window_wins_and_leftovers_keep_order(self):
         items = [(1.0, ps("ZIII")), (0.5, ps("IZZI")), (0.25, ps("XIIX")), (0.125, ps("IIIY"))]
-        support = np.array([s.support_mask for _, s in items], np.uint64)
-        routed, rest = partitioners._route(support, [0b0011, 0b0110, 0b0111])
+        support = mask_words([s.support_mask for _, s in items], 4)
+        routed, rest = partitioners._route(support, mask_words([0b0011, 0b0110, 0b0111], 4))
         assert [rows.tolist() for rows in routed] == [[0], [1], []]
         assert rest.tolist() == [2, 3]
 
@@ -865,17 +874,14 @@ def reference_route(items, windows) -> tuple[list[list], list]:
 def reference_tuple_string_fragments(labelled: list, n: int) -> list[Fragment]:
     """A fragment per (label, sets) pair, each set (members, block mask) of weighted strings
     (c, s), its terms built on first read. All members, in order, are one read-only array of
-    (c, x, z): each fragment's strings and each set's members are slices of it. Past the 64
-    qubits a uint64 mask packs, its masks are Python ints and the strings are unset."""
-    held = np.fromiter(((c, s.x, s.z) for _, sets in labelled for members, _ in sets
-                        for c, s in members), STRING_DTYPE if n <= 64 else _WIDE_STRINGS)
-    held.setflags(write=False)
+    (c, x, z): each fragment's strings and each set's members are slices of it."""
+    held = string_array(((c, s.x, s.z) for _, sets in labelled for members, _ in sets
+                         for c, s in members), n)
     out, start = [], 0
     for label, sets in labelled:
         bounds = list(accumulate((len(members) for members, _ in sets), initial=start))
         views = tuple((held[a:b], block) for a, b, (_, block) in zip(bounds, bounds[1:], sets))
-        out.append(Fragment(label=label, strings=held[start:bounds[-1]] if n <= 64 else None,
-                            sets=views))
+        out.append(Fragment(label=label, strings=held[start:bounds[-1]], sets=views))
         start = bounds[-1]
     return out
 
@@ -980,7 +986,7 @@ class TestRowPipelineMatchesTuplePipeline:
     @pytest.mark.parametrize("t, u", [(1.0, 2.0), (-0.7, 0.0)])
     @pytest.mark.parametrize("sites", [*range(2, 13), 65, 70])
     def test_fh1d_chains(self, sites, t, u):
-        # 65 and 70 sites pass the 64 qubits a packed string holds: strings stay unset there.
+        # 65 and 70 sites pass the 64 qubits one mask word holds.
         f = build_fermi_hubbard(chain_lattice(sites), t, u)
         assert_lazy_equals_eager(color_partition_fermi_hubbard_1d(jordan_wigner(f), sites),
                                  reference_color_partition_fermi_hubbard_1d(f, sites))
@@ -990,11 +996,13 @@ class TestRowPipelineMatchesTuplePipeline:
         with pytest.raises(DomainError, match="sum has 4 qubits but chain has 5 sites"):
             color_partition_fermi_hubbard_1d(h, 5)
 
-    def test_sorted_strings_past_64_qubits_hold_python_int_masks(self):
+    def test_sorted_strings_past_64_qubits_hold_mask_words(self):
         h = PauliSum(70, [(1.0, ps("X" * 70)), (-0.5, ps("I" * 69 + "Z"))])
         strings = h.sorted_strings()
-        assert strings.dtype == _WIDE_STRINGS and not strings.flags.writeable
-        assert strings.tolist() == [(1.0, (1 << 70) - 1, 0), (-0.5, 0, 1 << 69)]
+        assert strings.dtype == string_dtype(70) and not strings.flags.writeable
+        assert strings["x"].tolist() == [[(1 << 64) - 1, (1 << 6) - 1], [0, 0]]
+        assert strings["z"].tolist() == [[0, 0], [0, 1 << 5]]
+        assert string_triples(strings) == [(1.0, (1 << 70) - 1, 0), (-0.5, 0, 1 << 69)]
 
 
 class TestReorderIndices:
@@ -1248,16 +1256,13 @@ class TestFermiHubbard1D:
 
     @pytest.mark.parametrize("sites", [40, 64, 65, 70])
     def test_long_chains_validate(self, sites):
-        # Strings pack into 64-bit masks: chains past 64 sites leave them unset.
+        # Chains past 64 sites hold their strings in two mask words.
         f = build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0)
         part = color_partition_fermi_hubbard_1d(jordan_wigner(f), sites)
         report = validate_partition(part, jordan_wigner(f), 2)
         assert report.reconstruction_error == 0.0 and report.locality_ok and report.tensor_wise
         assert report.diagonalization_residual < 1e-10
-        if sites <= 64:
-            assert_strings_are_the_expansion(part)
-        else:
-            assert all(frag.strings is None for frag in part.fragments)
+        assert_strings_are_the_expansion(part)
 
     def test_non_chain_rejected(self):
         f = build_fermi_hubbard(square_lattice(2, 2), 1.0, 2.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import dense_from_letters, dense_pauli_sum, pauli_sums
+from conftest import dense_from_letters, dense_pauli_sum, pauli_sums, string_triples
 from hampart.encodings import jordan_wigner
 from hampart.errors import DataError, DimensionError, ParseError, ResourceError
 from hampart.operators import FermionOperator
@@ -18,12 +18,15 @@ from hampart.pauli import (
     commutes,
     dense_sum,
     format_pauli_text,
+    mask_ints,
+    mask_words,
     multiply,
     parse_pauli_text,
     pauli_masks,
     pauli_matrix,
     pauli_project,
     string_array,
+    string_dtype,
     string_to_dense,
     weight,
 )
@@ -173,7 +176,7 @@ class TestPauliSum:
         fresh = PauliSum(h.n, [(c, s) for s, c in h.terms.items()], h.constant).items_sorted()
         assert h.items_sorted() == fresh
         strings = h.sorted_strings()
-        assert strings.tolist() == [(complex(c), s.x, s.z) for c, s in fresh]
+        assert string_triples(strings) == [(complex(c), s.x, s.z) for c, s in fresh]
         assert h.sorted_strings() is strings and not strings.flags.writeable
 
     def test_simplify_idempotent_and_matrix_preserving(self):
@@ -200,6 +203,48 @@ class TestPauliSum:
         want = sorted(((c, s) for s, c in h.terms.items()),
                       key=lambda cs: (-abs(cs[0]), 2 * digits(cs[1].z) + digits(cs[1].x ^ cs[1].z)))
         assert h.items_sorted() == want
+
+
+WORD_BOUNDARY_WIDTHS = [0, 1, 63, 64, 65, 127, 128, 129, 200]
+
+
+@st.composite
+def masks_below(draw):
+    """A register width from WORD_BOUNDARY_WIDTHS and masks below 2^n, the top bit and every
+    bit of a word among them."""
+    n = draw(st.sampled_from(WORD_BOUNDARY_WIDTHS))
+    edges = [0, (1 << n) - 1, *(1 << q for q in range(n)), *(((1 << 64) - 1) << q
+                                                                for q in range(0, n - 63, 64))]
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1) | st.sampled_from(edges), max_size=12))
+
+
+class TestMaskWords:
+    @seed(20261026)
+    @settings(max_examples=200, deadline=None)
+    @given(case=masks_below())
+    def test_round_trip(self, case):
+        n, masks = case
+        words = mask_words(masks, n)
+        assert words.dtype == np.uint64 and words.shape == (len(masks), max(1, -(-n // 64)))
+        assert mask_ints(words) == masks
+        assert all(type(m) is int for m in mask_ints(words))
+
+    def test_word_w_holds_qubits_64w_on(self):
+        mask = 1 | 1 << 63 | 1 << 64 | 1 << 129
+        assert mask_words([mask], 130).tolist() == [[1 | 1 << 63, 1, 2]]
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_WIDTHS)
+    def test_string_arrays_hold_w_words_read_only(self, n):
+        words = max(1, -(-n // 64))
+        terms = [(0.5, (1 << n) - 1, 0), (-0.25, 0, 1 << max(n - 1, 0))] if n else []
+        strings = string_array(terms, n)
+        assert strings.dtype == string_dtype(n) and strings["x"].shape == (len(terms), words)
+        assert not strings.flags.writeable
+        assert string_triples(strings) == [(complex(c), x, z) for c, x, z in terms]
+        h = PauliSum(n, [(c, PauliString(n, x, z)) for c, x, z in terms])
+        assert h.sorted_strings().dtype == string_dtype(n)
+        assert not h.sorted_strings().flags.writeable
+        assert string_triples(h.sorted_strings()) == string_triples(strings)
 
 
 class TestToMatrix:
@@ -272,7 +317,7 @@ class TestToMatrix:
         # Buffers that held an earlier result give the bytes of fresh ones.
         rng = np.random.default_rng(9)
         terms = string_array([(complex(rng.standard_normal()), int(x), int(z))
-                              for x, z in rng.integers(0, 16, (12, 2))])
+                              for x, z in rng.integers(0, 16, (12, 2))], 4)
         vec = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         out, tmp = (rng.standard_normal((16, 3)) + 0j for _ in range(2))
         got = apply_pauli_terms(terms, vec, 4, out, tmp)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian, random_integrals
+from conftest import (ILLUSTRATIVE_TEXT, pauli_sums, random_hermitian, random_integrals,
+                      string_triples)
 from hampart import pauli, variance
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError, DomainError, ResourceError
@@ -352,7 +353,7 @@ class TestChunkedScoring:
         first = partition_costs(part, block)
         for frag in part.fragments:
             coeffs = pauli_coefficients(frag.terms)
-            assert list(zip(frag.strings["x"].tolist(), frag.strings["z"].tolist())) == list(coeffs)
+            assert [(x, z) for _, x, z in string_triples(frag.strings)] == list(coeffs)
             assert frag.strings["c"].tobytes() == np.array(list(coeffs.values())).tobytes()
         again = partition_costs(part, block)
         assert first[1].tobytes() == again[1].tobytes()
@@ -394,7 +395,8 @@ class TestGroupedPauliEngine:
         # Hermitian sums.
         rng = np.random.default_rng(state_seed)
         phases = np.exp(2j * np.pi * rng.random(len(h)))
-        terms = string_array([(c * w, s.x, s.z) for (s, c), w in zip(h.terms.items(), phases)])
+        terms = string_array([(c * w, s.x, s.z) for (s, c), w in zip(h.terms.items(), phases)],
+                             h.n)
         dense = sum((c * string_to_dense(s) * w for (s, c), w in zip(h.terms.items(), phases)),
                     np.zeros((1 << h.n, 1 << h.n)))
         for got, want in ((apply_pauli_terms(terms, block, h.n), dense @ block),
