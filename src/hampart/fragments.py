@@ -25,12 +25,12 @@ import numpy as np
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
-from .pauli import PauliString, PauliSum, mask_ints, pauli_masks, pauli_matrix, tensor_expansion
+from .pauli import PauliString, PauliSum, mask_ints, mask_qubits, pauli_masks, tensor_expansion
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
 EXPANSION_CAP = 1 << 20
-_UNIT_BLOCKS = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
+_UNIT_BLOCKS = {_pauli.pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
 
 
 class TensorFactor:
@@ -113,10 +113,10 @@ class Fragment:
     One built from Pauli strings holds `sets` instead of terms, each its members (a slice of its
     strings) and block mask; its terms are built on first read (string_fragments)."""
 
-    __slots__ = ("_terms", "label", "strings", "sets")
+    __slots__ = ("_terms", "label", "strings", "sets", "_realized")
 
     def __init__(self, terms=(), label: str = "", strings=None, sets=None):
-        values = (tuple(terms) if sets is None else None, label, strings, sets)
+        values = (tuple(terms) if sets is None else None, label, strings, sets, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -130,15 +130,53 @@ class Fragment:
             object.__setattr__(self, "_terms", tuple(t for s in self.sets for t in _set_terms(*s)))
         return self._terms
 
+    @property
+    def realized(self) -> tuple:
+        """Per set of a set fragment, its free block realized on its qubits in ascending order
+        (dense_sum of its members, as pauli_factor builds it), or None for an empty block;
+        realized on first read."""
+        if self._realized is None:
+            blocks = (_pauli.dense_sum(string_rows(m), mask_qubits(b)) if b else None
+                      for m, b in self.sets)
+            object.__setattr__(self, "_realized", tuple(blocks))
+        return self._realized
+
+    def factor_blocks(self) -> list[dict[tuple[int, ...], np.ndarray]]:
+        """Per term, its factors' blocks keyed by their qubits, in factor order. A set fragment's
+        are read from its sets as _set_terms would build them, with no term built: the shared
+        pauli._PAULI_MATS unit letters, c times the first letter of each member of a set without a
+        block (as pauli_term puts it), and the realized free block last."""
+        if self.sets is None:
+            return [{f.qubits: f.block for f in t.factors} for t in self.terms]
+        out = []
+        for (members, block), realized in zip(self.sets, self.realized):
+            for c, x, z in string_rows(members[:1] if block else members):
+                factors = {(q,): _pauli._PAULI_MATS["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)]]
+                           for q in mask_qubits((x | z) & ~block)}
+                if block:
+                    factors[mask_qubits(block)] = realized
+                else:
+                    first = next(iter(factors))
+                    factors[first] = c * factors[first]
+                out.append(factors)
+        return out
+
     def support(self) -> tuple[int, ...]:
         if self.sets is None:
             return tuple(sorted({q for t in self.terms for f in t.factors for q in f.qubits}))
         words = np.bitwise_or.reduce(self.strings["x"] | self.strings["z"], keepdims=True)
-        mask = reduce(or_, (b for _, b in self.sets), mask_ints(words)[0])
-        return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+        return mask_qubits(reduce(or_, (b for _, b in self.sets), mask_ints(words)[0]))
 
     def max_factor_size(self) -> int:
-        return max((t.max_factor_size() for t in self.terms), default=0)
+        """The most qubits a factor acts on; for a set, its free block's, else 1 (its letters)."""
+        if self.sets is None:
+            return max((t.max_factor_size() for t in self.terms), default=0)
+        return max((b.bit_count() or 1 for _, b in self.sets), default=0)
+
+
+def string_rows(strings) -> zip:
+    """Rows of a string_array as (c.real, x, z), c a Python float and masks Python ints."""
+    return zip(strings["c"].real.tolist(), mask_ints(strings["x"]), mask_ints(strings["z"]))
 
 
 @dataclass(frozen=True)
@@ -171,10 +209,9 @@ REALIZED_BYTES_CAP = 32 << 20
 
 
 def check_realized_bytes(p: Partition):
-    """Refuse (ResourceError) a partition whose string-built factors would realize more than
-    REALIZED_BYTES_CAP bytes of dense blocks in total, before any is built."""
-    size = sum(16 << 2 * f.size for frag in p.fragments for term in frag.terms
-               for f in term.factors if f.masks is not None)
+    """Refuse (ResourceError) a partition whose sets' free blocks would realize more than
+    REALIZED_BYTES_CAP bytes of dense blocks in total, read on their masks before any is built."""
+    size = sum(16 << 2 * block.bit_count() for frag in p.fragments for _, block in frag.sets or ())
     if size > REALIZED_BYTES_CAP:
         raise ResourceError(f"partition would realize {size} bytes of dense blocks, "
                             f"cap {REALIZED_BYTES_CAP}")
@@ -189,7 +226,7 @@ def pauli_factor(members, qubits) -> TensorFactor:
 @cache
 def unit_factor(q: int, letter: str) -> TensorFactor:
     """The one-qubit factor of a bare Pauli letter, one shared immutable object per (q, letter)."""
-    return TensorFactor((q,), pauli_matrix(letter))
+    return TensorFactor((q,), _pauli.pauli_matrix(letter))
 
 
 def _built(cls, *values):
@@ -203,8 +240,7 @@ def _built(cls, *values):
 def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
     """Weighted Pauli string as a product of 1-qubit factors (coeff in the first). A real finite
     coeff on distinct qubits makes the factor and term checks redundant, so they are skipped."""
-    x, z, mask = string.x, string.z, string.support_mask
-    support = [q for q in range(mask.bit_length()) if mask >> q & 1]
+    x, z, support = string.x, string.z, mask_qubits(string.support_mask)
     if not support:
         raise DataError("identity terms belong in Partition.constant")
     if isinstance(coeff, complex) or not isfinite(coeff):
@@ -220,13 +256,13 @@ def _set_terms(members, block: int) -> list[TensorProductTerm]:
     """The terms of one set of weighted strings (c, x, z): an empty block gives pauli_term of
     each member; else one term holding the first member's letters off the block: those unit
     letters, then one pauli_factor of the members on the block qubits in ascending order."""
-    members = [(c, _built(PauliString, (x | z).bit_length(), x, z)) for c, x, z in
-               zip(members["c"].real.tolist(), mask_ints(members["x"]), mask_ints(members["z"]))]
+    members = [(c, _built(PauliString, (x | z).bit_length(), x, z))
+               for c, x, z in string_rows(members)]
     if not block:
         return [pauli_term(c, s) for c, s in members]
-    ref, qubits = members[0][1], tuple(q for q in range(block.bit_length()) if block >> q & 1)
+    ref = members[0][1]
     letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
-    return [TensorProductTerm(letters + [pauli_factor(members, qubits)])]
+    return [TensorProductTerm(letters + [pauli_factor(members, mask_qubits(block))])]
 
 
 def string_fragments(labelled: list, strings: np.ndarray) -> list[Fragment]:
@@ -348,6 +384,14 @@ def _factor_from_json(f: dict) -> TensorFactor:
     return TensorFactor(qubits, arr.reshape(dim, dim))
 
 
+def _rows(block: np.ndarray) -> list:
+    """A block's entries in row-major order as [re, im] pairs of Python floats."""
+    return block.ravel().view(float).reshape(-1, 2).tolist()
+
+
+_UNIT_ROWS = {id(mat): _rows(mat) for mat in _pauli._PAULI_MATS.values()}  # shared lists
+
+
 def partition_to_json(p: Partition) -> dict:
     return {
         "format": FORMAT_TAG,
@@ -359,14 +403,9 @@ def partition_to_json(p: Partition) -> dict:
             {
                 "label": frag.label,
                 "terms": [
-                    {
-                        "factors": [
-                            {"qubits": list(f.qubits),
-                             "block": [[float(v.real), float(v.imag)] for v in f.block.ravel()]}
-                            for f in term.factors
-                        ]
-                    }
-                    for term in frag.terms
+                    {"factors": [{"qubits": list(q), "block": _UNIT_ROWS.get(id(b)) or _rows(b)}
+                                 for q, b in factors.items()]}
+                    for factors in frag.factor_blocks()
                 ],
             }
             for frag in p.fragments

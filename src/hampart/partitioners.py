@@ -30,7 +30,7 @@ from .operators import (
     Lattice,
     boson_matrices,
 )
-from .pauli import PauliSum, mask_bits, mask_ints, mask_words
+from .pauli import PauliSum, mask_bits, mask_ints, mask_qubits, mask_words
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +96,13 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     first fragment that has a set accepting it (mismatch within k, grown
     support disjoint from the siblings) or whose sets it does not touch: the
     first accepting set there, else a new set. The mismatch on the first mask
-    word, a lower bound on the whole, is tested on every set at once; the few
-    sets within k there are then tested on Python ints.
+    word, a lower bound on the whole, is tested on every set at once; past one
+    word, the few sets within k there are then tested on Python ints.
     """
     if not 1 <= k <= h.n:
         raise DomainError(f"k must be in [1, {h.n}], got {k}")
     strings = h.sorted_strings()
-    x0, z0 = strings["x"][:, 0], strings["z"][:, 0]
+    x0, z0, exact = strings["x"][:, 0], strings["z"][:, 0], strings["x"].shape[1] > 1
     # Per match set: reference letters and free mask (word 0, and as ints), support, fragment, rows.
     ref_x, ref_z, free = (np.zeros(len(strings), np.uint64) for _ in range(3))
     ref, rf, supp, fid, rows = [], [], [], [], []
@@ -110,14 +110,14 @@ def greedy_partition(h: PauliSum, k: int) -> Partition:
     union, touch = [0] * (len(strings) + 1), [0] * h.n
     for i, (x, z) in enumerate(zip(mask_ints(strings["x"]), mask_ints(strings["z"]))):
         w, s = len(rows), x | z
-        qubits = [q for q in range(s.bit_length()) if s >> q & 1]
+        qubits = mask_qubits(s)
         hit = reduce(or_, (touch[q] for q in qubits), 0)
         target = (~hit & (hit + 1)).bit_length() - 1  # the first fragment s does not touch
         grown = free[:w] | (ref_x[:w] ^ x0[i]) | (ref_z[:w] ^ z0[i])
         # Supports are disjoint within a fragment: s may touch only the set's own support there.
         accepts = [j for j in np.flatnonzero(np.bitwise_count(grown) <= k).tolist()
                    if union[fid[j]] & s == supp[j] & s
-                   and (rf[j] | (ref[j][0] ^ x) | (ref[j][1] ^ z)).bit_count() <= k]
+                   and (not exact or (rf[j] | (ref[j][0] ^ x) | (ref[j][1] ^ z)).bit_count() <= k)]
         j = min(accepts, key=fid.__getitem__, default=w)  # first set of the first fragment
         if j < w and fid[j] <= target:
             free[j], rf[j] = grown[j], rf[j] | (ref[j][0] ^ x) | (ref[j][1] ^ z)

@@ -108,8 +108,7 @@ class PauliString:
         return self.x | self.z
 
     def support(self) -> tuple[int, ...]:
-        mask = self.x | self.z
-        return tuple(q for q in range(self.n) if (mask >> q) & 1)
+        return mask_qubits(self.x | self.z)
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,6 +262,11 @@ def mask_ints(words: np.ndarray) -> list[int]:
         return words[:, 0].tolist()
     shifts = np.arange(0, 64 * words.shape[1], 64, dtype=object)
     return (words.astype(object) << shifts).sum(axis=1, initial=0).tolist()
+
+
+def mask_qubits(mask: int) -> tuple[int, ...]:
+    """The qubits of a Python-int mask, ascending."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 def mask_bits(words: np.ndarray, n: int) -> np.ndarray:

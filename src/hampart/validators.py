@@ -5,11 +5,11 @@ A fragment is measurable when one basis change diagonalizes every one of its
 terms; that is the single criterion certified here (commutation follows from
 it). A fragment of one-qubit Pauli letters gets one Clifford per qubit, decided
 on its masks; other fragments whose factor supports align get one unitary per
-support, found simultaneously for the support's family of blocks. Every other
-fragment gets a Clifford circuit if the strings of its exact Pauli expansion
-commute: it maps every string to a Z-type string, checked by conjugating each
-string exactly and once, by gate layers. Either way the certificate is a bound
-on the max-entry norm of U^dag M U - diag(D).
+support, found simultaneously for the support's family of blocks (one eigh per
+block size for all one-block supports). Every other fragment gets a Clifford
+circuit if the strings of its exact Pauli expansion commute: it maps every
+string to a Z-type string, checked by conjugating each string exactly and once,
+by gate layers. The certificate is a bound on max|U^dag M U - diag(D)|.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from .fragments import (
     TensorProductTerm,
     apply_block,
     pauli_coefficients,
+    string_rows,
     term_matrix,
 )
-from .pauli import PauliSum, apply_pauli_terms, string_array
+from .pauli import PauliSum, apply_pauli_terms, mask_qubits, pauli_masks, string_array
 from .variance import StateVector
 
 COMMUTATION_QUBIT_CAP = 10
@@ -75,13 +76,30 @@ class ValidationReport:
         }
 
 
+def _coefficients(frags):
+    """(x mask, z mask) -> coefficient of the blocks the fragments hold: pauli_coefficients of the
+    terms built from blocks, then each set's members, or its first member's letters off its free
+    block times each string of pauli_masks of the realized block."""
+    out = pauli_coefficients((t for f in frags if f.sets is None for t in f.terms), blocks=True)
+    for frag in (f for f in frags if f.sets is not None):
+        for (members, block), realized in zip(frag.sets, frag.realized):
+            rows = string_rows(members)
+            if block:
+                _, x, z = next(rows)
+                rows = ((c, x & ~block | bx, z & ~block | bz)
+                        for c, bx, bz in pauli_masks(realized, mask_qubits(block)))
+            for c, x, z in rows:
+                out[(x, z)] += c
+    return out
+
+
 def check_reconstruction(p: Partition, h: PauliSum) -> float:
-    """Sum over Pauli strings s of |c_partition(s) - c_h(s)|, identity included, from the
-    factors' Pauli coefficients (no 2^n object). It bounds the max-entry deviation of the
+    """Sum over Pauli strings s of |c_partition(s) - c_h(s)|, identity included, from the held
+    blocks' Pauli coefficients (no 2^n object). It bounds the max-entry deviation of the
     fragments plus constant from h: each Pauli matrix has one unit-modulus entry per row."""
     if p.n != h.n:
         raise DimensionError(f"partition on {p.n} qubits, operator on {h.n}")
-    diff = pauli_coefficients((term for frag in p.fragments for term in frag.terms), blocks=True)
+    diff = _coefficients(p.fragments)
     diff[(0, 0)] += p.constant - h.constant
     for s, c in h.terms.items():
         diff[(s.x, s.z)] -= c
@@ -122,16 +140,13 @@ def check_commutation(p: Partition) -> float:
     return worst
 
 
-def _sorted_block(f: TensorFactor) -> np.ndarray:
-    """Re-index a factor block so its qubits appear in ascending order: one axis transpose."""
-    m, order = f.size, np.argsort(f.qubits)
-    return f.block.reshape((2,) * (2 * m)).transpose([*order, *(order + m)]).reshape(1 << m, -1)
-
-
-def _off_diagonal(mat: np.ndarray) -> float:
-    mags = np.abs(mat)
-    np.fill_diagonal(mags, 0.0)
-    return float(np.max(mags))
+def _sorted_block(qubits: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    """Re-index a factor block so its qubits appear in ascending order: one axis transpose (the
+    block itself when they already do)."""
+    if list(qubits) == sorted(qubits):
+        return block
+    m, order = len(qubits), np.argsort(qubits)
+    return block.reshape((2,) * (2 * m)).transpose([*order, *(order + m)]).reshape(1 << m, -1)
 
 
 def _simultaneous_eigh(blocks: list[np.ndarray]):
@@ -143,9 +158,9 @@ def _simultaneous_eigh(blocks: list[np.ndarray]):
     family ends diagonal; a family with no common basis still gets a
     unitary, whose off-diagonal entries then fail certification.
     """
-    dim = blocks[0].shape[0]
+    dim, stack = blocks[0].shape[0], np.stack(blocks)
     vecs = np.eye(dim, dtype=complex)  # an already-diagonal family needs no basis change
-    if any(_off_diagonal(b) > 1e-14 for b in blocks):
+    if np.abs(stack[:, ~np.eye(dim, dtype=bool)]).max() > 1e-14:
         spaces = [np.arange(dim)]
         for b in blocks:
             if len(spaces) == dim:
@@ -158,26 +173,15 @@ def _simultaneous_eigh(blocks: list[np.ndarray]):
                 gaps = np.diff(vals) > 1e-11 * max(1.0, float(np.max(np.abs(vals))))
                 split.extend(np.split(idx, np.flatnonzero(gaps) + 1))
             spaces = split
-    return vecs, [_summary(vecs, b) for b in blocks]
+    return vecs, _summaries(vecs, stack)
 
 
-def _summary(u: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float, float]:
-    rotated = u.conj().T @ block @ u
-    return np.real(np.diag(rotated)), _off_diagonal(rotated), float(np.max(np.abs(rotated)))
-
-
-def _basis(terms: list[dict[tuple[int, ...], np.ndarray]]):
-    """One unitary per support, and each term's rotated blocks by support."""
-    families: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for term in terms:
-        for key, block in term.items():
-            families.setdefault(key, []).append(block)
-    unitaries = {}
-    rotated = {}
-    for key, blocks in sorted(families.items()):
-        unitaries[key], summaries = _simultaneous_eigh(blocks)
-        rotated[key] = iter(summaries)
-    return unitaries, [{key: next(rotated[key]) for key in term} for term in terms]
+def _summaries(vecs: np.ndarray, stack: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
+    """Each U^dag B U of stacked blocks B (and their unitaries U, or one for all) as its real
+    diagonal, largest off-diagonal entry and largest entry."""
+    rotated = np.swapaxes(vecs.conj(), -1, -2) @ stack @ vecs
+    mags, off = np.abs(rotated), ~np.eye(stack.shape[-1], dtype=bool)
+    return [(r.diagonal().real, float(m[off].max()), float(m.max())) for r, m in zip(rotated, mags)]
 
 
 def _residual_bound(rotated_terms) -> float:
@@ -201,28 +205,58 @@ def _residual_bound(rotated_terms) -> float:
     return total
 
 
-def _tensor_wise_basis(frag: Fragment):
-    """`_basis` with one unitary per aligned factor support; None when two
-    supports partially overlap or that basis leaves the fragment off-diagonal."""
-    supports: set[tuple[int, ...]] = set()
-    terms = []
-    for term in frag.terms:
-        blocks = {}
-        for f in term.factors:
-            key = tuple(sorted(f.qubits))
-            if key not in supports:
-                if any(set(key) & set(other) for other in supports):
-                    return None
-                supports.add(key)
-            blocks[key] = f.block if f.qubits == key else _sorted_block(f)
-        terms.append(blocks)
-    basis = _basis(terms)
-    return basis if _residual_bound(basis[1]) <= _DIAG_TOL else None
+def _aligned(frag: Fragment):
+    """A fragment's terms as their blocks by ascending support (Fragment.factor_blocks through
+    _sorted_block), and each support's family of blocks, supports sorted; None when two supports
+    partially overlap."""
+    terms = [{tuple(sorted(qubits)): _sorted_block(qubits, block) for qubits, block in f.items()}
+             for f in frag.factor_blocks()]
+    families: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for key, block in (item for term in terms for item in term.items()):
+        families.setdefault(key, []).append(block)
+    if len(set().union(*families)) < sum(map(len, families)):
+        return None
+    return terms, dict(sorted(families.items()))
+
+
+def _rotations(blocks: list[np.ndarray]) -> list:
+    """Each block's _simultaneous_eigh as a family of its own, each distinct block object once (a
+    unit letter is shared), stacked by size: one np.linalg.eigh and one rotation per size."""
+    unique, out = list({id(b): b for b in blocks}.values()), {}
+    for dim in {len(b) for b in unique}:
+        same = [b for b in unique if len(b) == dim]
+        stack, vecs = np.stack(same), np.tile(np.eye(dim, dtype=complex), (len(same), 1, 1))
+        if (turn := np.abs(stack[:, ~np.eye(dim, dtype=bool)]).max(axis=1) > 1e-14).any():
+            vecs[turn] = np.linalg.eigh(stack[turn])[1]  # the others keep the identity
+        out.update((id(b), (u, [s])) for b, u, s in zip(same, vecs, _summaries(vecs, stack)))
+    return [out[id(b)] for b in blocks]
+
+
+def _tensor_wise_bases(frags) -> list:
+    """Per fragment (None skipped), one unitary per aligned factor support, each term's rotated
+    blocks by support and the residual bound; None when two supports partially overlap or the
+    residual is over tol. A support's family of blocks is diagonalized at once
+    (_simultaneous_eigh), and the one-block families of all the fragments together (_rotations)."""
+    aligned = [None if frag is None else _aligned(frag) for frag in frags]
+    singles = iter(_rotations([f[0] for a in aligned if a for f in a[1].values() if len(f) == 1]))
+    bases = []
+    for basis in aligned:
+        if basis is not None:
+            terms, families = basis
+            unitaries = {}
+            for key, fam in families.items():
+                unitaries[key], summaries = _simultaneous_eigh(fam) if fam[1:] else next(singles)
+                families[key] = iter(summaries)
+            rotated = [{key: next(families[key]) for key in term} for term in terms]
+            residual = _residual_bound(rotated)
+            basis = (unitaries, rotated, residual) if residual <= _DIAG_TOL else None
+        bases.append(basis)
+    return bases
 
 
 def check_tensor_wise(frag: Fragment) -> bool:
     """Aligned factor supports, each support's blocks diagonalized by one unitary."""
-    return _tensor_wise_basis(frag) is not None
+    return _tensor_wise_bases([frag])[0] is not None
 
 
 def _tensor_wise_diagonal(rotated, n: int) -> np.ndarray:
@@ -375,6 +409,15 @@ def _conjugated(coeffs, images, gates: int, n: int, kind: str, ops) -> FragmentD
         string_array(diagonal_terms, n), np.ones(1 << n), n).real)
 
 
+def _letters(frag: Fragment) -> bool:
+    """Whether every factor of a fragment's terms is one weighted Pauli letter, read from a set
+    fragment's masks: each set has an empty block, or one member on a one-qubit block."""
+    if frag.sets is not None:
+        return all(not b or len(m) == 1 and b.bit_count() == 1 for m, b in frag.sets)
+    return all(f.size == 1 and len(proj := f.projection) == 1 and proj[0][1] | proj[0][2]
+               for t in frag.terms for f in t.factors)
+
+
 def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
     """Diagonalize a fragment per qubit or factor support, or by a Clifford circuit.
 
@@ -384,17 +427,18 @@ def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
     Without such a basis, or with a residual over tol, a Clifford circuit is
     searched; ConstraintError when the Pauli strings anticommute.
     """
-    letters = all(f.size == 1 and len(proj := f.projection) == 1 and proj[0][1] | proj[0][2]
-                  for t in frag.terms for f in t.factors)
-    if not letters and (basis := _tensor_wise_basis(frag)) is not None:
-        unitaries, rotated = basis
-        return FragmentDiagonalization(
-            tuple(unitaries.items()), "tensor-wise", _residual_bound(rotated),
-            lambda: _tensor_wise_diagonal(rotated, n),
-        )
-    coeffs = {s: c for s, c in pauli_coefficients(frag.terms, blocks=True).items() if c != 0}
+    return _diagonalization(frag, n, _tensor_wise_bases([None if _letters(frag) else frag])[0])
+
+
+def _diagonalization(frag: Fragment, n: int, basis) -> FragmentDiagonalization:
+    """diagonalize_fragment, given the fragment's _tensor_wise_bases entry."""
+    if basis is not None:
+        unitaries, rotated, residual = basis
+        return FragmentDiagonalization(tuple(unitaries.items()), "tensor-wise", residual,
+                                       lambda: _tensor_wise_diagonal(rotated, n))
+    coeffs = {s: c for s, c in _coefficients([frag]).items() if c != 0}
     strings = [(x, z, (x & z).bit_count()) for x, z in coeffs]
-    if letters and (shared := _qubit_letters(coeffs)) is not None:
+    if _letters(frag) and (shared := _qubit_letters(coeffs)) is not None:
         xs, zs = shared  # S on the Y qubits, then H on the X and Y qubits
         images = [_conjugate((("s", 0, xs & zs), ("h", 0, xs)), *s) for s in strings]
         ops = tuple(((q,), _LETTER_BASES[xs >> q & 1, zs >> q & 1])
@@ -411,14 +455,18 @@ def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
 def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:
     """Check reconstruction and locality, and certify every fragment by its
     measurement basis; `k` defaults to the largest factor seen. A fragment
-    with no basis is recorded as kind "none" and fails the report."""
+    with no basis is recorded as kind "none" and fails the report. The free
+    blocks of all set fragments are rotated at once (_tensor_wise_bases)."""
     recon = check_reconstruction(p, h)
     worst_factor = p.max_factor_size()
     bound = k if k is not None else worst_factor
     bases = []
-    for frag in p.fragments:
+    free = [f if f.sets is not None and not _letters(f) else None for f in p.fragments]
+    for frag, basis in zip(p.fragments, _tensor_wise_bases(free)):
         try:
-            bases.append(diagonalize_fragment(frag, p.n).record())
+            result = (diagonalize_fragment(frag, p.n) if frag.sets is None
+                      else _diagonalization(frag, p.n, basis))
+            bases.append(result.record())
         except ConstraintError:
             bases.append(dict(kind="none", largest_block=0, two_qubit_gates=0, residual=None))
     return ValidationReport(

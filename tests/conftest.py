@@ -1,14 +1,22 @@
 """Shared fixtures: reference Hamiltonians and independent dense oracles."""
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from hampart import fragments
-from hampart.fragments import TensorFactor, TensorProductTerm
+from hampart.fragments import Fragment, Partition, TensorFactor, TensorProductTerm
 from hampart.operators import ElectronicIntegrals
+from hampart.partitioners import (
+    blocking_partition,
+    color_partition_fermi_hubbard_1d,
+    greedy_partition,
+    sorted_insertion,
+)
 from hampart.pauli import PauliString, PauliSum, mask_ints, parse_pauli_text, pauli_matrix
 
 # Four-qubit example Hamiltonian used throughout (identity offset +1).
@@ -62,6 +70,30 @@ def built_terms(monkeypatch) -> Counter:
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__, cls.__name__))
     monkeypatch.setattr(fragments, "_built", counting(fragments._built))
     return counts
+
+
+def benchmark_fcidump(path, norb: int, seed: int):
+    """Write the benchmark's seeded electronic FCIDUMP (perfbench/inputs.py) to `path`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_electronic(path, norb, seed)
+
+
+def string_built_partitions(h, sites: int | None = None) -> list:
+    """Every partition built from Pauli strings: fc-si, qwc-si, greedy and blocking at every k,
+    and fh1d when `h` is the Jordan-Wigner image of an open chain of `sites` sites."""
+    parts = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
+    parts += [make(h, k) for make in (greedy_partition, blocking_partition)
+              for k in range(1, h.n + 1)]
+    return parts + ([color_partition_fermi_hubbard_1d(h, sites)] if sites else [])
+
+
+def block_built(p: Partition) -> Partition:
+    """The same partition with each fragment built from its terms, as a loaded file holds it."""
+    return Partition(p.n, tuple(Fragment(f.terms, f.label) for f in p.fragments), p.constant,
+                     p.source, p.hamiltonian_sha256)
 
 
 @pytest.fixture(scope="session")

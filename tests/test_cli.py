@@ -14,11 +14,18 @@ import numpy as np
 import pytest
 
 import hampart
-from conftest import ILLUSTRATIVE_TEXT
+from conftest import ILLUSTRATIVE_TEXT, benchmark_fcidump
 from hampart import cli, fragments, pauli, variance
 from hampart.cli import main
 from hampart.errors import ResourceError
-from hampart.fragments import Fragment, Partition, pauli_term, save_partition
+from hampart.fragments import (
+    Fragment,
+    Partition,
+    check_realized_bytes,
+    partition_to_json,
+    pauli_term,
+    save_partition,
+)
 from hampart.operators import ElectronicIntegrals, build_bose_hubbard, chain_lattice, write_fcidump
 from hampart.partitioners import greedy_partition, qpn_partition, sorted_insertion
 from hampart.pauli import DENSE_QUBIT_CAP, PauliString, PauliSum, parse_pauli_text
@@ -400,6 +407,39 @@ class TestPartition:
         out = tmp_path / "x.json"
         assert run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", out]) == 2
         assert not out.exists()
+
+
+class TestPartitionBuildsNoTerms:
+    """CLI `partition` of a method that starts from Pauli strings checks, certifies and writes
+    the partition from its sets: no TensorFactor or TensorProductTerm is made on the way."""
+
+    @staticmethod
+    def _check_and_write(part, h, argv):
+        check_realized_bytes(part)
+        assert validate_partition(part, h).ok
+        partition_to_json(part)
+        assert run(["partition", *argv]) == 0
+
+    @pytest.mark.parametrize("method", [["fc-si"], ["qwc-si"], ["greedy", "--k", 3],
+                                        ["blocking", "--k", 3]])
+    def test_benchmark_electronic_instance(self, tmp_path, built_terms, method):
+        benchmark_fcidump(tmp_path / "el4.fcidump", 4, 3)
+        stem = tmp_path / "el4"
+        assert run(["build", "electronic", "--fcidump", tmp_path / "el4.fcidump", "-o", stem]) == 0
+        h = parse_pauli_text(Path(f"{stem}.pauli").read_text())
+        part = cli.run_method(method[0], h, None, method[2] if method[1:] else None)
+        self._check_and_write(part, h, [f"{stem}.pauli", "--method", *method,
+                                        "-o", tmp_path / "p.json"])
+        assert built_terms == {}
+
+    def test_fh1d_forty_site_chain(self, tmp_path, built_terms):
+        stem = tmp_path / "fh40"
+        assert run(["build", "fermi-hubbard", "--sites", 40, "--lattice", "chain", "-o", stem]) == 0
+        h = parse_pauli_text(Path(f"{stem}.pauli").read_text())
+        part = cli.color_partition_fermi_hubbard_1d(h, 40)
+        self._check_and_write(part, h, [f"{stem}.pauli", "--method", "fh1d-coloring",
+                                        "-o", tmp_path / "p.json"])
+        assert built_terms == {}
 
 
 class TestEvaluate:

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import dense_from_letters, h2_sto3g_integrals, kron_all, random_hermitian
+from conftest import (
+    block_built,
+    dense_from_letters,
+    h2_sto3g_integrals,
+    kron_all,
+    pauli_sums,
+    random_hermitian,
+    string_built_partitions,
+)
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError
 from hampart.fragments import (
@@ -285,6 +293,24 @@ def test_partition_json_digests_pinned():
     got = {key: hashlib.sha256(json.dumps(partition_to_json(p)).encode()).hexdigest()
            for key, p in _fixture_partitions().items()}
     assert got == PARTITION_DIGESTS
+
+
+class TestSetFragmentsWriteTheirTerms:
+    """partition_to_json writes a string-built fragment from its sets: the bytes of the same
+    partition rebuilt from its terms."""
+
+    @seed(20261020)
+    @settings(max_examples=40, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_random_sums(self, h):
+        for p in string_built_partitions(h):
+            assert json.dumps(partition_to_json(p)) == json.dumps(partition_to_json(block_built(p)))
+
+    @pytest.mark.parametrize("sites", [2, 5, 8])
+    def test_fermi_hubbard_chains(self, sites):
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(sites), 1.0, 2.0))
+        for p in string_built_partitions(h, sites):
+            assert json.dumps(partition_to_json(p)) == json.dumps(partition_to_json(block_built(p)))
 
 
 class TestJson:

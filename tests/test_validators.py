@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import pauli_sums, random_hermitian, random_integrals
+from conftest import (
+    benchmark_fcidump,
+    block_built,
+    pauli_sums,
+    random_hermitian,
+    random_integrals,
+    string_built_partitions,
+)
 from hampart import fragments, pauli
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import ConstraintError, ResourceError
@@ -33,6 +40,7 @@ from hampart.operators import (
     build_fermi_hubbard,
     chain_lattice,
     fermion_from_integrals,
+    load_fcidump,
 )
 from hampart.partitioners import (
     blocking_partition,
@@ -263,7 +271,7 @@ class TestTensorWise:
                     f = TensorFactor(qubits, block)
                     dense = term_matrix(
                         _restrict_term(TensorProductTerm((f,)), tuple(sorted(qubits))), m)
-                    ours = _sorted_block(f)
+                    ours = _sorted_block(f.qubits, f.block)
                     assert ours.dtype == dense.dtype and ours.shape == dense.shape
                     assert ours.tobytes() == dense.tobytes(), qubits
 
@@ -535,6 +543,57 @@ class TestValidatePartition:
         ):
             report = validate_partition(part, hb)
             assert report.ok, part.source
+
+
+def dense_residual(result: FragmentDiagonalization, m: np.ndarray, n: int) -> float:
+    """max|U^dag M U - diag(D)| through `rotate`, all columns at once (M Hermitian)."""
+    return float(np.max(np.abs(result.rotate(result.rotate(m, n).conj().T, n)
+                               - np.diag(result.diagonal))))
+
+
+def assert_set_path_matches_term_path(p: Partition, h: PauliSum, dense: bool = True):
+    """A string-built partition certified from its sets reports what the same partition rebuilt
+    from its terms reports: ok, every kind, block and gate count, locality and reconstruction.
+    Each residual certifies its own basis, at most 1e-9 and at least the dense deviation."""
+    rebuilt = block_built(p)
+    got, want = validate_partition(p, h), validate_partition(rebuilt, h)
+    fields = ("ok", "reconstruction_error", "locality_ok", "locality_worst", "locality_bound",
+              "tensor_wise")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], p.source
+    keys = ("kind", "largest_block", "two_qubit_gates")
+    for a, b in zip(got.bases, want.bases):
+        assert [a[key] for key in keys] == [b[key] for key in keys], p.source
+        assert a["residual"] <= 1e-9 and b["residual"] <= 1e-9, p.source
+    if not dense:
+        return
+    for frag, term_frag in zip(p.fragments, rebuilt.fragments):
+        m = fragment_matrix(term_frag, p.n)
+        for one in (frag, term_frag):
+            result = diagonalize_fragment(one, p.n)
+            assert result.residual >= dense_residual(result, m, p.n) - 1e-15, (p.source, frag.label)
+
+
+class TestSetPathMatchesTermPath:
+    """String-built fragments are certified from their sets and strings; block-built ones from
+    their terms. Both read the same blocks, so the two must agree on every partition."""
+
+    @seed(20261020)
+    @settings(max_examples=40, deadline=None)
+    @given(h=pauli_sums(max_qubits=8))
+    def test_random_sums(self, h):
+        for p in string_built_partitions(h):
+            assert_set_path_matches_term_path(p, h)
+
+    def test_benchmark_electronic_instance(self, tmp_path):
+        benchmark_fcidump(tmp_path / "el4.fcidump", 4, 3)
+        h = jordan_wigner(load_fcidump(tmp_path / "el4.fcidump"))
+        for p in string_built_partitions(h):  # the dense check on the benchmark's greedy k=3 only
+            assert_set_path_matches_term_path(p, h, dense=p.source == "greedy(k=3)")
+
+    def test_fermi_hubbard_chain(self):
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(6), 1.0, 2.0))
+        for p in string_built_partitions(h, sites=6):
+            assert_set_path_matches_term_path(p, h)
 
 
 # ---------------------------------------------------------------------------
