@@ -34,10 +34,10 @@ _UNIT_BLOCKS = {_pauli.pauli_matrix(letter).tobytes(): letter for letter in "XYZ
 
 
 class TensorFactor:
-    """Hermitian block acting on an ordered tuple of qubits. Given `masks` instead of a block, the
-    (c, x, z) triples it sums over the register, its block is their dense_sum on its qubits."""
+    """Hermitian block acting on an ordered tuple of qubits. Given `masks`, the (c, x, z) triples
+    it sums over the register, its block is their dense_sum on its qubits unless given."""
 
-    __slots__ = ("qubits", "_block", "masks", "_projection")
+    __slots__ = ("qubits", "block", "masks", "_projection")
 
     def __init__(self, qubits, block=None, masks=None):
         qubits = tuple(int(q) for q in qubits)
@@ -52,20 +52,14 @@ class TensorFactor:
                 )
             if not np.isfinite(block).all() or abs(block - block.conj().T).max() > _HERMITIAN_TOL:
                 raise DataError("factor block is not finite and Hermitian")
-            block.setflags(write=False)
+        elif block is None:
+            block = _pauli.dense_sum(masks, qubits)
+        block.setflags(write=False)
         for name, value in zip(self.__slots__, (qubits, block, masks, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("TensorFactor is immutable")
-
-    @property
-    def block(self) -> np.ndarray:
-        """The dense block, realized on first read for a factor built from strings."""
-        if self._block is None:
-            object.__setattr__(self, "_block", _pauli.dense_sum(self.masks, self.qubits))
-            self._block.setflags(write=False)
-        return self._block
 
     @property
     def projection(self) -> list[tuple[complex, int, int]]:
@@ -127,18 +121,22 @@ class Fragment:
     def terms(self) -> tuple[TensorProductTerm, ...]:
         """The terms, built from the sets on first read (_set_terms of each, in order)."""
         if self._terms is None:
-            object.__setattr__(self, "_terms", tuple(t for s in self.sets for t in _set_terms(*s)))
+            terms = (t for s, r in zip(self.sets, self.realized) for t in _set_terms(*s, r))
+            object.__setattr__(self, "_terms", tuple(terms))
         return self._terms
 
     @property
     def realized(self) -> tuple:
-        """Per set of a set fragment, its free block realized on its qubits in ascending order
-        (dense_sum of its members, as pauli_factor builds it), or None for an empty block;
-        realized on first read."""
+        """Per set of a set fragment, its free block realized read-only on its qubits in ascending
+        order (dense_sum of its members, as pauli_factor builds it), or None for an empty block;
+        realized on first read, and held by the terms' block factors."""
         if self._realized is None:
             blocks = (_pauli.dense_sum(string_rows(m), mask_qubits(b)) if b else None
                       for m, b in self.sets)
             object.__setattr__(self, "_realized", tuple(blocks))
+            for block in self._realized:
+                if block is not None:
+                    block.setflags(write=False)
         return self._realized
 
     def factor_blocks(self) -> list[dict[tuple[int, ...], np.ndarray]]:
@@ -217,16 +215,18 @@ def check_realized_bytes(p: Partition):
                             f"cap {REALIZED_BYTES_CAP}")
 
 
-def pauli_factor(members, qubits) -> TensorFactor:
-    """Factor on `qubits` holding the weighted strings (c, s) of `members`, cut to `qubits`."""
+def pauli_factor(members, qubits, block=None) -> TensorFactor:
+    """Factor on `qubits` holding the weighted strings (c, s) of `members`, cut to `qubits`; its
+    block is given already realized, or realized here."""
     mask = sum(1 << q for q in qubits)
-    return TensorFactor(qubits, masks=tuple((c, s.x & mask, s.z & mask) for c, s in members))
+    return TensorFactor(qubits, block, tuple((c, s.x & mask, s.z & mask) for c, s in members))
 
 
 @cache
 def unit_factor(q: int, letter: str) -> TensorFactor:
-    """The one-qubit factor of a bare Pauli letter, one shared immutable object per (q, letter)."""
-    return TensorFactor((q,), _pauli.pauli_matrix(letter))
+    """The one-qubit factor of a bare Pauli letter, one shared immutable object per (q, letter),
+    its block the letter's read-only pauli._PAULI_MATS matrix."""
+    return _built(TensorFactor, (q,), _pauli._PAULI_MATS[letter], None, None)
 
 
 def _built(cls, *values):
@@ -252,17 +252,18 @@ def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
     return _built(TensorProductTerm, (first, *map(unit_factor, support[1:], letters[1:])))
 
 
-def _set_terms(members, block: int) -> list[TensorProductTerm]:
+def _set_terms(members, block: int, realized) -> list[TensorProductTerm]:
     """The terms of one set of weighted strings (c, x, z): an empty block gives pauli_term of
     each member; else one term holding the first member's letters off the block: those unit
-    letters, then one pauli_factor of the members on the block qubits in ascending order."""
+    letters, then one pauli_factor of the members on the block qubits in ascending order, its
+    block the `realized` one (Fragment.realized)."""
     members = [(c, _built(PauliString, (x | z).bit_length(), x, z))
                for c, x, z in string_rows(members)]
     if not block:
         return [pauli_term(c, s) for c, s in members]
     ref = members[0][1]
     letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
-    return [TensorProductTerm(letters + [pauli_factor(members, mask_qubits(block))])]
+    return [TensorProductTerm(letters + [pauli_factor(members, mask_qubits(block), realized)])]
 
 
 def string_fragments(labelled: list, strings: np.ndarray) -> list[Fragment]:
@@ -389,7 +390,9 @@ def _rows(block: np.ndarray) -> list:
     return block.ravel().view(float).reshape(-1, 2).tolist()
 
 
-_UNIT_ROWS = {id(mat): _rows(mat) for mat in _pauli._PAULI_MATS.values()}  # shared lists
+# The unit letters' rows, shared by every unit factor written: immutable, so that editing one
+# written partition cannot change another (json writes a tuple as an array).
+_UNIT_ROWS = {id(mat): tuple(map(tuple, _rows(mat))) for mat in _pauli._PAULI_MATS.values()}
 
 
 def partition_to_json(p: Partition) -> dict:

@@ -36,6 +36,8 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+for _mat in _PAULI_MATS.values():  # shared by every unit letter: pauli_matrix copies
+    _mat.setflags(write=False)
 
 
 def pauli_matrix(letter: str) -> np.ndarray:

@@ -427,18 +427,19 @@ def diagonalize_fragment(frag: Fragment, n: int) -> FragmentDiagonalization:
     Without such a basis, or with a residual over tol, a Clifford circuit is
     searched; ConstraintError when the Pauli strings anticommute.
     """
-    return _diagonalization(frag, n, _tensor_wise_bases([None if _letters(frag) else frag])[0])
+    letters = _letters(frag)
+    return _diagonalization(frag, n, letters, _tensor_wise_bases([None if letters else frag])[0])
 
 
-def _diagonalization(frag: Fragment, n: int, basis) -> FragmentDiagonalization:
-    """diagonalize_fragment, given the fragment's _tensor_wise_bases entry."""
+def _diagonalization(frag: Fragment, n: int, letters: bool, basis) -> FragmentDiagonalization:
+    """diagonalize_fragment, given its _letters and its _tensor_wise_bases entry."""
     if basis is not None:
         unitaries, rotated, residual = basis
         return FragmentDiagonalization(tuple(unitaries.items()), "tensor-wise", residual,
                                        lambda: _tensor_wise_diagonal(rotated, n))
     coeffs = {s: c for s, c in _coefficients([frag]).items() if c != 0}
     strings = [(x, z, (x & z).bit_count()) for x, z in coeffs]
-    if _letters(frag) and (shared := _qubit_letters(coeffs)) is not None:
+    if letters and (shared := _qubit_letters(coeffs)) is not None:
         xs, zs = shared  # S on the Y qubits, then H on the X and Y qubits
         images = [_conjugate((("s", 0, xs & zs), ("h", 0, xs)), *s) for s in strings]
         ops = tuple(((q,), _LETTER_BASES[xs >> q & 1, zs >> q & 1])
@@ -455,18 +456,17 @@ def _diagonalization(frag: Fragment, n: int, basis) -> FragmentDiagonalization:
 def validate_partition(p: Partition, h: PauliSum, k: int | None = None) -> ValidationReport:
     """Check reconstruction and locality, and certify every fragment by its
     measurement basis; `k` defaults to the largest factor seen. A fragment
-    with no basis is recorded as kind "none" and fails the report. The free
-    blocks of all set fragments are rotated at once (_tensor_wise_bases)."""
+    with no basis is recorded as kind "none" and fails the report. The
+    one-block supports of all fragments are rotated at once (_tensor_wise_bases)."""
     recon = check_reconstruction(p, h)
     worst_factor = p.max_factor_size()
     bound = k if k is not None else worst_factor
     bases = []
-    free = [f if f.sets is not None and not _letters(f) else None for f in p.fragments]
-    for frag, basis in zip(p.fragments, _tensor_wise_bases(free)):
+    letters = [_letters(f) for f in p.fragments]
+    free = _tensor_wise_bases([None if lt else f for f, lt in zip(p.fragments, letters)])
+    for frag, lt, basis in zip(p.fragments, letters, free):
         try:
-            result = (diagonalize_fragment(frag, p.n) if frag.sets is None
-                      else _diagonalization(frag, p.n, basis))
-            bases.append(result.record())
+            bases.append(_diagonalization(frag, p.n, lt, basis).record())
         except ConstraintError:
             bases.append(dict(kind="none", largest_block=0, two_qubit_gates=0, residual=None))
     return ValidationReport(

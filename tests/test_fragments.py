@@ -312,6 +312,40 @@ class TestSetFragmentsWriteTheirTerms:
         for p in string_built_partitions(h, sites):
             assert json.dumps(partition_to_json(p)) == json.dumps(partition_to_json(block_built(p)))
 
+    def test_editing_a_write_leaves_the_next(self):
+        # A written block is a fresh list, or the shared rows of a unit letter, which are tuples:
+        # editing one write in place changes no later write of the same partition.
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(4), 1.0, 2.0))
+        for p in (greedy_partition(h, 1), block_built(greedy_partition(h, 1))):
+            want = json.dumps(partition_to_json(p))
+            blocks = [f["block"] for frag in partition_to_json(p)["fragments"]
+                      for term in frag["terms"] for f in term["factors"]]
+            shared = [b for b in blocks if isinstance(b, tuple)]
+            assert shared and all(isinstance(row, tuple) for b in shared for row in b)
+            for block in blocks:
+                if isinstance(block, list):
+                    block[0][0] = 9.0
+                    block.pop()
+                else:
+                    with pytest.raises(TypeError):
+                        block[0][0] = 9.0
+            assert json.dumps(partition_to_json(p)) == want
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_held_blocks_are_read_only_and_realized_once(self, k):
+        # Every block a fragment hands out twice (unit letters, realized free blocks, the blocks of
+        # terms) is read-only; a set's terms hold its realized free block itself.
+        h = jordan_wigner(build_fermi_hubbard(chain_lattice(4), 1.0, 2.0))
+        p = greedy_partition(h, k)
+        for frag in (*p.fragments, *block_built(p).fragments):
+            first = [b for term in frag.factor_blocks() for b in term.values()]  # kept alive
+            ids = set(map(id, first))
+            held = [b for term in frag.factor_blocks() for b in term.values() if id(b) in ids]
+            assert held and not any(b.flags.writeable for b in held)
+        for frag in p.fragments:
+            realized = {id(b) for b in frag.realized if b is not None}
+            assert realized <= {id(f.block) for t in frag.terms for f in t.factors}
+
 
 class TestJson:
     def _random_partition(self, seed=46):
