@@ -11,61 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from .errors import DataError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .operators import BosonOperator, FermionOperator, boson_matrices
-from .pauli import (SIMPLIFY_TOL, PauliString, PauliSum, mask_ints, mask_words, pauli_masks,
-                    tensor_expansion)
+from .pauli import PauliSum, _first_seen, mask_words, pauli_masks, tensor_expansion
 from .pauli import pauli_project  # noqa: F401  (also a public name of this module)
 
-_IMAG_TOL = 1e-10
 _COEFF_TOL = 1e-12
-_JW_CHUNK = 128  # fermion terms expanded at once: bounds the transient arrays
+_JW_CHUNK_BYTES = 1 << 15  # key bytes of a run of fermion terms expanded at once
 # A ladder op's 2x2 factor on one qubit: Z below its mode; a+ = |1><0| or a = |0><1| on it.
 _JW_BLOCKS = {"Z": np.diag([1.0, -1.0]), "+": np.eye(2, k=-1), "-": np.eye(2, k=1)}
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's id among the distinct rows of a 2-D key array (mask words), ids numbered by
-    first occurrence, and the row of each id's first occurrence. Rows are grouped by one stable
-    lexsort over the words, so a run's first row is its first occurrence."""
-    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
-    ranked = keys[order]
-    new = np.ones(len(keys), bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    firsts = np.zeros(len(keys), bool)
-    firsts[order[new]] = True
-    ids = np.empty(len(keys), np.intp)
-    ids[order] = (np.cumsum(firsts) - 1)[order[new]][np.cumsum(new) - 1]
-    return ids, np.flatnonzero(firsts)
-
-
-def _pauli_sum(chunks, n: int, what: str) -> PauliSum:
-    """Real PauliSum of weighted strings arriving in generation order as chunks of coefficients
-    and keys (x then z mask words, mask_words): each string's coefficients are added onto zero
-    in that order (np.add.at), and strings keep their first-seen order (_first_seen)."""
-    parts = []
-    for c, keys in chunks:
-        ids, firsts = _first_seen(keys)
-        parts.append((c, ids, keys[firsts]))
-    keys = np.concatenate([k for *_, k in parts])
-    ids, firsts = _first_seen(keys)
-    acc, start = np.zeros(len(firsts), complex), 0
-    for c, local, k in parts:
-        np.add.at(acc, ids[start:start + len(k)][local], c)
-        start += len(k)
-    keys = keys[firsts]
-    if (bad := np.abs(acc.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(acc))).any():
-        i = int(bad.argmax())
-        string = PauliString(n, *(mask_ints(w)[0] for w in np.hsplit(keys[i:i + 1], 2)))
-        raise DataError(f"{what} produced non-Hermitian content: {acc[i].item()} * "
-                        f"{string.letters}")
-    keep = (np.abs(acc.real) > SIMPLIFY_TOL) | ~keys.any(axis=1)  # what PauliSum keeps
-    strings = map(PauliString, repeat(n), *map(mask_ints, np.hsplit(keys[keep], 2)))
-    return PauliSum(n, zip(acc.real[keep].tolist(), strings))
 
 
 def _jw_letters(pattern: tuple, cache: tuple[dict, dict]) -> tuple[np.ndarray, np.ndarray]:
@@ -116,27 +74,34 @@ def _jw_expand(coeff, ops, words: int, cache: tuple[dict, dict]):
     return c[keep], keys[keep], np.nonzero(keep)[0]
 
 
+def _jw_run(op: FermionOperator, at: np.ndarray, starts: np.ndarray, words: int, cache):
+    """The strings (c, keys) of op's terms `at`, ascending, in term order: the terms of each
+    length are expanded together (_jw_expand), their ops gathered from op.ops at `starts`."""
+    parts = [(np.zeros(0, complex), np.zeros((0, 2 * words), np.uint64), np.zeros(0, int))]
+    for length in sorted(set(op.lengths[at].tolist())):
+        sub = at[op.lengths[at] == length]
+        ops = op.ops[starts[sub, None] + np.arange(length)]
+        c, keys, rows = _jw_expand(op.coeffs[sub], ops, words, cache)
+        parts.append((c, keys, sub[rows]))
+    order = np.argsort(np.concatenate([term for *_, term in parts]), kind="stable")
+    return tuple(np.concatenate([part[i] for part in parts])[order] for i in (0, 1))
+
+
 def jordan_wigner(op: FermionOperator) -> PauliSum:
-    """Qubit image of a Hermitian fermionic operator; one qubit per mode. _JW_CHUNK terms at a
-    time, the terms of each length are expanded together (_jw_expand) and their strings put in
-    term order for _pauli_sum."""
+    """Qubit image of a Hermitian fermionic operator; one qubit per mode. The terms are read from
+    op's arrays in runs (_jw_run) whose strings' keys (2^distinct modes of each term, 2 * words
+    uint64 words a string) take about _JW_CHUNK_BYTES, merged one run at a time."""
     words, cache = max(1, -(-op.modes // 64)), ({}, {(): [(1.0, 0, 0)]})  # (): no op there
-
-    def chunks():
-        for start in range(0, max(1, len(op.terms)), _JW_CHUNK):
-            terms = op.terms[start:start + _JW_CHUNK]
-            parts = [(np.zeros(0, complex), np.zeros((0, 2 * words), np.uint64), np.zeros(0, int))]
-            for length in sorted({len(ops) for _, ops in terms}):
-                at = [i for i, (_, ops) in enumerate(terms) if len(ops) == length]
-                flat = chain.from_iterable(chain.from_iterable(terms[i][1] for i in at))
-                ops = np.fromiter(flat, np.int64, 2 * length * len(at)).reshape(len(at), length, 2)
-                c, keys, rows = _jw_expand(np.array([terms[i][0] for i in at]), ops, words, cache)
-                parts.append((c, keys, np.array(at, int)[rows]))
-            c, keys, term = (np.concatenate(part) for part in zip(*parts))
-            order = np.argsort(term, kind="stable")
-            yield c[order], keys[order]
-
-    return _pauli_sum(chunks(), op.modes, "jordan_wigner")
+    starts = np.cumsum(op.lengths) - op.lengths  # each term's first row of op.ops
+    pairs = np.repeat(np.arange(len(op)) * max(1, op.modes), op.lengths)  # term * modes + mode
+    pairs += op.ops[:, 0]
+    pairs.sort()
+    distinct = pairs[np.diff(pairs, prepend=-1) != 0] // max(1, op.modes)
+    nbytes = (16 * words) << np.bincount(distinct, minlength=len(op))
+    cuts = np.flatnonzero(np.diff((np.cumsum(nbytes) - nbytes) // _JW_CHUNK_BYTES)) + 1
+    runs = zip([0, *cuts.tolist()], [*cuts.tolist(), len(op)])
+    chunks = (_jw_run(op, np.arange(lo, hi), starts, words, cache) for lo, hi in runs)
+    return PauliSum.from_keys(op.modes, chunks, what="jordan_wigner")
 
 
 @dataclass(frozen=True)
@@ -182,7 +147,7 @@ def _gray_masks(A: np.ndarray, gm: GrayMap, qubits):
 
 
 def _expanded(products, n: int) -> list:
-    """One _pauli_sum chunk of the tensor_expansion strings of (coeff, factors) products."""
+    """One PauliSum.from_keys chunk of the tensor_expansion strings of (coeff, factors) products."""
     strings = chain.from_iterable(tensor_expansion(*product, _COEFF_TOL) for product in products)
     c, x, z = list(zip(*strings)) or ((), (), ())
     return [(np.array(c, complex), np.hstack([mask_words(x, n), mask_words(z, n)]))]
@@ -194,7 +159,7 @@ def encode_boson_block(A: np.ndarray, gm: GrayMap) -> PauliSum:
     if np.max(np.abs(A - A.conj().T)) > 1e-10:
         raise DomainError("block is not Hermitian")
     products = [(1.0, [_gray_masks(A, gm, range(gm.k_mode))])]
-    return _pauli_sum(_expanded(products, gm.k_mode), gm.k_mode, "encode_boson_block")
+    return PauliSum.from_keys(gm.k_mode, _expanded(products, gm.k_mode), what="encode_boson_block")
 
 
 @dataclass(frozen=True)
@@ -230,5 +195,5 @@ def encode_boson_operator(op: BosonOperator) -> EncodedOperator:
             blocks[mode] = blocks[mode] @ mats[symbol] if mode in blocks else mats[symbol]
         products.append((coeff, [_gray_masks(blocks[m], gm, layout[m]) for m in sorted(blocks)]))
     n = op.modes * gm.k_mode
-    pauli = _pauli_sum(_expanded(products, n), n, "encode_boson_operator")
+    pauli = PauliSum.from_keys(n, _expanded(products, n), what="encode_boson_operator")
     return EncodedOperator(pauli, layout, gm)

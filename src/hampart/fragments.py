@@ -25,7 +25,8 @@ import numpy as np
 
 from . import pauli as _pauli
 from .errors import DataError, DimensionError, HampartError, ResourceError, read_text
-from .pauli import PauliString, PauliSum, mask_ints, mask_qubits, pauli_masks, tensor_expansion
+from .pauli import (PauliString, PauliSum, mask_ints, mask_qubits, pauli_masks, string_rows,
+                    tensor_expansion)
 
 _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
@@ -170,11 +171,6 @@ class Fragment:
         if self.sets is None:
             return max((t.max_factor_size() for t in self.terms), default=0)
         return max((b.bit_count() or 1 for _, b in self.sets), default=0)
-
-
-def string_rows(strings) -> zip:
-    """Rows of a string_array as (c.real, x, z), c a Python float and masks Python ints."""
-    return zip(strings["c"].real.tolist(), mask_ints(strings["x"]), mask_ints(strings["z"]))
 
 
 @dataclass(frozen=True)

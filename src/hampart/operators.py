@@ -12,11 +12,12 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DataError, DomainError, HampartError, ParseError, read_text
-from .pauli import ASCII_FLOAT, _require_real
+from .pauli import ASCII_FLOAT, _real_array
 
 LATTICE_KINDS = ("chain", "square", "hexagonal", "triangular", "cubic", "tetrahedral", "custom")
 
@@ -185,25 +186,73 @@ def lattice_from_json(data: dict | str) -> Lattice:
 FermionTerm = tuple[float, tuple[tuple[int, bool], ...]]
 
 
-@dataclass(frozen=True)
+def _term_arrays(terms, modes: int) -> tuple[np.ndarray, list[int], np.ndarray, list]:
+    """Tuple terms ((c, ((mode, entry), ...)), ...) read at once: real, finite coefficients, op
+    counts, modes (integers, bools refused, numpy integers taken) as _modes checks them, and
+    each op's entry, unchecked; DataError otherwise."""
+    terms = [(c, tuple(ops)) for c, ops in terms]
+    ms, entries = [m for _, ops in terms for m, _ in ops], [e for _, ops in terms for _, e in ops]
+    if bad := {t for t in map(type, ms) if t is bool or not issubclass(t, (int, np.integer))}:
+        raise DataError(f"mode {next(m for m in ms if type(m) in bad)!r} is not an integer")
+    coeffs = _real_array([c for c, _ in terms], "term coefficient")
+    return coeffs, [len(ops) for _, ops in terms], _modes(ms, modes), entries
+
+
+def _modes(ms, modes: int) -> np.ndarray:
+    """Integer modes as an int64 array; DataError naming the first outside [0, modes)."""
+    ms = np.asarray(ms)
+    if (bad := (ms < 0) | (ms >= modes)).any():
+        raise DataError(f"mode {ms[bad.argmax()]} out of range for {modes} modes")
+    return ms.astype(np.int64)
+
+
+def _term_view(coeffs, lengths, ops) -> tuple:
+    """((c, (op, ...)), ...) of coefficients, op counts and ops in order."""
+    ops = iter(ops)
+    return tuple((c, tuple(islice(ops, k))) for c, k in zip(coeffs, lengths))
+
+
 class FermionOperator:
-    """Sum of products of fermionic ladder operators on `modes` modes."""
+    """Sum of products of fermionic ladder operators on `modes` modes, held as read-only arrays
+    in term order: `coeffs` (T,), `lengths` (T,) op counts and `ops` rows (mode, dagger 1 or 0),
+    each term's in order. `terms`, the tuple view ((coeff, ((mode, dagger), ...)), ...), is
+    built on first read. Tuple input is checked at once (_term_arrays); a dagger is a bool."""
 
-    modes: int
-    terms: tuple[FermionTerm, ...] = ()
+    __slots__ = ("modes", "coeffs", "lengths", "ops", "_terms")
 
-    def __post_init__(self):
-        canon = []
-        for coeff, ops in self.terms:
-            ops = tuple((int(m), bool(d)) for m, d in ops)
-            for m, _ in ops:
-                if not 0 <= m < self.modes:
-                    raise DataError(f"mode {m} out of range for {self.modes} modes")
-            canon.append((_require_real(coeff, "term coefficient"), ops))
-        object.__setattr__(self, "terms", tuple(canon))
+    def __init__(self, modes: int, terms: tuple[FermionTerm, ...] = ()):
+        coeffs, lengths, ms, daggers = _term_arrays(terms, modes)
+        if bad := set(map(type, daggers)) - {bool, np.bool_}:
+            raise DataError(f"dagger {next(d for d in daggers if type(d) in bad)!r} is not a bool")
+        self._adopt(modes, coeffs, lengths, np.stack([ms, np.array(daggers, np.int64)], 1))
+
+    @classmethod
+    def from_arrays(cls, modes: int, coeffs, lengths, ops) -> "FermionOperator":
+        """The operator of the arrays the class holds, checked at once: real, finite
+        coefficients, modes in [0, modes) and daggers 0 or 1 (DataError otherwise)."""
+        ops = np.asarray(ops, np.int64).reshape(-1, 2)
+        if ((ops[:, 1] != 0) & (ops[:, 1] != 1)).any():
+            raise DataError("daggers must be 0 or 1")
+        op = cls.__new__(cls)
+        op._adopt(modes, _real_array(coeffs, "term coefficient"), lengths,
+                  np.stack([_modes(ops[:, 0], modes), ops[:, 1]], 1))
+        return op
+
+    def _adopt(self, modes: int, coeffs, lengths, ops):
+        self.modes, self._terms, self.coeffs, self.ops = modes, None, coeffs, ops
+        self.lengths = np.asarray(lengths, np.int64)
+        for a in (self.coeffs, self.lengths, self.ops):
+            a.setflags(write=False)
+
+    @property
+    def terms(self) -> tuple[FermionTerm, ...]:
+        if self._terms is None:
+            ops = zip(self.ops[:, 0].tolist(), map(bool, self.ops[:, 1].tolist()))
+            self._terms = _term_view(self.coeffs.tolist(), self.lengths.tolist(), ops)
+        return self._terms
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def accumulated(self) -> dict[tuple[tuple[int, bool], ...], float]:
         acc: dict[tuple[tuple[int, bool], ...], float] = {}
@@ -255,16 +304,11 @@ class BosonOperator:
     def __post_init__(self):
         if self.d < 2:
             raise DomainError(f"truncation d must be >= 2, got {self.d}")
-        canon = []
-        for coeff, factors in self.terms:
-            factors = tuple((int(m), str(s)) for m, s in factors)
-            for m, s in factors:
-                if not 0 <= m < self.modes:
-                    raise DataError(f"mode {m} out of range for {self.modes} modes")
-                if s not in BOSON_SYMBOLS:
-                    raise DataError(f"unknown bosonic symbol {s!r}")
-            canon.append((_require_real(coeff, "term coefficient"), factors))
-        object.__setattr__(self, "terms", tuple(canon))
+        coeffs, lengths, ms, symbols = _term_arrays(self.terms, self.modes)
+        if bad := [s for s in map(str, symbols) if s not in BOSON_SYMBOLS]:
+            raise DataError(f"unknown bosonic symbol {bad[0]!r}")
+        factors = zip(ms.tolist(), map(str, symbols))
+        object.__setattr__(self, "terms", _term_view(coeffs.tolist(), lengths, factors))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -475,32 +519,35 @@ def write_fcidump(path, ints: ElectronicIntegrals, nelec: int = 0, ms2: int = 0)
         fh.write(f" {ints.core!r} 0 0 0 0\n")
 
 
+def _spin_terms(integrals: dict, order, spins, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and (mode, dagger) ops of the spin-orbital terms of the nonzero integrals, in
+    dict order: per integral and row of `spins`, modes 2 * key[order] + spins, the first half
+    creators; with four ops, a term creating or annihilating one mode twice is dropped."""
+    vals = np.fromiter(integrals.values(), float, len(integrals))
+    keys = np.fromiter(chain.from_iterable(integrals), np.int64, len(order) * len(vals))
+    modes = 2 * keys.reshape(len(vals), len(order))[vals != 0.0][:, None, order] + spins
+    modes = modes.reshape(-1, len(order))
+    keep = (modes[:, 0] != modes[:, 1]) & (modes[:, -2] != modes[:, -1]) | (len(order) < 4)
+    daggers = np.broadcast_to(np.arange(len(order)) < len(order) // 2, modes.shape)
+    coeffs = np.repeat(scale * vals[vals != 0.0], len(spins))
+    return coeffs[keep], np.stack([modes, daggers], 2)[keep].reshape(-1, 2)
+
+
 def fermion_from_integrals(ints: ElectronicIntegrals) -> FermionOperator:
-    """Expand spatial integrals to interleaved spin orbitals (index 2*orb + spin).
+    """Expand spatial integrals to interleaved spin orbitals (index 2*orb + spin), as arrays.
 
     One-body: sum_ij h_ij a+_{i s} a_{j s}. Two-body from chemist (ij|kl):
     (1/2) sum_{st} sum_{ijkl} (ij|kl) a+_{i s} a+_{k t} a_{l t} a_{j s}.
-    The core energy enters as an empty-product (identity) term.
+    The core energy enters as an empty-product (identity) term. Terms come in that order: the
+    core, then each nonzero integral of h, then of g, in dict order, spins s (then t) ascending.
     """
-    terms = []
-    if ints.core != 0.0:
-        terms.append((ints.core, ()))
-    for (i, j), val in ints.h.items():
-        if val == 0.0:
-            continue
-        for s in (0, 1):
-            terms.append((val, ((2 * i + s, True), (2 * j + s, False))))
-    for (i, j, k, l), val in ints.g.items():
-        if val == 0.0:
-            continue
-        for s in (0, 1):
-            for t in (0, 1):
-                p, q = 2 * i + s, 2 * k + t
-                r, w = 2 * l + t, 2 * j + s
-                if p == q or r == w:
-                    continue
-                terms.append((0.5 * val, ((p, True), (q, True), (r, False), (w, False))))
-    return FermionOperator(2 * ints.norb, tuple(terms))
+    one = _spin_terms(ints.h, [0, 1], [[0, 0], [1, 1]], 1.0)
+    two = _spin_terms(ints.g, [0, 2, 3, 1], [[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1],
+                                             [1, 1, 1, 1]], 0.5)
+    core = [ints.core] if ints.core != 0.0 else []
+    lengths = np.repeat([0, 2, 4], [len(core), len(one[0]), len(two[0])])
+    return FermionOperator.from_arrays(2 * ints.norb, np.concatenate([core, one[0], two[0]]),
+                                       lengths, np.concatenate([one[1], two[1]]))
 
 
 def load_fcidump(path) -> FermionOperator:

@@ -228,12 +228,10 @@ def reorder_indices(
 
 
 def permute_modes(f: FermionOperator, perm) -> FermionOperator:
-    """Relabel mode m as perm[m] in every term."""
-    perm = list(perm)
-    terms = tuple(
-        (coeff, tuple((perm[m], d) for m, d in ops)) for coeff, ops in f.terms
-    )
-    return FermionOperator(f.modes, terms)
+    """Relabel mode m as perm[m] in every term (on f's arrays)."""
+    ops = f.ops.copy()
+    ops[:, 0] = np.asarray(perm, np.int64)[ops[:, 0]]
+    return FermionOperator.from_arrays(f.modes, f.coeffs, f.lengths, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache, reduce
+from itertools import islice
 from operator import and_, or_
 from typing import Iterable, Iterator
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import DataError, DimensionError, DomainError, ParseError, ResourceError
 
 SIMPLIFY_TOL = 1e-12
+_IMAG_TOL = 1e-10  # |imaginary part| allowed on a sum of strings, relative above 1
 # A number in text input: ASCII digits only, no `_` (float() and int() also take both).
 ASCII_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
@@ -125,10 +127,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.letters!r})"
-
-    def sparse_repr(self) -> str:
-        """Compact `X0 Z3` form used by the text format; empty for identity."""
-        return " ".join(f"{self.letter(q)}{q}" for q in self.support())
 
 
 def weight(p: PauliString) -> int:
@@ -276,6 +274,26 @@ def mask_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :n]
 
 
+def string_rows(strings) -> zip:
+    """Rows of a string_array as (c.real, x, z), c a Python float and masks Python ints."""
+    return zip(strings["c"].real.tolist(), mask_ints(strings["x"]), mask_ints(strings["z"]))
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's id among the distinct rows of a 2-D key array (mask words), ids numbered by
+    first occurrence, and the row of each id's first occurrence. Rows are grouped by one stable
+    lexsort over the words, so a run's first row is its first occurrence."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ranked = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    firsts = np.zeros(len(keys), bool)
+    firsts[order[new]] = True
+    ids = np.empty(len(keys), np.intp)
+    ids[order] = (np.cumsum(firsts) - 1)[order[new]][np.cumsum(new) - 1]
+    return ids, np.flatnonzero(firsts)
+
+
 # (-i)^k for k = |x & z| mod 4, and the unnormalized one-qubit Walsh-Hadamard map.
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -339,11 +357,12 @@ def apply_pauli_terms(strings, vec: np.ndarray, n: int, out=None, tmp=None) -> n
 
 
 class PauliSum:
-    """Real-weighted sum of Pauli strings plus an identity offset.
+    """Real-weighted sum of Pauli strings plus an identity offset, held as one string table.
 
-    Invariants: stored terms are non-identity, share the same qubit count,
-    and carry coefficients with |c| > SIMPLIFY_TOL; identity mass lives in
-    `constant`. Instances are treated as immutable.
+    The table (strings()) holds each non-identity string once, with |c| > SIMPLIFY_TOL, in the
+    order it first arrived; identity mass lives in `constant`. Every constructor builds it by
+    _merge; the PauliString dict (`terms`, iteration, equality) is built from it on first use.
+    Instances are treated as immutable.
     """
 
     def __init__(
@@ -352,19 +371,49 @@ class PauliSum:
         terms: Iterable[tuple[float, PauliString]] = (),
         constant: float = 0.0,
     ):
-        acc: dict[PauliString, float] = {}
-        const = _require_real(constant, "constant")
-        for coeff, string in terms:
-            c = _require_real(coeff, "coefficient")
-            if string.n != n:
-                raise DimensionError(f"term on {string.n} qubits in {n}-qubit sum")
-            if string.is_identity:
-                const += c
-            else:
-                acc[string] = acc.get(string, 0.0) + c
-        self._n = n
-        self._terms = {s: c for s, c in acc.items() if abs(c) > SIMPLIFY_TOL}
-        self._constant = const
+        const, terms = _require_real(constant, "constant"), list(terms)
+        if (bad := next((s for _, s in terms if s.n != n), None)) is not None:
+            raise DimensionError(f"term on {bad.n} qubits in {n}-qubit sum")
+        masks = (mask_words([getattr(s, axis) for _, s in terms], n) for axis in "xz")
+        self._merge(n, [(_real_array([c for c, _ in terms], "coefficient"), np.hstack([*masks]))],
+                    const)
+
+    @classmethod
+    def from_keys(cls, n: int, chunks, constant: float = 0.0, what: str = "PauliSum"):
+        """The sum (_merge) of chunks of coefficients and keys (x then z words, mask_words)."""
+        h = cls.__new__(cls)
+        h._merge(n, chunks, constant, what)
+        return h
+
+    def _merge(self, n: int, chunks, constant: float, what: str = "PauliSum"):
+        """Set the table from chunks of (c, keys), one held at a time: keys are numbered by first
+        sight (_first_seen in a chunk, a dict on their bytes across chunks) and each key's
+        coefficients added onto zero in arrival order (np.add.at), the identity's onto
+        `constant`. A sum must be real within _IMAG_TOL (else DataError naming `what`); the
+        identity's becomes the constant, and rows with |c| <= SIMPLIFY_TOL are dropped."""
+        seen, fresh, acc = {}, [], np.zeros(0, complex)
+        for c, chunk in chunks:
+            local, firsts = _first_seen(chunk)
+            rows = chunk[firsts]
+            names = rows.view(f"V{8 * rows.shape[1]}").ravel().tolist()
+            ids = np.array([seen.setdefault(key, len(seen)) for key in names], np.intp)
+            fresh.append(rows[ids >= len(acc)])
+            acc = np.append(acc, np.where(fresh[-1].any(axis=1), 0.0, constant))
+            np.add.at(acc, ids[local], c)
+        keys = np.concatenate([np.zeros((0, 2 * max(1, -(-n // 64))), np.uint64), *fresh])
+        identity, words = ~keys.any(axis=1), keys.shape[1] // 2
+        if (bad := np.abs(acc.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(acc))).any():
+            i = int(bad.argmax())
+            string = PauliString(n, *(mask_ints(w)[0] for w in np.hsplit(keys[i:i + 1], 2)))
+            raise DataError(f"{what} produced non-Hermitian content: {acc[i].item()} * "
+                            f"{string.letters}")
+        keep = ~identity & (np.abs(acc.real) > SIMPLIFY_TOL)
+        self._table = np.empty(int(keep.sum()), string_dtype(n))
+        self._table["c"], self._table["x"], self._table["z"] = (
+            acc.real[keep], keys[keep, :words], keys[keep, words:])
+        self._table.setflags(write=False)
+        self._n, self._constant = n, float(acc.real[identity][0]) if identity.any() else constant
+        self._terms: dict[PauliString, float] | None = None
         self._sorted: tuple[tuple[float, PauliString], ...] | None = None
         self._strings: np.ndarray | None = None
 
@@ -376,69 +425,76 @@ class PauliSum:
     def constant(self) -> float:
         return self._constant
 
+    def strings(self) -> np.ndarray:
+        """The held table: one read-only string_array row per string, in first-seen order."""
+        return self._table
+
+    def _dict(self) -> dict[PauliString, float]:
+        if self._terms is None:
+            self._terms = {PauliString(self.n, x, z): c for c, x, z in string_rows(self._table)}
+        return self._terms
+
     @property
     def terms(self) -> dict[PauliString, float]:
-        return dict(self._terms)
+        return dict(self._dict())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._table)
 
     def coefficient(self, string: PauliString) -> float:
-        return self._terms.get(string, 0.0)
+        return self._dict().get(string, 0.0)
 
     def items_sorted(self) -> list[tuple[float, PauliString]]:
-        """Terms in descending |coefficient|; ties broken by letter sequence (I < X < Y < Z,
-        qubit 0 first). One np.lexsort over -|c| and letter-key words: each word is the base-4
-        number with digit 2z + (x ^ z) per qubit over 32 qubits, qubit 0 on top. Sorted once
-        per instance; sorted_strings is its string_array, whose mask words it reads, in order."""
+        """Terms in descending |coefficient|, as PauliStrings built on first call, in the order
+        of sorted_strings."""
         if self._sorted is None:
-            strings, coeffs = list(self._terms), list(self._terms.values())
-            table = string_array([(c, s.x, s.z) for s, c in self._terms.items()], self.n)
-            x, z = table["x"], table["z"]
-            digits = np.zeros((len(strings), -(-self.n // 32) * 32, 2), np.uint8)  # z, x ^ z
-            digits[:, :self.n] = np.stack([mask_bits(z, self.n), mask_bits(x ^ z, self.n)], 2)
-            words = digits.reshape(len(digits), digits.shape[1] // 32, 64)  # 32 qubits a word
-            keys = np.packbits(words, axis=2).view(">u8")[..., 0]
-            order = np.lexsort((*keys.T[::-1], -np.abs(table["c"].real)))
-            self._sorted = tuple((coeffs[i], strings[i]) for i in order.tolist())
-            self._strings = table[order]
-            self._strings.setflags(write=False)
+            rows = string_rows(self.sorted_strings())
+            self._sorted = tuple((c, PauliString(self.n, x, z)) for c, x, z in rows)
         return list(self._sorted)
 
     def sorted_strings(self) -> np.ndarray:
-        """The weighted strings of items_sorted as one read-only string_array, built by its sort."""
+        """The table in descending |coefficient|, ties broken by letter sequence (I < X < Y < Z,
+        qubit 0 first), as one read-only string_array sorted once per instance: one np.lexsort
+        over -|c| and letter-key words, each word the base-4 number with digit 2z + (x ^ z) per
+        qubit over 32 qubits, qubit 0 on top."""
         if self._strings is None:
-            self.items_sorted()
+            table, n = self._table, self.n
+            digits = np.zeros((len(table), -(-n // 32) * 32, 2), np.uint8)  # z, x ^ z
+            digits[:, :n] = np.stack([mask_bits(table["z"], n),
+                                      mask_bits(table["x"] ^ table["z"], n)], 2)
+            words = digits.reshape(len(digits), digits.shape[1] // 32, 64)  # 32 qubits a word
+            keys = np.packbits(words, axis=2).view(">u8")[..., 0]
+            self._strings = table[np.lexsort((*keys.T[::-1], -np.abs(table["c"].real)))]
+            self._strings.setflags(write=False)
         return self._strings
 
     def __iter__(self) -> Iterator[tuple[float, PauliString]]:
         return iter(self.items_sorted())
 
+    def _keys(self) -> np.ndarray:
+        return np.hstack([self._table["x"], self._table["z"]])
+
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise DimensionError(f"qubit counts differ: {self.n} != {other.n}")
-        merged = [(c, s) for s, c in self._terms.items()]
-        merged.extend((c, s) for s, c in other._terms.items())
-        return PauliSum(self.n, merged, self._constant + other._constant)
+        return PauliSum.from_keys(self.n, [(t._table["c"].real, t._keys()) for t in (self, other)],
+                                  self._constant + other._constant)
 
     def scaled(self, factor: float) -> "PauliSum":
         factor = _require_real(factor, "scale factor")
-        return PauliSum(
-            self.n,
-            [(factor * c, s) for s, c in self._terms.items()],
-            factor * self._constant,
-        )
+        return PauliSum.from_keys(self.n, [(factor * self._table["c"].real, self._keys())],
+                                  factor * self._constant)
 
     def simplified(self) -> "PauliSum":
         """Re-normalize; idempotent because construction already canonicalizes."""
-        return PauliSum(self.n, [(c, s) for s, c in self._terms.items()], self._constant)
+        return self.scaled(1.0)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PauliSum)
             and self.n == other.n
             and self._constant == other._constant
-            and self._terms == other._terms
+            and self._dict() == other._dict()
         )
 
     def __repr__(self) -> str:
@@ -446,14 +502,14 @@ class PauliSum:
 
     def to_matrix(self) -> np.ndarray:
         """Realize as a dense 2^n x 2^n numpy array (dense_sum, constant included)."""
-        terms = [(c, s.x, s.z) for s, c in self._terms.items()]
-        return dense_sum([(self._constant, 0, 0), *terms], range(self.n))
+        return dense_sum([(self._constant, 0, 0), *string_rows(self._table)], range(self.n))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free (H @ vec), including the constant, for a vector or a (2^n, S) state
-        block, through apply_pauli_terms."""
-        terms = [(self._constant, 0, 0), *((c, s.x, s.z) for s, c in self._terms.items())]
-        return apply_pauli_terms(string_array(terms, self.n), vec, self.n)
+        block: apply_pauli_terms on the constant's row, then the table in its order."""
+        const = np.zeros(1, self._table.dtype)
+        const["c"] = self._constant
+        return apply_pauli_terms(np.concatenate([const, self._table]), vec, self.n)
 
 
 def _require_real(value, what: str) -> float:
@@ -467,59 +523,92 @@ def _require_real(value, what: str) -> float:
     return value
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """_require_real over a sequence: one check when numpy reads it as finite real numbers."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "fiu" and np.isfinite(arr).all():
+        return arr.astype(float)
+    return np.array([_require_real(v, what) for v in values], float)
+
+
+# A line of an ASCII_FLOAT and factor tokens, each a letter and ASCII digits.
+_LINE = re.compile(rf"\s*{ASCII_FLOAT.pattern}(?:\s+[IXYZ][0-9]+)*\s*")
+# Letter byte -> its x and z bit.
+_X_BITS, _Z_BITS = np.zeros((2, 128), np.uint64)
+_X_BITS[[ord("X"), ord("Y")]] = _Z_BITS[[ord("Y"), ord("Z")]] = 1
+
+
+def _refuse_line(fields: list[str], lineno: int):
+    """Raise the ParseError of the first bad field of a line: its coefficient (not a finite
+    ASCII_FLOAT number), then a factor token that is not a letter and ASCII digits."""
+    try:
+        coeff = float(fields[0])
+    except ValueError:
+        raise ParseError(f"bad coefficient {fields[0]!r}", lineno) from None
+    if not math.isfinite(coeff):
+        raise ParseError(f"non-finite coefficient {fields[0]!r}", lineno)
+    if not ASCII_FLOAT.fullmatch(fields[0]):
+        raise ParseError(f"bad coefficient {fields[0]!r}", lineno)
+    for tok in fields[1:]:
+        if len(tok) < 2 or tok[0] not in "IXYZ":
+            raise ParseError(f"bad factor {tok!r}", lineno)
+        digits = tok[1:]
+        if not (digits.isascii() and digits.isdigit()):
+            negative = digits[0] == "-" and digits[1:].isascii() and digits[1:].isdigit()
+            what = "negative" if negative and int(digits) else "bad"
+            raise ParseError(f"{what} qubit index in {tok!r}", lineno)
+
+
 def parse_pauli_text(text: str, n: int | None = None) -> PauliSum:
     """Parse the one-term-per-line text format.
 
     Each line is `<coefficient> <letter><qubit> ...` (e.g. `0.5 X0 Z3`);
     a line with only a coefficient is the identity term; `#` starts a comment.
-    Numbers take ASCII digits only (ASCII_FLOAT; a qubit is digits alone). One pass per
-    line builds the x/z masks.
+    Numbers take ASCII digits only (ASCII_FLOAT; a qubit is digits alone). Each line is checked
+    by one match (_LINE; a line it refuses is read field by field for the error); then all
+    factor tokens are read into the table's mask words at once (PauliSum.from_keys).
     """
-    parsed: list[tuple[float, int, int]] = []
-    max_q, twice = -1, None  # a qubit given two letters is reported after the range check
+    coeffs, counts, letters, qubits = [], [], [], []  # no object per token kept
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
+        body = raw.split("#", 1)[0]
+        fields = body.split()
         if not fields:
             continue
-        try:
-            coeff = float(fields[0])
-        except ValueError:
-            raise ParseError(f"bad coefficient {fields[0]!r}", lineno) from None
-        if not math.isfinite(coeff):
-            raise ParseError(f"non-finite coefficient {fields[0]!r}", lineno)
-        if not ASCII_FLOAT.fullmatch(fields[0]):
-            raise ParseError(f"bad coefficient {fields[0]!r}", lineno)
-        x = z = 0
-        for tok in fields[1:]:
-            if len(tok) < 2 or tok[0] not in "IXYZ":
-                raise ParseError(f"bad factor {tok!r}", lineno)
-            digits = tok[1:]
-            if not (digits.isascii() and digits.isdigit()):
-                negative = digits[0] == "-" and digits[1:].isascii() and digits[1:].isdigit()
-                what = "negative" if negative and int(digits) else "bad"
-                raise ParseError(f"{what} qubit index in {tok!r}", lineno)
-            q = int(digits)
-            xb, zb = _LETTER_TO_BITS[tok[0]]
-            if xb | zb:
-                if (x | z) >> q & 1 and twice is None:
-                    twice = q
-                x, z = x | xb << q, z | zb << q
-            max_q = max(max_q, q)
-        parsed.append((coeff, x, z))
+        if not _LINE.fullmatch(body) or not math.isfinite(coeff := float(fields[0])):
+            _refuse_line(fields, lineno)
+        coeffs.append(coeff)
+        counts.append(len(fields) - 1)
+        letters += [tok[0] for tok in fields[1:]]
+        qubits += [int(tok[1:]) for tok in fields[1:]]
+    max_q = max(qubits, default=-1)
     if n is None:
-        n = max_q + 1 if max_q >= 0 else 0
+        n = max_q + 1
     elif max_q >= n:
         raise DataError(f"qubit index {max_q} out of range for n={n}")
-    if twice is not None:
-        raise DataError(f"qubit {twice} assigned twice")
-    return PauliSum(n, [(c, PauliString(n, x, z)) for c, x, z in parsed])
+    qubits, row = np.array(qubits, np.int64), np.repeat(np.arange(len(coeffs)), counts)
+    letters = np.frombuffer("".join(letters).encode(), np.uint8)
+    held = (_X_BITS[letters] | _Z_BITS[letters]) != 0  # the first letter on a held qubit of its
+    cell = row[held] * n + qubits[held]  # line is refused after the range check
+    order = np.argsort(cell, kind="stable")
+    if len(twice := order[1:][cell[order[1:]] == cell[order[:-1]]]):
+        raise DataError(f"qubit {qubits[held][twice.min()]} assigned twice")
+    words, bit = max(1, -(-n // 64)), np.left_shift(np.uint64(1), (qubits & 63).astype(np.uint64))
+    keys = np.zeros((len(coeffs), 2 * words), np.uint64)
+    for start, bits in ((0, _X_BITS), (words, _Z_BITS)):
+        on = bits[letters] != 0
+        np.bitwise_or.at(keys, (row[on], start + (qubits[on] >> 6)), bit[on])
+    return PauliSum.from_keys(n, [(np.array(coeffs), keys)])
 
 
 def format_pauli_text(h: PauliSum) -> str:
-    """Deterministic inverse of parse_pauli_text (descending |c|, lex ties)."""
-    lines = []
-    if h.constant or len(h) == 0:
-        lines.append(repr(h.constant))
-    for coeff, string in h.items_sorted():
-        lines.append(f"{coeff!r} {string.sparse_repr()}")
+    """Deterministic inverse of parse_pauli_text (descending |c|, lex ties), written from the
+    sorted table: per row, a `<letter><qubit>` token for each qubit off the identity, ascending."""
+    lines = [repr(h.constant)] if h.constant or len(h) == 0 else []
+    table, n = h.sorted_strings(), h.n
+    codes = mask_bits(table["x"], n) + 2 * mask_bits(table["z"], n)  # 1 X, 2 Z, 3 Y
+    rows, qubits = np.nonzero(codes)
+    names = np.array([[f"{letter}{q}" for q in range(n)] for letter in "IXZY"], dtype=object)
+    tokens = iter(names[codes[rows, qubits], qubits].tolist())
+    for c, k in zip(table["c"].real.tolist(), np.bincount(rows, minlength=len(table)).tolist()):
+        lines.append(f"{c!r} {' '.join(islice(tokens, k))}")
     return "\n".join(lines) + "\n"

@@ -95,14 +95,15 @@ def _coefficients(frags):
 
 def check_reconstruction(p: Partition, h: PauliSum) -> float:
     """Sum over Pauli strings s of |c_partition(s) - c_h(s)|, identity included, from the held
-    blocks' Pauli coefficients (no 2^n object). It bounds the max-entry deviation of the
-    fragments plus constant from h: each Pauli matrix has one unit-modulus entry per row."""
+    blocks' Pauli coefficients less the rows of h's table, in order (no 2^n object). It bounds
+    the max-entry deviation of the fragments plus constant from h: each Pauli matrix has one
+    unit-modulus entry per row."""
     if p.n != h.n:
         raise DimensionError(f"partition on {p.n} qubits, operator on {h.n}")
     diff = _coefficients(p.fragments)
     diff[(0, 0)] += p.constant - h.constant
-    for s, c in h.terms.items():
-        diff[(s.x, s.z)] -= c
+    for c, x, z in string_rows(h.strings()):
+        diff[(x, z)] -= c
     return float(sum(abs(c) for c in diff.values()))
 
 

@@ -72,6 +72,20 @@ def built_terms(monkeypatch) -> Counter:
     return counts
 
 
+@pytest.fixture()
+def built_strings(monkeypatch) -> Counter:
+    """Counts the PauliString objects made while the test runs (calls of its __init__)."""
+    counts = Counter()
+    make = PauliString.__init__
+
+    def counting(self, *args, **kwargs):
+        counts["PauliString"] += 1
+        make(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliString, "__init__", counting)
+    return counts
+
+
 def benchmark_fcidump(path, norb: int, seed: int):
     """Write the benchmark's seeded electronic FCIDUMP (perfbench/inputs.py) to `path`."""
     spec = importlib.util.spec_from_file_location(
@@ -218,3 +232,33 @@ def pauli_sums(draw, max_qubits=6):
                           min_size=1, max_size=12))
     constant = draw(st.floats(-1.0, 1.0))
     return PauliSum(n, [(c, PauliString.from_letters(s)) for c, s in terms], constant)
+
+
+@st.composite
+def pauli_pairs(draw):
+    """(n, pairs, constant) on 1, 2, 63, 64, 65 or 130 qubits: 0-12 (c, PauliString) pairs whose
+    strings repeat (the identity among them), some pairs cancelling to within SIMPLIFY_TOL."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    edges = [q for q in (0, 1, 62, 63, 64, 65, 129) if q < n]
+    qubits = st.one_of(st.sampled_from(edges), st.integers(0, n - 1))
+    letters = st.dictionaries(qubits, st.sampled_from("XYZ"), max_size=4)
+    strings = draw(st.lists(letters.map(lambda d: PauliString.from_ops(d.items(), n)),
+                            min_size=1, max_size=4))
+    coeffs = st.floats(-1.0, 1.0, allow_subnormal=False)
+    pairs = draw(st.lists(st.tuples(coeffs, st.sampled_from(strings)), max_size=12))
+    for c, s in draw(st.lists(st.tuples(coeffs, st.sampled_from(strings)), max_size=3)):
+        pairs += [(c, s), (-c + draw(st.sampled_from([0.0, 1e-13, -5e-13])), s)]
+    return n, draw(st.permutations(pairs)), draw(st.floats(-1.0, 1.0)) + 0.0  # no -0.0
+
+
+def reference_pauli_sum(pairs, constant: float) -> tuple[dict, float]:
+    """The PauliString dict and constant of the loop PauliSum used to run: each string's
+    coefficients added onto 0.0 in order, the identity's onto the constant, |c| <= 1e-12
+    dropped."""
+    acc, const = {}, float(constant)
+    for c, s in pairs:
+        if s.is_identity:
+            const += c
+        else:
+            acc[s] = acc.get(s, 0.0) + c
+    return {s: c for s, c in acc.items() if abs(c) > 1e-12}, const

@@ -442,6 +442,29 @@ class TestPartitionBuildsNoTerms:
         assert built_terms == {}
 
 
+class TestNoPauliStringBetweenTheFiles:
+    """The CLI builds, partitions and scores from string tables: no PauliString is made."""
+
+    @pytest.mark.parametrize("norb", [4, 5])
+    def test_electronic_build(self, tmp_path, built_strings, norb):
+        benchmark_fcidump(tmp_path / "el.fcidump", norb, 3)
+        assert run(["build", "electronic", "--fcidump", tmp_path / "el.fcidump",
+                    "-o", tmp_path / "el"]) == 0
+        assert built_strings == {}
+
+    def test_partition_and_evaluate(self, tmp_path, built_strings):
+        benchmark_fcidump(tmp_path / "el4.fcidump", 4, 3)
+        stem = tmp_path / "el4"
+        assert run(["build", "electronic", "--fcidump", tmp_path / "el4.fcidump", "-o", stem]) == 0
+        for tag, method in (("fc", ["fc-si"]), ("greedy", ["greedy", "--k", 3])):
+            assert run(["partition", f"{stem}.pauli", "--method", *method,
+                        "-o", tmp_path / f"{tag}.json"]) == 0
+        assert run(["evaluate", tmp_path / "fc.json", tmp_path / "greedy.json", "--hamiltonian",
+                    f"{stem}.pauli", "--states", 3, "-o", tmp_path / "report"]) == 0
+        assert run(["verify", tmp_path / "greedy.json", "--hamiltonian", f"{stem}.pauli"]) == 0
+        assert built_strings == {}
+
+
 class TestEvaluate:
     def test_basis_state_gpb_value(self, tmp_path):
         ham = tmp_path / "h1.pauli"

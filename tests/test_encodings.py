@@ -529,12 +529,13 @@ class TestJordanWignerMatchesPerTermLoop:
         assert same_bytes(h, reference_jordan_wigner(op))
         assert len(h) == {40: 157, 70: 277}[sites]
 
-    def test_term_chunks_change_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 100, 1 << 40], ids=["term-each", "few", "one-run"])
+    def test_term_chunks_change_nothing(self, monkeypatch, budget):
         hops = [(0.1 * (i + 1), i % 6, (i * 5) % 6) for i in range(40)]
         op = FermionOperator(6, tuple((c, ((i, True), (j, False))) for c, p, q in hops
                                       for i, j in ((p, q), (q, p))))
         whole = jordan_wigner(op)
-        monkeypatch.setattr(encodings, "_JW_CHUNK", 3)
+        monkeypatch.setattr(encodings, "_JW_CHUNK_BYTES", budget)
         assert same_bytes(jordan_wigner(op), whole)
         assert same_bytes(whole, reference_jordan_wigner(op))
 

@@ -332,3 +332,107 @@ class TestFcidump:
         )
         op = load_fcidump(path)
         assert len(op) == 3  # constant + two spin copies of h11
+
+
+def reference_fermion_from_integrals(ints) -> FermionOperator:
+    """The per-integral loop fermion_from_integrals replaced: tuple terms, in the same order."""
+    terms = []
+    if ints.core != 0.0:
+        terms.append((ints.core, ()))
+    for (i, j), val in ints.h.items():
+        if val == 0.0:
+            continue
+        for s in (0, 1):
+            terms.append((val, ((2 * i + s, True), (2 * j + s, False))))
+    for (i, j, k, l), val in ints.g.items():
+        if val == 0.0:
+            continue
+        for s in (0, 1):
+            for t in (0, 1):
+                p, q = 2 * i + s, 2 * k + t
+                r, w = 2 * l + t, 2 * j + s
+                if p == q or r == w:
+                    continue
+                terms.append((0.5 * val, ((p, True), (q, True), (r, False), (w, False))))
+    return FermionOperator(2 * ints.norb, tuple(terms))
+
+
+def seeded_fcidump_body(norb: int, seed: int) -> list[str]:
+    """FCIDUMP records of random integrals: two-body and one-body records, some of them zero,
+    some written again under a symmetric index order with another value (the last one read
+    wins, at the first key's place), orbital-energy records and core records."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(int(rng.integers(5, 40))):
+        i, j, k, l = (int(a) for a in rng.integers(1, norb + 1, 4))
+        kind = rng.integers(6)
+        value = 0.0 if kind == 0 else float(rng.normal(0.0, 0.2))
+        if kind < 3:
+            records.append((value, i, j, k, l))
+        elif kind == 3:
+            records.append((value, i, j, 0, 0))
+        elif kind == 4:
+            records.append((value, i, 0, 0, 0))  # orbital energy
+        else:
+            records.append((value, 0, 0, 0, 0))
+        if records and rng.random() < 0.3:  # an earlier record again, symmetric, new value
+            v, a, b, c, d = records[int(rng.integers(len(records)))]
+            again = (b, a, d, c) if c else (b, a, 0, 0) if b else (a, 0, 0, 0)
+            if c and rng.random() < 0.5:
+                again = (c, d, a, b)
+            records.append((float(rng.normal()), *again))
+    return [f" {v!r} {a} {b} {c} {d}" for v, a, b, c, d in records]
+
+
+class TestFermionFromIntegralsMatchesPerIntegralLoop:
+    @pytest.mark.parametrize("norb, seed", [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
+    def test_terms_and_jordan_wigner_bytes(self, tmp_path, norb, seed):
+        from hampart.encodings import jordan_wigner
+        from hampart.partitioners import permute_modes, reorder_indices
+        from hampart.pauli import format_pauli_text
+
+        body = seeded_fcidump_body(norb, seed) if seed else [" 0.75 0 0 0 0"]  # core only
+        path = tmp_path / "seeded.fcidump"
+        path.write_text(f" &FCI NORB={norb},\n &END\n" + "\n".join(body) + "\n")
+        ints = read_fcidump(path)
+        op, ref = fermion_from_integrals(ints), reference_fermion_from_integrals(ints)
+        assert op.modes == ref.modes and op.terms == ref.terms
+        assert format_pauli_text(jordan_wigner(op)) == format_pauli_text(jordan_wigner(ref))
+        perm, _ = reorder_indices(op, seed, 50)
+        moved = permute_modes(op, perm)
+        want = FermionOperator(ref.modes, tuple(
+            (c, tuple((perm[m], d) for m, d in ops)) for c, ops in ref.terms))
+        assert moved.terms == want.terms
+        assert format_pauli_text(jordan_wigner(moved)) == format_pauli_text(jordan_wigner(want))
+
+    def test_records_cover_the_cases(self):
+        lines = [seeded_fcidump_body(4, seed) for seed in range(1, 6)]
+        fields = [tuple(line.split()) for body in lines for line in body]
+        assert any(float(v) == 0.0 for v, *_ in fields)
+        assert any(idx[1:] == ["0", "0", "0"] and idx[0] != "0" for _, *idx in fields)
+        assert any(idx == ["0", "0", "0", "0"] for _, *idx in fields)
+        keys = [frozenset([tuple(idx), (idx[1], idx[0], idx[3], idx[2])]) for _, *idx in fields]
+        assert len(set(keys)) < len(keys)  # a symmetric record read again
+
+
+class TestOperatorsRefuseNonIntegerModes:
+    @pytest.mark.parametrize("mode", [1.7, 2.0, True, np.float64(1.0), "1", None],
+                             ids=["float", "integral-float", "bool", "numpy-float", "str", "none"])
+    def test_fermion_and_boson_modes(self, mode):
+        with pytest.raises(DataError, match="is not an integer"):
+            FermionOperator(4, ((1.0, ((mode, True), (2, False))),))
+        with pytest.raises(DataError, match="is not an integer"):
+            BosonOperator(4, 3, ((1.0, ((mode, "n"),)),))
+
+    @pytest.mark.parametrize("dagger", [0, 1, "yes", None, np.int64(1)],
+                             ids=["zero", "one", "str", "none", "numpy-int"])
+    def test_fermion_daggers(self, dagger):
+        with pytest.raises(DataError, match="is not a bool"):
+            FermionOperator(4, ((1.0, ((1, dagger), (2, False))),))
+
+    def test_numpy_integers_and_bools_are_taken(self):
+        op = FermionOperator(4, ((1.0, ((np.int64(1), np.True_), (np.int32(2), False))),))
+        assert op.terms == ((1.0, ((1, True), (2, False))),)
+        assert type(op.terms[0][1][0][0]) is int and type(op.terms[0][1][0][1]) is bool
+        boson = BosonOperator(4, 3, ((1.0, ((np.int64(3), "n"),)),))
+        assert boson.terms == ((1.0, ((3, "n"),)),)

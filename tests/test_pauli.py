@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import dense_from_letters, dense_pauli_sum, pauli_sums, string_triples
+from conftest import (dense_from_letters, dense_pauli_sum, pauli_pairs, pauli_sums,
+                      reference_pauli_sum, string_triples)
 from hampart.encodings import jordan_wigner
 from hampart.errors import DataError, DimensionError, ParseError, ResourceError
 from hampart.operators import FermionOperator
@@ -651,3 +652,39 @@ class TestTextFormat:
     def test_deterministic_format(self):
         h = parse_pauli_text("0.5 X0\n0.5 Z0\n-2.0 Y1\n")
         assert format_pauli_text(h) == format_pauli_text(h.simplified())
+
+
+class TestTableBuildsAgree:
+    """Pairs, text and the loop the table replaced give the same sum, past one mask word too."""
+
+    @staticmethod
+    def same(a: PauliSum, b: PauliSum) -> bool:
+        return (a.n == b.n and list(a.terms) == list(b.terms)
+                and np.array(list(a.terms.values())).tobytes()
+                == np.array(list(b.terms.values())).tobytes()
+                and np.float64(a.constant).tobytes() == np.float64(b.constant).tobytes()
+                and a.sorted_strings().tobytes() == b.sorted_strings().tobytes())
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    @given(case=pauli_pairs())
+    def test_pairs_text_and_loop(self, case):
+        n, pairs, constant = case
+        from_pairs = PauliSum(n, pairs, constant)
+        terms, const = reference_pauli_sum(pairs, constant)
+        assert list(from_pairs.terms.items()) == list(terms.items())
+        assert np.float64(from_pairs.constant).tobytes() == np.float64(const).tobytes()
+        text = "".join(f"{c!r} {' '.join(f'{s.letter(q)}{q}' for q in s.support())}\n"
+                       for c, s in [(constant, PauliString(n, 0, 0)), *pairs])
+        assert self.same(parse_pauli_text(text, n), from_pairs)
+        again = parse_pauli_text(format_pauli_text(from_pairs), n)
+        assert again == from_pairs and format_pauli_text(again) == format_pauli_text(from_pairs)
+        keys = np.hstack([from_pairs.strings()["x"], from_pairs.strings()["z"]])
+        table = PauliSum.from_keys(n, [(from_pairs.strings()["c"], keys)])
+        assert list(table.terms.items()) == list(from_pairs.terms.items())
+
+    @pytest.mark.parametrize("n", [0, 3, 130])
+    def test_no_chunks_is_the_empty_sum(self, n):
+        h = PauliSum.from_keys(n, [])
+        assert h == PauliSum(n) and len(h) == 0 and h.constant == 0.0
+        assert h.strings().dtype == string_dtype(n) and format_pauli_text(h) == "0.0\n"
