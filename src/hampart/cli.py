@@ -24,7 +24,6 @@ from .errors import (
     DimensionError,
     DomainError,
     HampartError,
-    ParseError,
     ResourceError,
     read_text,
 )
@@ -488,18 +487,9 @@ def main(argv=None) -> int:
         if getattr(args, "k", None) is not None and args.k < 1:  # partition and verify
             raise DomainError(f"--k must be at least 1, got {args.k}")
         return args.func(args)
-    except ResourceError as exc:
+    except (HampartError, FileNotFoundError) as exc:  # exit 4 resources, 3 constraints, else 2
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, DataError, ParseError, DimensionError, HampartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, ResourceError) else 3 if isinstance(exc, ConstraintError) else 2
 
 
 if __name__ == "__main__":

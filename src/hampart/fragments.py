@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain
-from math import isfinite, prod
+from math import prod
 from operator import or_
 
 import numpy as np
@@ -32,31 +32,29 @@ _HERMITIAN_TOL = 1e-10
 # Most Pauli strings a term may expand to: ~170 MiB of tuples, under the 2^24 dense-cap entries.
 EXPANSION_CAP = 1 << 20
 _UNIT_BLOCKS = {_pauli.pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
+_UNIT_LETTERS = {id(mat): letter for letter, mat in _pauli._PAULI_MATS.items()}
+_LETTER_MATS = tuple(_pauli._PAULI_MATS[letter] for letter in "IXZY")  # by x + 2z
 
 
 class TensorFactor:
-    """Hermitian block acting on an ordered tuple of qubits. Given `masks`, the (c, x, z) triples
-    it sums over the register, its block is their dense_sum on its qubits unless given."""
+    """Hermitian block acting on an ordered tuple of qubits."""
 
-    __slots__ = ("qubits", "block", "masks", "_projection")
+    __slots__ = ("qubits", "block", "_projection")
 
-    def __init__(self, qubits, block=None, masks=None):
+    def __init__(self, qubits, block):
         qubits = tuple(int(q) for q in qubits)
         if len(set(qubits)) != len(qubits) or min(qubits, default=0) < 0:
             raise DataError(f"repeated or negative qubit in factor {qubits}")
-        if masks is None:
-            block = np.array(block, dtype=complex)
-            dim = 1 << len(qubits)
-            if block.shape != (dim, dim):
-                raise DimensionError(
-                    f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
-                )
-            if not np.isfinite(block).all() or abs(block - block.conj().T).max() > _HERMITIAN_TOL:
-                raise DataError("factor block is not finite and Hermitian")
-        elif block is None:
-            block = _pauli.dense_sum(masks, qubits)
+        block = np.array(block, dtype=complex)
+        dim = 1 << len(qubits)
+        if block.shape != (dim, dim):
+            raise DimensionError(
+                f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
+            )
+        if not np.isfinite(block).all() or abs(block - block.conj().T).max() > _HERMITIAN_TOL:
+            raise DataError("factor block is not finite and Hermitian")
         block.setflags(write=False)
-        for name, value in zip(self.__slots__, (qubits, block, masks, None)):
+        for name, value in zip(self.__slots__, (qubits, block, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -104,9 +102,9 @@ class TensorProductTerm:
 
 class Fragment:
     """Terms simultaneously measurable in one basis; `strings` is pauli_coefficients(terms) as a
-    pauli.string_array, set by the partitioners that start from strings or by first scoring.
-    One built from Pauli strings holds `sets` instead of terms, each its members (a slice of its
-    strings) and block mask; its terms are built on first read (string_fragments)."""
+    pauli.string_array, set by first scoring. One built from Pauli strings holds `sets`, each its
+    members (a slice of `strings`, their exact expansion) and block mask; its terms, built from
+    factor_blocks() on first read, expand to the projection of its realized blocks instead."""
 
     __slots__ = ("_terms", "label", "strings", "sets", "_realized")
 
@@ -120,17 +118,21 @@ class Fragment:
 
     @property
     def terms(self) -> tuple[TensorProductTerm, ...]:
-        """The terms, built from the sets on first read (_set_terms of each, in order)."""
+        """The terms, built from factor_blocks() on first read: unit letters as unit_factor, any
+        other block held as it is (no copy, no check)."""
         if self._terms is None:
-            terms = (t for s, r in zip(self.sets, self.realized) for t in _set_terms(*s, r))
+            units = _UNIT_LETTERS
+            terms = (_built(TensorProductTerm, tuple([
+                unit_factor(q[0], u) if (u := units.get(id(b)))
+                else _built(TensorFactor, q, b, None) for q, b in f.items()]))
+                for f in self.factor_blocks())
             object.__setattr__(self, "_terms", tuple(terms))
         return self._terms
 
     @property
     def realized(self) -> tuple:
-        """Per set of a set fragment, its free block realized read-only on its qubits in ascending
-        order (dense_sum of its members, as pauli_factor builds it), or None for an empty block;
-        realized on first read, and held by the terms' block factors."""
+        """Per set, its free block as dense_sum of its members on its qubits in ascending order,
+        realized read-only on first read, or None for an empty block."""
         if self._realized is None:
             blocks = (_pauli.dense_sum(string_rows(m), mask_qubits(b)) if b else None
                       for m, b in self.sets)
@@ -141,22 +143,23 @@ class Fragment:
         return self._realized
 
     def factor_blocks(self) -> list[dict[tuple[int, ...], np.ndarray]]:
-        """Per term, its factors' blocks keyed by their qubits, in factor order. A set fragment's
-        are read from its sets as _set_terms would build them, with no term built: the shared
-        pauli._PAULI_MATS unit letters, c times the first letter of each member of a set without a
-        block (as pauli_term puts it), and the realized free block last."""
+        """Per term, its factors' blocks keyed by their qubits, in factor order. A set's are read
+        from its masks: a term per member of a set without a block, its first letter times c
+        (read-only), else one term of its first member's letters off the block, then the realized
+        block; letters are the shared pauli._PAULI_MATS matrices, on ascending qubits."""
         if self.sets is None:
             return [{f.qubits: f.block for f in t.factors} for t in self.terms]
-        out = []
+        out, mats = [], _LETTER_MATS
         for (members, block), realized in zip(self.sets, self.realized):
             for c, x, z in string_rows(members[:1] if block else members):
-                factors = {(q,): _pauli._PAULI_MATS["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)]]
+                factors = {(q,): mats[(x >> q & 1) + 2 * (z >> q & 1)]
                            for q in mask_qubits((x | z) & ~block)}
                 if block:
                     factors[mask_qubits(block)] = realized
                 else:
                     first = next(iter(factors))
                     factors[first] = c * factors[first]
+                    factors[first].setflags(write=False)
                 out.append(factors)
         return out
 
@@ -211,18 +214,11 @@ def check_realized_bytes(p: Partition):
                             f"cap {REALIZED_BYTES_CAP}")
 
 
-def pauli_factor(members, qubits, block=None) -> TensorFactor:
-    """Factor on `qubits` holding the weighted strings (c, s) of `members`, cut to `qubits`; its
-    block is given already realized, or realized here."""
-    mask = sum(1 << q for q in qubits)
-    return TensorFactor(qubits, block, tuple((c, s.x & mask, s.z & mask) for c, s in members))
-
-
 @cache
 def unit_factor(q: int, letter: str) -> TensorFactor:
     """The one-qubit factor of a bare Pauli letter, one shared immutable object per (q, letter),
     its block the letter's read-only pauli._PAULI_MATS matrix."""
-    return _built(TensorFactor, (q,), _pauli._PAULI_MATS[letter], None, None)
+    return _built(TensorFactor, (q,), _pauli._PAULI_MATS[letter], None)
 
 
 def _built(cls, *values):
@@ -231,35 +227,6 @@ def _built(cls, *values):
     for name, value in zip(cls.__slots__, values):
         object.__setattr__(obj, name, value)
     return obj
-
-
-def pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
-    """Weighted Pauli string as a product of 1-qubit factors (coeff in the first). A real finite
-    coeff on distinct qubits makes the factor and term checks redundant, so they are skipped."""
-    x, z, support = string.x, string.z, mask_qubits(string.support_mask)
-    if not support:
-        raise DataError("identity terms belong in Partition.constant")
-    if isinstance(coeff, complex) or not isfinite(coeff):
-        raise DataError(f"Pauli term coefficient must be real and finite, got {coeff!r}")
-    letters = ["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in support]  # by x + 2z
-    block = coeff * _pauli._PAULI_MATS[letters[0]]
-    block.setflags(write=False)
-    first = _built(TensorFactor, (support[0],), block, None, None)
-    return _built(TensorProductTerm, (first, *map(unit_factor, support[1:], letters[1:])))
-
-
-def _set_terms(members, block: int, realized) -> list[TensorProductTerm]:
-    """The terms of one set of weighted strings (c, x, z): an empty block gives pauli_term of
-    each member; else one term holding the first member's letters off the block: those unit
-    letters, then one pauli_factor of the members on the block qubits in ascending order, its
-    block the `realized` one (Fragment.realized)."""
-    members = [(c, _built(PauliString, (x | z).bit_length(), x, z))
-               for c, x, z in string_rows(members)]
-    if not block:
-        return [pauli_term(c, s) for c, s in members]
-    ref = members[0][1]
-    letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
-    return [TensorProductTerm(letters + [pauli_factor(members, mask_qubits(block), realized)])]
 
 
 def string_fragments(labelled: list, strings: np.ndarray) -> list[Fragment]:
@@ -332,13 +299,11 @@ def apply_fragment(frag: Fragment, vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def pauli_coefficients(terms, blocks: bool = False) -> defaultdict:
+def pauli_coefficients(terms) -> defaultdict:
     """Exact Pauli expansion of a sum of TensorProductTerms, (x mask, z mask) -> coefficient, by
-    tensor_expansion of the factors' masks; with `blocks` (certification: the blocks a file holds)
-    or no masks, of their blocks' projections. Nothing is dropped; a term over EXPANSION_CAP
-    strings raises ResourceError before anything is expanded."""
-    expanded = [[f.projection if blocks or f.masks is None else f.masks for f in term.factors]
-                for term in terms]
+    tensor_expansion of their factors' projections. Nothing is dropped; a term over
+    EXPANSION_CAP strings raises ResourceError before anything is expanded."""
+    expanded = [[f.projection for f in term.factors] for term in terms]
     if (size := max((prod(map(len, e)) for e in expanded), default=0)) > EXPANSION_CAP:
         raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
     out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
@@ -428,23 +393,31 @@ def partition_from_json(data: dict | str) -> Partition:
         for frag in data["fragments"]:
             terms = [TensorProductTerm(_factor_from_json(f) for f in term["factors"])
                      for term in frag["terms"]]
-            fragments.append(Fragment(tuple(terms), frag.get("label", "")))
+            fragments.append(Fragment(tuple(terms), _text(frag.get("label", ""), "label")))
         n, constant = data["n"], data["constant"]
         if type(n) is not int or n < 0:
             raise DataError(f"n must be a non-negative JSON integer, got {n!r}")
         if type(constant) not in (int, float) or not np.isfinite(constant):
             raise DataError(f"constant must be a finite number, got {constant!r}")
+        digest = data.get("hamiltonian_sha256")
         return Partition(
             n=n,
             fragments=tuple(fragments),
             constant=float(constant),
-            source=data.get("source", ""),
-            hamiltonian_sha256=data.get("hamiltonian_sha256"),
+            source=_text(data.get("source", ""), "source"),
+            hamiltonian_sha256=None if digest is None else _text(digest, "hamiltonian_sha256"),
         )
     except HampartError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, struct.error) as exc:
         raise DataError(f"malformed partition: {exc!r}") from exc
+
+
+def _text(value, name: str) -> str:
+    """A partition file's text field, refused (DataError) unless it is a JSON string."""
+    if type(value) is not str:
+        raise DataError(f"{name} must be a JSON string, got {value!r}")
+    return value
 
 
 def save_partition(path, p: Partition):

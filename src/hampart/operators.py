@@ -302,6 +302,8 @@ class BosonOperator:
     terms: tuple[BosonTerm, ...] = ()
 
     def __post_init__(self):
+        if type(self.d) is bool or not isinstance(self.d, (int, np.integer)):
+            raise DataError(f"truncation d must be an integer, got {self.d!r}")
         if self.d < 2:
             raise DomainError(f"truncation d must be >= 2, got {self.d}")
         coeffs, lengths, ms, symbols = _term_arrays(self.terms, self.modes)
@@ -361,7 +363,12 @@ def build_fermi_hubbard(lat: Lattice, t: float, U: float) -> FermionOperator:
 
 
 def build_bose_hubbard(lat: Lattice, t: float, U: float, d: int) -> BosonOperator:
-    """H = -sum_<ij> t (b+_i b_j + h.c.) + sum_i (U/2) n_i (n_i - 1)."""
+    """H = -sum_<ij> t (b+_i b_j + h.c.) + sum_i (U/2) n_i (n_i - 1); t and U must be finite
+    numbers (a bool is not one), else DataError."""
+    for name, value in (("t", t), ("U", U)):
+        number = isinstance(value, (int, float, np.integer, np.floating))
+        if type(value) is bool or not (number and np.isfinite(value)):
+            raise DataError(f"{name} must be a finite number, got {value!r}")
     terms = []
     for i, j in lat.edges:
         if t != 0.0:
@@ -417,7 +424,7 @@ def vibrational_from_json(data: dict | str) -> BosonOperator:
         if isinstance(data, str):
             data = json.loads(data)
         couplings = couplings_from_json(data.get("couplings", {}))
-        return build_vibrational(data["omega"], couplings, int(data["d"]))
+        return build_vibrational(data["omega"], couplings, data["d"])
     except HampartError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

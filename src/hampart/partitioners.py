@@ -181,17 +181,14 @@ def blocking_partition(h: PauliSum, k: int) -> Partition:
 
 
 def ordering_cost(f: FermionOperator, perm=None) -> float:
-    """Sum over terms of |coeff| * (max - min) of the permuted mode indices."""
-    if perm is None:
-        perm = range(f.modes)
-    perm = list(perm)
-    cost = 0.0
-    for coeff, ops in f.terms:
-        if not ops:
-            continue
-        idx = [perm[m] for m, _ in ops]
-        cost += abs(coeff) * (max(idx) - min(idx))
-    return cost
+    """Sum over terms of |coeff| * (max - min) of the permuted mode indices, read from f's
+    arrays (a term without ops adds nothing) and summed term after term, as a loop would."""
+    perm = np.arange(f.modes) if perm is None else np.asarray(list(perm), np.int64)
+    held = f.lengths > 0
+    starts = (np.cumsum(f.lengths) - f.lengths)[held]
+    idx = perm[f.ops[:, 0]]
+    spread = np.maximum.reduceat(idx, starts) - np.minimum.reduceat(idx, starts)
+    return float(np.cumsum(np.r_[0.0, np.abs(f.coeffs[held]) * spread])[-1])
 
 
 def reorder_indices(

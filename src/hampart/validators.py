@@ -80,7 +80,7 @@ def _coefficients(frags):
     """(x mask, z mask) -> coefficient of the blocks the fragments hold: pauli_coefficients of the
     terms built from blocks, then each set's members, or its first member's letters off its free
     block times each string of pauli_masks of the realized block."""
-    out = pauli_coefficients((t for f in frags if f.sets is None for t in f.terms), blocks=True)
+    out = pauli_coefficients(t for f in frags if f.sets is None for t in f.terms)
     for frag in (f for f in frags if f.sets is not None):
         for (members, block), realized in zip(frag.sets, frag.realized):
             rows = string_rows(members)

@@ -146,15 +146,15 @@ class VarianceReport:
 
 def _apply(frag: Fragment, states: np.ndarray, n: int, *buffers: np.ndarray) -> np.ndarray:
     """frag @ states through apply_pauli_terms (into `buffers`) on frag.strings, set here once
-    for a fragment built from blocks. It is applied factor by factor (apply_fragment) instead
-    where its expansion would outweigh one state column: a factor given as a block (masks None)
-    with more entries (4^m) than 2^n, a term whose block factors expand to more strings than
-    that, or a term over EXPANSION_CAP strings; decided before anything is expanded."""
+    for a fragment built from terms (a set fragment's are its members). It is applied factor by
+    factor (apply_fragment) instead where its expansion would outweigh one state column: a factor
+    with more entries (4^m) than 2^n, a term whose factors expand to more strings than that, or
+    a term over EXPANSION_CAP strings; decided before anything is expanded."""
     if frag.strings is None:
-        blocks = [[f for f in t.factors if f.masks is None] for t in frag.terms]
-        if any(4**f.size > 1 << n for fs in blocks for f in fs):  # never projected
+        terms = frag.terms
+        if any(4**f.size > 1 << n for t in terms for f in t.factors):  # never projected
             return apply_fragment(frag, states, n)
-        if max((prod(len(f.projection) for f in fs) for fs in blocks), default=0) > 1 << n:
+        if max((prod(len(f.projection) for f in t.factors) for t in terms), default=0) > 1 << n:
             return apply_fragment(frag, states, n)
         try:
             coeffs = pauli_coefficients(frag.terms)

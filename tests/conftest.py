@@ -1,7 +1,8 @@
 """Shared fixtures: reference Hamiltonians and independent dense oracles."""
 
 import importlib.util
-from collections import Counter
+from collections import Counter, defaultdict
+from math import isfinite, prod
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import strategies as st
 
 from hampart import fragments
-from hampart.fragments import Fragment, Partition, TensorFactor, TensorProductTerm
+from hampart import pauli as _pauli
+from hampart.errors import DataError, DimensionError, ResourceError
+from hampart.fragments import (EXPANSION_CAP, Fragment, Partition, TensorFactor,
+                               TensorProductTerm, unit_factor)
 from hampart.operators import ElectronicIntegrals
 from hampart.partitioners import (
     blocking_partition,
@@ -17,7 +21,8 @@ from hampart.partitioners import (
     greedy_partition,
     sorted_insertion,
 )
-from hampart.pauli import PauliString, PauliSum, mask_ints, parse_pauli_text, pauli_matrix
+from hampart.pauli import (PauliString, PauliSum, mask_ints, mask_qubits, parse_pauli_text,
+                           pauli_masks, pauli_matrix, string_rows, tensor_expansion)
 
 # Four-qubit example Hamiltonian used throughout (identity offset +1).
 ILLUSTRATIVE_TEXT = """\
@@ -108,6 +113,14 @@ def block_built(p: Partition) -> Partition:
     """The same partition with each fragment built from its terms, as a loaded file holds it."""
     return Partition(p.n, tuple(Fragment(f.terms, f.label) for f in p.fragments), p.constant,
                      p.source, p.hamiltonian_sha256)
+
+
+def letter_term(coeff: float, string: PauliString) -> TensorProductTerm:
+    """A weighted Pauli string as a term of one-qubit factors through the checked constructors:
+    coeff times the first letter, then the other letters, on ascending qubits."""
+    first, *rest = string.support()
+    return TensorProductTerm([TensorFactor((first,), coeff * pauli_matrix(string.letter(first)))]
+                             + [TensorFactor((q,), pauli_matrix(string.letter(q))) for q in rest])
 
 
 @pytest.fixture(scope="session")
@@ -262,3 +275,112 @@ def reference_pauli_sum(pairs, constant: float) -> tuple[dict, float]:
         else:
             acc[s] = acc.get(s, 0.0) + c
     return {s: c for s, c in acc.items() if abs(c) > 1e-12}, const
+
+
+# ---------------------------------------------------------------------------
+# The builders of a string-built fragment's terms before they were read from
+# Fragment.factor_blocks(), kept verbatim: the factor that held its strings as masks, the
+# term of one weighted string and the terms of one set.
+
+_HERMITIAN_TOL = fragments._HERMITIAN_TOL
+_built = fragments._built
+
+
+class ReferenceTensorFactor:
+    """Hermitian block acting on an ordered tuple of qubits. Given `masks`, the (c, x, z) triples
+    it sums over the register, its block is their dense_sum on its qubits unless given."""
+
+    __slots__ = ("qubits", "block", "masks", "_projection")
+
+    def __init__(self, qubits, block=None, masks=None):
+        qubits = tuple(int(q) for q in qubits)
+        if len(set(qubits)) != len(qubits) or min(qubits, default=0) < 0:
+            raise DataError(f"repeated or negative qubit in factor {qubits}")
+        if masks is None:
+            block = np.array(block, dtype=complex)
+            dim = 1 << len(qubits)
+            if block.shape != (dim, dim):
+                raise DimensionError(
+                    f"factor on {len(qubits)} qubits needs a {dim} x {dim} block, got {block.shape}"
+                )
+            if not np.isfinite(block).all() or abs(block - block.conj().T).max() > _HERMITIAN_TOL:
+                raise DataError("factor block is not finite and Hermitian")
+        elif block is None:
+            block = _pauli.dense_sum(masks, qubits)
+        block.setflags(write=False)
+        for name, value in zip(self.__slots__, (qubits, block, masks, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TensorFactor is immutable")
+
+    @property
+    def projection(self) -> list[tuple[complex, int, int]]:
+        """pauli_masks of the dense block, computed once."""
+        if self._projection is None:
+            object.__setattr__(self, "_projection", pauli_masks(self.block, self.qubits))
+        return self._projection
+
+    @property
+    def size(self) -> int:
+        return len(self.qubits)
+
+    def __repr__(self) -> str:
+        return f"TensorFactor(qubits={self.qubits})"
+
+
+def reference_pauli_factor(members, qubits, block=None) -> ReferenceTensorFactor:
+    """Factor on `qubits` holding the weighted strings (c, s) of `members`, cut to `qubits`; its
+    block is given already realized, or realized here."""
+    mask = sum(1 << q for q in qubits)
+    return ReferenceTensorFactor(qubits, block,
+                                 tuple((c, s.x & mask, s.z & mask) for c, s in members))
+
+
+def reference_pauli_term(coeff: float, string: PauliString) -> TensorProductTerm:
+    """Weighted Pauli string as a product of 1-qubit factors (coeff in the first). A real finite
+    coeff on distinct qubits makes the factor and term checks redundant, so they are skipped."""
+    x, z, support = string.x, string.z, mask_qubits(string.support_mask)
+    if not support:
+        raise DataError("identity terms belong in Partition.constant")
+    if isinstance(coeff, complex) or not isfinite(coeff):
+        raise DataError(f"Pauli term coefficient must be real and finite, got {coeff!r}")
+    letters = ["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in support]  # by x + 2z
+    block = coeff * _pauli._PAULI_MATS[letters[0]]
+    block.setflags(write=False)
+    first = _built(ReferenceTensorFactor, (support[0],), block, None, None)
+    return _built(TensorProductTerm, (first, *map(unit_factor, support[1:], letters[1:])))
+
+
+def reference_set_terms(members, block: int, realized) -> list[TensorProductTerm]:
+    """The terms of one set of weighted strings (c, x, z): an empty block gives pauli_term of
+    each member; else one term holding the first member's letters off the block: those unit
+    letters, then one pauli_factor of the members on the block qubits in ascending order, its
+    block the `realized` one (Fragment.realized)."""
+    members = [(c, _built(PauliString, (x | z).bit_length(), x, z))
+               for c, x, z in string_rows(members)]
+    if not block:
+        return [reference_pauli_term(c, s) for c, s in members]
+    ref = members[0][1]
+    letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
+    return [TensorProductTerm(letters + [reference_pauli_factor(members, mask_qubits(block),
+                                                                realized)])]
+
+
+def reference_terms(frag: Fragment) -> list[TensorProductTerm]:
+    """The terms a set fragment's Fragment.terms built before: reference_set_terms of each set."""
+    return [t for s, r in zip(frag.sets, frag.realized) for t in reference_set_terms(*s, r)]
+
+
+def reference_expansion(terms) -> defaultdict:
+    """The former pauli_coefficients(terms): tensor_expansion of each factor's masks where it
+    holds them, else of its block's projection."""
+    expanded = [[f.projection if getattr(f, "masks", None) is None else f.masks
+                 for f in term.factors] for term in terms]
+    if (size := max((prod(map(len, e)) for e in expanded), default=0)) > EXPANSION_CAP:
+        raise ResourceError(f"term expands to {size} Pauli strings, cap {EXPANSION_CAP}")
+    out: defaultdict[tuple[int, int], complex] = defaultdict(complex)
+    for e in expanded:
+        for c, x, z in tensor_expansion(1.0, e):
+            out[(x, z)] += c
+    return out

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hampart
-from conftest import ILLUSTRATIVE_TEXT, benchmark_fcidump
+from conftest import ILLUSTRATIVE_TEXT, benchmark_fcidump, letter_term
 from hampart import cli, fragments, pauli, variance
 from hampart.cli import main
 from hampart.errors import ResourceError
@@ -23,7 +23,6 @@ from hampart.fragments import (
     Partition,
     check_realized_bytes,
     partition_to_json,
-    pauli_term,
     save_partition,
 )
 from hampart.operators import ElectronicIntegrals, build_bose_hubbard, chain_lattice, write_fcidump
@@ -170,6 +169,15 @@ class TestBuild:
             assert run(["build", "bose-hubbard", "--modes", 2, "--lattice",
                         f"@{tmp_path / 'in.json'}", "-o", stem]) == 2
         assert not (tmp_path / "out.pauli").exists()
+
+    @pytest.mark.parametrize("d", ["4.5", "1e400", "true", '"4"', "4.0"])
+    def test_model_truncation_not_an_integer_exit_code(self, tmp_path, capsys, d):
+        # A fractional d used to build d=4 silently; an overflowing one raised OverflowError.
+        (tmp_path / "model.json").write_text(f'{{"omega": [1.0, 1.2], "d": {d}}}')
+        assert run(["build", "vibrational", "--model", tmp_path / "model.json",
+                    "-o", tmp_path / "m"]) == 2
+        assert "truncation d must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "m.pauli").exists()
 
     @pytest.mark.parametrize("spec", ["square:3xq", "square:3", "cubic:2x2", "square:0x3",
                                       "hexagonal:2x0", "all-to-all"])
@@ -398,6 +406,22 @@ class TestPartition:
         assert run(["partition", tmp_path / "h.pauli", "--method", "fc-si", "-o", out]) == 2
         err = capsys.readouterr().err
         assert "h.json: n must be a non-negative JSON integer" in err and "qubit" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["qpn", "coloring"])
+    @pytest.mark.parametrize("field, value", [("d", "4.5"), ("d", "1e400"), ("d", '"4"'),
+                                              ("t", "true"), ("U", "false"), ("t", "1e400")],
+                             ids=["d-fraction", "d-overflow", "d-string", "t-bool", "U-bool",
+                                  "t-overflow"])
+    def test_bosonic_sidecar_number_exit_code(self, b3d4, tmp_path, capsys, method, field, value):
+        # d must be an integer and t, U finite numbers: never truncated, nor a bool read as 1.
+        sidecar = b3d4.parent / "b3d4.json"
+        meta = json.loads(sidecar.read_text())
+        meta["params"][field] = "@"
+        sidecar.write_text(json.dumps(meta).replace('"@"', value))
+        out = tmp_path / "x.json"
+        assert run(["partition", f"{b3d4}.pauli", "--method", method, "-o", out]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix", [".pauli", ".json"])
@@ -797,7 +821,7 @@ class TestVerify:
         ham.write_text("1.0 X0\n1.0 Z0\n")
         h = PauliSum(1, [(1.0, PauliString.from_letters("X")),
                          (1.0, PauliString.from_letters("Z"))])
-        frag = Fragment(tuple(pauli_term(c, s) for c, s in h), "xz")
+        frag = Fragment(tuple(letter_term(c, s) for c, s in h), "xz")
         part = Partition(1, (frag,), source="xz")
         assert check_reconstruction(part, h) < 1e-15
         report = validate_partition(part, h)
@@ -872,6 +896,34 @@ class TestVerify:
         part.write_text(json.dumps(data))
         extra = ["-o", tmp_path / "rep"] if command == "evaluate" else []
         assert run([command, part, "--hamiltonian", f"{b3d4}.pauli", *extra]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "evaluate"])
+    @pytest.mark.parametrize("field, value", [("source", [1]), ("source", 7), ("source", None),
+                                              ("label", ["a"]), ("label", None),
+                                              ("hamiltonian_sha256", [1]),
+                                              ("hamiltonian_sha256", False),
+                                              ("hamiltonian_sha256", 0)],
+                             ids=["source-list", "source-number", "source-null", "label-list",
+                                  "label-null", "digest-list", "digest-false", "digest-zero"])
+    def test_non_string_partition_text_exit_code(self, b3d4, tmp_path, capsys, command, field,
+                                                 value):
+        # `evaluate` keyed its summary by a list source and failed with TypeError (exit 1).
+        part = tmp_path / "part.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        data = json.loads(part.read_text())
+        (data["fragments"][0] if field == "label" else data)[field] = value
+        part.write_text(json.dumps(data))
+        extra = ["-o", tmp_path / "rep"] if command == "evaluate" else []
+        assert run([command, part, "--hamiltonian", f"{b3d4}.pauli", *extra]) == 2
+        assert f"{field} must be a JSON string" in capsys.readouterr().err
+
+    def test_null_digest_is_taken(self, b3d4, tmp_path):
+        part = tmp_path / "part.json"
+        run(["partition", f"{b3d4}.pauli", "--method", "qpn", "-o", part])
+        data = json.loads(part.read_text())
+        data["hamiltonian_sha256"] = None
+        part.write_text(json.dumps(data))
+        assert run(["verify", part, "--hamiltonian", f"{b3d4}.pauli"]) == 0
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["verify", tmp_path / "nope.json",

@@ -15,9 +15,14 @@ from conftest import (
     dense_from_letters,
     h2_sto3g_integrals,
     kron_all,
+    letter_term,
     pauli_sums,
+    ReferenceTensorFactor,
     random_hermitian,
+    random_integrals,
+    reference_terms,
     string_built_partitions,
+    string_triples,
 )
 from hampart.encodings import encode_boson_operator, jordan_wigner
 from hampart.errors import DataError, DimensionError
@@ -33,8 +38,7 @@ from hampart.fragments import (
     partition_from_json,
     partition_matrix,
     partition_to_json,
-    pauli_factor,
-    pauli_term,
+    pauli_coefficients,
     save_partition,
     term_matrix,
     unit_factor,
@@ -52,7 +56,7 @@ from hampart.partitioners import (
     qpn_partition,
     sorted_insertion,
 )
-from hampart.pauli import PauliString, pauli_masks, pauli_matrix
+from hampart.pauli import PauliString, dense_sum, pauli_matrix
 
 
 class TestConstruction:
@@ -85,43 +89,61 @@ class TestConstruction:
         with pytest.raises(DataError):
             Partition(2, (Fragment((term,), "f"),))
 
-    def test_pauli_term_folds_coefficient(self):
-        s = PauliString.from_letters("XIZ")
-        term = pauli_term(-2.0, s)
-        full = term_matrix(term, 3)
-        assert np.max(np.abs(full - -2.0 * dense_from_letters("XIZ"))) < 1e-13
 
-    def test_pauli_term_rejects_identity(self):
-        with pytest.raises(DataError):
-            pauli_term(1.0, PauliString.identity(3))
+class TestSetTerms:
+    """A set fragment's terms are read from Fragment.factor_blocks(): factor by factor the terms
+    the removed builders made (conftest reference_terms), and their Pauli expansion is the
+    projection of the realized blocks."""
 
-    @seed(20261019)
-    @settings(max_examples=200, deadline=None)
-    @given(letters=st.text("IXYZ", min_size=1, max_size=8).filter(lambda s: s.strip("I")),
-           coeff=st.floats(allow_nan=False, allow_infinity=False, width=64)
-           | st.sampled_from([0.0, -0.0, 1.0, -1.0]))
-    def test_pauli_term_bytes_equal_generic_construction(self, letters, coeff):
-        s = PauliString.from_letters(letters)
-        support = s.support()
-        want = TensorProductTerm(
-            [TensorFactor(support[:1], coeff * pauli_matrix(s.letter(support[0])))]
-            + [TensorFactor((q,), pauli_matrix(s.letter(q))) for q in support[1:]])
-        got = pauli_term(coeff, s)
-        assert [f.qubits for f in got.factors] == [f.qubits for f in want.factors]
-        for a, b in zip(got.factors, want.factors):
-            assert a.block.tobytes() == b.block.tobytes() and not a.block.flags.writeable
-            assert (a.masks, a.size) == (b.masks, b.size)
+    @staticmethod
+    def fh1d_instance(sites, t, u):
+        return jordan_wigner(build_fermi_hubbard(chain_lattice(sites), t, u))
 
-    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), 1.0 + 0.5j, 1.0 + 0j])
-    def test_pauli_term_rejects_complex_or_non_finite(self, coeff):
-        with pytest.raises(DataError):
-            pauli_term(coeff, PauliString.from_letters("XZ"))
+    @seed(20261021)
+    @settings(max_examples=40, deadline=None)
+    @given(h=pauli_sums(max_qubits=7), sites=st.integers(2, 7),
+           t=st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3), u=st.floats(0.0, 4.0))
+    def test_terms_are_the_reference_terms(self, h, sites, t, u):
+        fh = self.fh1d_instance(sites, t, u)
+        parts = [sorted_insertion(h, "full"), sorted_insertion(h, "qubitwise")]
+        parts += [greedy_partition(h, k) for k in range(1, h.n + 1)]
+        parts += [blocking_partition(h, k) for k in range(1, min(3, h.n) + 1)]
+        parts += [color_partition_fermi_hubbard_1d(fh, sites)]
+        letters = {pauli_matrix(letter).tobytes(): letter for letter in "XYZ"}
+        for frag in (f for p in parts for f in p.fragments):
+            want = reference_terms(frag)
+            assert len(frag.terms) == len(want), frag.label
+            for got_term, want_term in zip(frag.terms, want):
+                assert [f.qubits for f in got_term.factors] == [f.qubits for f in want_term.factors]
+                for a, b in zip(got_term.factors, want_term.factors):
+                    assert a.block.tobytes() == b.block.tobytes(), frag.label
+                    assert a.block.flags.writeable == b.block.flags.writeable is False
+                    if not isinstance(b, ReferenceTensorFactor):  # a shared unit letter
+                        assert a is b is unit_factor(*b.qubits, letters[b.block.tobytes()])
+                    elif b.masks:  # a set's realized free block, held as it is
+                        assert type(a) is TensorFactor and a.block is b.block
+                    else:  # c times the first letter of a set without a block
+                        assert a is not unit_factor(*a.qubits, letters.get(a.block.tobytes(), "I"))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_expansion_is_the_projection_of_the_blocks(self, k):
+        # The members' strings are all there with their coefficients up to rounding; a string
+        # the members cancel in a realized block may appear with a rounding-size coefficient.
+        ints = random_integrals(4, np.random.default_rng([3, 4]))
+        h = jordan_wigner(fermion_from_integrals(ints))
+        for frag in greedy_partition(h, k).fragments:
+            got = pauli_coefficients(frag.terms)
+            want = {(x, z): c for c, x, z in string_triples(frag.strings)}
+            scale = sum(map(abs, want.values()))
+            assert want.keys() <= got.keys(), frag.label
+            assert all(abs(c - want.get(key, 0.0)) <= 4 * np.finfo(float).eps * scale
+                       for key, c in got.items()), frag.label
 
 
 class TestPauliBornFactors:
-    """Factors built from Pauli strings realize the sum of their strings' kron products on the
-    listed qubits; their bytes are pinned by the partition digests and the differential test of
-    pauli.dense_sum."""
+    """Blocks realized from Pauli strings (pauli.dense_sum, which Fragment.realized runs on a
+    set's members) are the sum of their strings' kron products on the listed qubits; their bytes
+    are pinned by the partition digests and the differential test of pauli.dense_sum."""
 
     @pytest.mark.parametrize("coeff", [0.75, -0.75, -1.0])
     @pytest.mark.parametrize("letter", "XYZ")
@@ -130,20 +152,10 @@ class TestPauliBornFactors:
         members = [(coeff, s), (0.5, PauliString.from_ops([(1, "Z"), (3, "X")], 4)),
                    (-0.25, PauliString.from_ops([(3, letter)], 4))]
         for group, qubits in ((members, (1, 3)), (members, (3, 1)), (members[2:], (3,))):
-            block = pauli_factor(group, qubits).block
+            block = dense_sum([(c, t.x, t.z) for c, t in group], qubits)
             want = sum(c * dense_from_letters("".join(t.letter(q) for q in qubits))
                        for c, t in group)
             np.testing.assert_allclose(block, want, rtol=0, atol=1e-15)
-            assert not block.flags.writeable
-
-    def test_masks_are_the_strings_of_the_block(self):
-        s, t = PauliString.from_letters("XZY"), PauliString.from_letters("ZZX")
-        f = pauli_factor([(0.3, s), (-1.2, t)], (2, 0))
-        assert f.masks == ((0.3, s.x & 0b101, s.z & 0b101), (-1.2, t.x & 0b101, t.z & 0b101))
-        want = {(x, z): c for c, x, z in f.masks}
-        got = {(x, z): c for c, x, z in pauli_masks(f.block, f.qubits) if abs(c) > 1e-15}
-        assert got.keys() == want.keys()
-        assert all(abs(got[key] - c) < 1e-15 for key, c in want.items())
 
 
 class TestRealization:
@@ -213,7 +225,7 @@ class TestRealization:
             assert np.max(np.abs(batched[:, col] - apply_fragment(frag, block[:, col], n))) < 1e-13
 
     def test_partition_matrix_includes_constant(self):
-        term = pauli_term(2.0, PauliString.from_letters("Z"))
+        term = letter_term(2.0, PauliString.from_letters("Z"))
         p = Partition(1, (Fragment((term,), "z"),), constant=1.5)
         expect = np.diag([3.5, -0.5])
         assert np.max(np.abs(partition_matrix(p) - expect)) < 1e-13
@@ -417,7 +429,7 @@ class TestJson:
     @pytest.mark.parametrize("index, entry", [(0, [-0.0, 0.0]), (1, [1.0 + 2.0**-52, 0.0])])
     def test_near_letter_blocks_are_not_interned(self, index, entry):
         data = partition_to_json(
-            Partition(2, (Fragment((pauli_term(1.0, PauliString.from_letters("XZ")),)),)))
+            Partition(2, (Fragment((letter_term(1.0, PauliString.from_letters("XZ")),)),)))
         assert partition_from_json(data).fragments[0].terms[0].factors[0] is unit_factor(0, "X")
         data["fragments"][0]["terms"][0]["factors"][0]["block"][index] = entry
         loaded = partition_from_json(data)

@@ -436,3 +436,33 @@ class TestOperatorsRefuseNonIntegerModes:
         assert type(op.terms[0][1][0][0]) is int and type(op.terms[0][1][0][1]) is bool
         boson = BosonOperator(4, 3, ((1.0, ((np.int64(3), "n"),)),))
         assert boson.terms == ((1.0, ((3, "n"),)),)
+
+
+class TestBosonicNumbers:
+    """A truncation d is an integer (a bool, a float or a string is not), and the Bose-Hubbard
+    t and U are finite numbers, a bool not among them: DataError, never a silent conversion."""
+
+    @pytest.mark.parametrize("d", [4.5, 4.0, float("inf"), True, "4", None, np.float64(4.0)],
+                             ids=["fraction", "integral-float", "inf", "bool", "str", "none",
+                                  "numpy-float"])
+    def test_truncation_must_be_an_integer(self, d):
+        with pytest.raises(DataError, match="truncation d must be an integer"):
+            BosonOperator(2, d)
+        with pytest.raises(DataError, match="truncation d must be an integer"):
+            vibrational_from_json({"omega": [1.0], "d": d})
+
+    def test_integer_truncations_are_taken(self):
+        assert BosonOperator(2, np.int64(3)).d == 3
+        assert vibrational_from_json({"omega": [1.0], "d": 3}).d == 3
+        with pytest.raises(DomainError):
+            BosonOperator(2, 1)
+
+    @pytest.mark.parametrize("name", ["t", "U"])
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), "1", None, 1j],
+                             ids=["true", "false", "nan", "inf", "str", "none", "complex"])
+    def test_bose_hubbard_numbers(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be a finite number"):
+            build_bose_hubbard(chain_lattice(2), d=3, **{"t": 1.0, "U": 2.0, name: value})
+        ints = build_bose_hubbard(chain_lattice(2), d=3, **{"t": 1, "U": 2, name: np.int64(1)})
+        assert ints.terms == build_bose_hubbard(chain_lattice(2), d=3,
+                                                **{"t": 1.0, "U": 2.0, name: 1.0}).terms

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import (ILLUSTRATIVE_FC_GROUPS, pauli_sums, random_integrals, string_triples,
-                      vib_couplings, VIB_OMEGA)
+from conftest import (ILLUSTRATIVE_FC_GROUPS, letter_term, pauli_sums, random_integrals,
+                      reference_expansion, reference_pauli_factor, reference_pauli_term,
+                      reference_terms, string_triples, vib_couplings, VIB_OMEGA)
 from hampart import fragments, partitioners
 from hampart.encodings import (
     encode_boson_operator,
@@ -29,10 +30,7 @@ from hampart.fragments import (
     TensorProductTerm,
     fragment_matrix,
     partition_to_json,
-    pauli_coefficients,
-    pauli_factor,
     pauli_sum_from_fragment,
-    pauli_term,
     unit_factor,
 )
 from hampart.operators import (
@@ -348,7 +346,7 @@ def _match_set_term(w: _MatchSet, n: int) -> TensorProductTerm:
     factors = []
     if not free:
         coeff, string = w.members[0]
-        return pauli_term(coeff, string)
+        return letter_term(coeff, string)
     for q in w.ref.support():
         if q not in free:
             factors.append(TensorFactor((q,), pauli_matrix(w.ref.letter(q))))
@@ -471,10 +469,11 @@ def boundary_sum(n: int, size: int, seed: int) -> PauliSum:
 
 
 def assert_strings_are_the_expansion(part: Partition):
-    """Every fragment carries pauli_coefficients of its terms: same keys in the same order,
-    bitwise-equal coefficients (signed zeros included)."""
+    """Every fragment carries the expansion of the masks of the terms its sets built before
+    (reference_expansion of reference_terms): same keys in the same order, bitwise-equal
+    coefficients (signed zeros included)."""
     for frag in part.fragments:
-        coeffs = pauli_coefficients(frag.terms)
+        coeffs = reference_expansion(reference_terms(frag))
         got = frag.strings
         assert [(x, z) for _, x, z in string_triples(got)] == list(coeffs), frag.label
         want = np.array(list(coeffs.values()), dtype=complex)
@@ -531,9 +530,9 @@ def reference_match_set_term(members, free_mask: int, n: int) -> TensorProductTe
     free = tuple(q for q in range(n) if (free_mask >> q) & 1)
     ref = members[0][1]
     if not free:
-        return pauli_term(*members[0])
+        return reference_pauli_term(*members[0])
     factors = [unit_factor(q, ref.letter(q)) for q in ref.support() if q not in free]
-    return TensorProductTerm(factors + [pauli_factor(members, free)])
+    return TensorProductTerm(factors + [reference_pauli_factor(members, free)])
 
 
 def reference_held_strings(items, n: int) -> np.ndarray:
@@ -569,25 +568,25 @@ _built = fragments._built
 
 def reference_string_fragment(sets, label: str, n: int) -> Fragment:
     """Fragment of one term per set (members, block mask), whose weighted strings (c, s) hold the
-    first member's letters off the block: those unit letters, then one pauli_factor of the
-    members on the block qubits in ascending order; an empty block gives pauli_term of its single
-    member. Its strings are the members in set order."""
+    first member's letters off the block: those unit letters, then one reference_pauli_factor of
+    the members on the block qubits in ascending order; an empty block gives reference_pauli_term
+    of its single member. Its strings are the members in set order."""
     terms, held = [], []
     for members, block in sets:
         held += members
         if not block:
-            terms.append(pauli_term(*members[0]))
+            terms.append(reference_pauli_term(*members[0]))
             continue
         ref, qubits = members[0][1], tuple(q for q in range(n) if block >> q & 1)
         letters = [unit_factor(q, ref.letter(q)) for q in ref.support() if not block >> q & 1]
-        terms.append(TensorProductTerm(letters + [pauli_factor(members, qubits)]))
+        terms.append(TensorProductTerm(letters + [reference_pauli_factor(members, qubits)]))
     strings = string_array(((c, s.x, s.z) for c, s in held), n)
     return Fragment(tuple(terms), label, strings)
 
 
 def reference_pauli_group_fragments(h: PauliSum, gid: np.ndarray, prefix: str) -> list[Fragment]:
-    """One fragment `prefix-g` of pauli_terms per group id g of h's items_sorted, members in
-    order. The coefficient-carrying 2x2 factors are one broadcast (N, 2, 2) product and the
+    """One fragment `prefix-g` of reference_pauli_terms per group id g of h's items_sorted,
+    members in order. The coefficient-carrying 2x2 factors are one broadcast (N, 2, 2) product and the
     fragments' strings slices of one string_array."""
     order = np.argsort(gid, kind="stable")
     items = h.items_sorted()
@@ -654,7 +653,7 @@ def reference_blocking_partition(h: PauliSum, k: int) -> Partition:
         for key in windows:
             group = assigned[key]
             qubits = tuple(sorted({q for _, s in group for q in s.support()}))
-            terms.append(TensorProductTerm((pauli_factor(group, qubits),)))
+            terms.append(TensorProductTerm((reference_pauli_factor(group, qubits),)))
         held = [item for key in windows for item in assigned[key]]
         fragments.append(Fragment(tuple(terms), f"blocking-k{k}-offset{o}",
                                   reference_held_strings(held, n)))
@@ -682,7 +681,8 @@ def reference_fh1d_partition(f: FermionOperator, sites: int) -> Partition:
     frags = []
     for name, pairs in (("even", even_pairs), ("odd", odd_pairs)):
         pairs = [pair for pair in pairs if pair in members]
-        terms = tuple(TensorProductTerm((pauli_factor(members[pair], pair),)) for pair in pairs)
+        terms = tuple(TensorProductTerm((reference_pauli_factor(members[pair], pair),))
+                      for pair in pairs)
         held = reference_held_strings((item for pair in pairs for item in members[pair]), h.n)
         frags.append(Fragment(terms, f"fh1d-{name}", held))
     return Partition(h.n, tuple(frags), h.constant, source=f"fh1d(sites={sites})")
@@ -1005,7 +1005,52 @@ class TestRowPipelineMatchesTuplePipeline:
         assert string_triples(strings) == [(1.0, (1 << 70) - 1, 0), (-0.5, 0, 1 << 69)]
 
 
+def reference_ordering_cost(f: FermionOperator, perm=None) -> float:
+    """The per-term loop ordering_cost ran before it read the operator's arrays, kept verbatim."""
+    if perm is None:
+        perm = range(f.modes)
+    perm = list(perm)
+    cost = 0.0
+    for coeff, ops in f.terms:
+        if not ops:
+            continue
+        idx = [perm[m] for m, _ in ops]
+        cost += abs(coeff) * (max(idx) - min(idx))
+    return cost
+
+
+def _reordering_instances() -> dict[str, FermionOperator]:
+    """An 8-orbital electronic operator, one whose terms without ops sit first, between and
+    last, one with no ops at all and one with no terms."""
+    empty_mixed = ((0.5, ()), (-1.25, ((0, True), (4, False))), (2.0, ()),
+                   (0.3, ((3, True), (1, True), (4, False), (2, False))), (-0.0, ((2, True),)),
+                   (1.5, ()))
+    return {
+        "electronic": fermion_from_integrals(random_integrals(4, np.random.default_rng([8, 3]))),
+        "empty-terms-mixed": FermionOperator(5, empty_mixed),
+        "no-ops": FermionOperator(3, ((1.0, ()), (-2.0, ()))),
+        "no-terms": FermionOperator(4, ()),
+    }
+
+
 class TestReorderIndices:
+    @pytest.mark.parametrize("name", ["electronic", "empty-terms-mixed", "no-ops", "no-terms"])
+    def test_cost_bits_equal_the_loop(self, name):
+        # Seeded permutations, and the identity both ways: the same float bits as the loop.
+        op = _reordering_instances()[name]
+        rng = np.random.default_rng(200)
+        perms = [None, range(op.modes)] + [rng.permutation(op.modes).tolist() for _ in range(200)]
+        for perm in perms:
+            got, want = ordering_cost(op, perm), reference_ordering_cost(op, perm)
+            assert type(got) is float and got.hex() == want.hex(), perm
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_reordering_equals_the_loop(self, seed, monkeypatch):
+        op = _reordering_instances()["electronic"]
+        got = reorder_indices(op, seed, 300)
+        monkeypatch.setattr(partitioners, "ordering_cost", reference_ordering_cost)
+        assert got == reorder_indices(op, seed, 300)
+
     def test_single_hopping_cost_and_optimum(self):
         # One-directional t_{0,3} term: initial spread 3, optimal 1.
         op = FermionOperator(4, ((1.0, ((0, True), (3, False))),))

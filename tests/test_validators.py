@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     benchmark_fcidump,
     block_built,
+    letter_term,
     pauli_sums,
     random_hermitian,
     random_integrals,
@@ -32,7 +33,6 @@ from hampart.fragments import (
     partition_from_json,
     partition_matrix,
     partition_to_json,
-    pauli_term,
     term_matrix,
 )
 from hampart.operators import (
@@ -139,7 +139,7 @@ class TestReconstruction:
             s = PauliString.from_ops([(0, "Z"), (n - 1, "Z")], n)
             h = PauliSum(n, [(1.0, s)])
             part = Partition(
-                n, (Fragment((pauli_term(1.0, s),), "z"),), source="manual"
+                n, (Fragment((letter_term(1.0, s),), "z"),), source="manual"
             )
             assert check_reconstruction(part, h) < 1e-14
 
@@ -412,7 +412,7 @@ class TestDiagonalization:
 
 
 def _letter_fragment(strings) -> Fragment:
-    return Fragment(tuple(pauli_term(c, PauliString.from_letters(s)) for c, s in strings))
+    return Fragment(tuple(letter_term(c, PauliString.from_letters(s)) for c, s in strings))
 
 
 class TestLetterFragments:
@@ -699,7 +699,7 @@ def reference_conjugated(coeffs, gates, n: int, kind: str, ops) -> FragmentDiago
 
 def reference_letter_diagonalization(frag: Fragment, n: int) -> FragmentDiagonalization:
     """The letter and Clifford paths of diagonalize_fragment through the per-gate rule."""
-    coeffs = {s: c for s, c in fragments.pauli_coefficients(frag.terms, blocks=True).items()
+    coeffs = {s: c for s, c in fragments.pauli_coefficients(frag.terms).items()
               if c != 0}
     if (shared := reference_qubit_letters(coeffs, n)) is not None:
         gates = [(name, (q,)) for q, x, z in shared if x for name in ("s", "h")[1 - z:]]
@@ -758,7 +758,7 @@ class TestLayerConjugationMatchesPerGateReference:
                     x, z, flip = reference_conjugate(gate, x, z)
                     flips ^= flip
                 assert (xi, zi, (e - (xi & zi).bit_count()) >> 1 & 1) == (x, z, flips)
-        frag = Fragment(tuple(pauli_term(c, PauliString(n, x, z))
+        frag = Fragment(tuple(letter_term(c, PauliString(n, x, z))
                               for c, (x, z) in zip(coeffs, strings)))
         try:
             expected = reference_letter_diagonalization(frag, n)
@@ -773,7 +773,7 @@ class TestLayerConjugationMatchesPerGateReference:
 
     def test_seventy_qubit_clifford_certification(self):
         h = pauli.parse_pauli_text("1.0 X0 X69 Z65\n0.5 Y0 Y69 Z65\n0.25 Z0 Z69\n", n=70)
-        part = Partition(70, (Fragment(tuple(pauli_term(c, s) for c, s in h)),))
+        part = Partition(70, (Fragment(tuple(letter_term(c, s) for c, s in h)),))
         report = validate_partition(part, h).to_dict()
         assert report["ok"]
         assert report["bases"] == [{"kind": "clifford", "largest_block": 2, "two_qubit_gates": 2,

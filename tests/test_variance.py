@@ -446,13 +446,12 @@ class TestGroupedPauliEngine:
 
     def test_string_factor_over_state_entries_not_realized(self, monkeypatch):
         # greedy k = n on an 8-qubit electronic instance is one term whose free factor is given
-        # by more strings than one state has entries. Only factors given as blocks count against
-        # the state block, so the strings are applied and the factor's block is never built.
+        # by more strings than one state has entries. A set fragment is scored on its strings,
+        # so they are applied and the factor's block is never built.
         ints = random_integrals(4, np.random.default_rng([0, 4]))
         h = jordan_wigner(fermion_from_integrals(ints))
         part = greedy_partition(h, h.n)
-        assert sum(len(f.masks) for frag in part.fragments for t in frag.terms
-                   for f in t.factors) > 1 << h.n
+        assert sum(len(frag.strings) for frag in part.fragments) > 1 << h.n
         block = random_state(h.n, 0).amplitudes[:, None]
         calls = []
         real = pauli.dense_sum  # what realizes a factor's block from its strings
